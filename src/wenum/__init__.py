@@ -12,12 +12,11 @@ from .codes import (
     pair_sum_enumerator,
     zero_code_enumerator,
 )
-from .fields import GF, FieldElement, FiniteField
+from .fields import GF, FiniteField
 from .reedmuller import projective_reed_muller, reed_muller
 
 __all__ = [
     "GF",
-    "FieldElement",
     "FiniteField",
     "LinearCode",
     "WeightEnumerator",

@@ -45,16 +45,6 @@ class HypothesisViolationError(DomainError):
     """Input violates the hypotheses of a certified error bound."""
 
 
-class ParseError(DomainError):
-    """Malformed input file."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class PrecisionError(WenumError):
     """Numeric procedure could not certify its result."""
 

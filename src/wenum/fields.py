@@ -14,12 +14,11 @@ does all its field arithmetic through numpy lookups into these tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, FieldMismatchError
+from .errors import DomainError
 
 MAX_Q = 256  # table memory is trivial up to here; paper targets use q <= 5
 
@@ -189,14 +188,6 @@ class FiniteField:
             k >>= 1
         return acc
 
-    def element(self, value: int) -> "FieldElement":
-        if not 0 <= value < self.q:
-            raise DomainError(f"element index {value} outside [0, {self.q})")
-        return FieldElement(self, value)
-
-    def elements(self):
-        return [FieldElement(self, v) for v in range(self.q)]
-
     def __eq__(self, other):
         return isinstance(other, FiniteField) and self.q == other.q
 
@@ -205,49 +196,6 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FiniteField, identified by its integer index."""
-
-    field: FiniteField
-    value: int
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other)}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"elements of {self.field} and {other.field} cannot be combined"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}@GF({self.field.q})"
 
 
 def _value(digits, p):

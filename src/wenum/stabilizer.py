@@ -7,11 +7,14 @@ otherwise it is finite of order at most d! * n.
 Finite case: PGL2(C) acts simply 3-transitively, so every stabilizing
 Moebius map is determined by the images of a fixed reference triple of
 roots.  For every ordered triple of distinct roots we interpolate the
-unique Moebius candidate, screen it by whether it permutes the certified
+unique Moebius candidate in closed form (the map sending the reference
+triple to (0, 1, inf), followed by the inverse of the one sending the
+image triple there), screen it by whether it permutes the certified
 root disks (respecting multiplicities), recover the scalar on a probe
 point, rescale so the polynomial is fixed on the nose, and finally verify
 each of the n scalar twists by direct coefficient comparison.  Screening
-is heuristic; acceptance is only ever by the coefficient residual.
+is heuristic; acceptance is only ever by the coefficient residual.  The
+accepted root permutations must form a group, which is checked exactly.
 
 Triviality certificates: two critical 4-tuples of roots sharing their
 first three entries force the projective stabilizer to be trivial.  A
@@ -19,6 +22,10 @@ tuple is certified critical when for every competing ordered 4-tuple
 outside its V4 orbit the cross-multiplied cross-ratio gap exceeds
 120 N^3 eps, which guarantees the true cross ratios differ.  Failure to
 certify is reported as inconclusive, never as "not trivial".
+
+Both paths solve for roots on one fixed precision ladder, _EPS_LADDER,
+moving to the next level when the disks at the current one are too
+coarse (or, for certificates, when no certificate is found).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .roots import RootSet, roots_of, square_free
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 DEDUP_TOL = 1e-6  # entrywise distance identifying two numeric matrices
+_EPS_LADDER = (1e-12, 1e-15, 1e-18)  # root accuracy targets, tried in order
 _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
@@ -58,45 +66,27 @@ def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> complex:
     return ((z1 - z3) * (z2 - z4)) / ((z1 - z4) * (z2 - z3))
 
 
-@dataclass(frozen=True)
-class MoebiusCandidate:
-    """One nonzero solution of the three-point interpolation system."""
-
-    matrix: tuple  # ((a, b), (c, d))
-    source: tuple | None = None  # root indices of the image triple
-
-    @property
-    def det(self) -> complex:
-        (a, b), (c, d) = self.matrix
-        return a * d - b * c
-
-    def apply(self, z: complex) -> complex:
-        (a, b), (c, d) = self.matrix
-        den = c * z + d
-        if abs(den) < 1e-14 * (abs(c * z) + abs(d) + 1):
-            return complex(math.inf, math.inf)
-        return (a * z + b) / den
+def _to_zero_one_inf(z):
+    """The matrix of the Moebius map sending (z1, z2, z3) to (0, 1, inf)."""
+    z1, z2, z3 = z
+    return ((z2 - z3, -z1 * (z2 - z3)), (z2 - z1, -z3 * (z2 - z1)))
 
 
-def solve_moebius(z, w, source=None) -> MoebiusCandidate:
-    """Interpolate z_i -> w_i through the homogeneous linear system
-    z_i a + b - w_i z_i c - w_i d = 0, i = 1..3.
+def solve_moebius(z, w):
+    """The Moebius map sending z_i to w_i, i = 1..3, as ((a, b), (c, d)).
 
-    The nullspace is one-dimensional for distinct triples; the returned
-    solution is normalized so its largest-modulus entry is 1.
+    It is adj(M_w) M_z, where M_t sends the triple t to (0, 1, inf); the
+    adjugate is the inverse up to a scalar, which the normalization
+    removes.  The returned matrix has largest-modulus entry 1.
     """
     if len(set(z)) != 3 or len(set(w)) != 3:
         raise DegenerateInputError("triples must be pairwise distinct")
-    m = np.array(
-        [[zi, 1.0, -wi * zi, -wi] for zi, wi in zip(z, w)], dtype=complex
-    )
-    _, sing, vh = np.linalg.svd(m)
-    if sing[2] < 1e-10 * sing[0]:
-        raise DegenerateInputError("interpolation system is rank-deficient")
-    v = vh[-1].conj()
-    pivot = v[int(np.argmax(np.abs(v)))]
-    a, b, c, d = (v / pivot).tolist()
-    return MoebiusCandidate(matrix=((a, b), (c, d)), source=source)
+    (p, q), (r, s) = _to_zero_one_inf(z)
+    (e, f), (g, h) = _to_zero_one_inf(w)
+    m = (h * p - f * r, h * q - f * s, e * r - g * p, e * s - g * q)
+    pivot = max(m, key=abs)
+    a, b, c, d = (v / pivot for v in m)
+    return ((a, b), (c, d))
 
 
 class Verdict(Enum):
@@ -173,8 +163,8 @@ class _ScreeningAmbiguity(Exception):
     """Root disks too coarse to match candidate images uniquely."""
 
 
-def _match_permutation(cand: MoebiusCandidate, rootset: RootSet):
-    """The root permutation induced by the candidate, or None.
+def _match_permutation(mat, rootset: RootSet):
+    """The root permutation induced by the Moebius matrix, or None.
 
     Each image of a disk center must land in exactly one disk, inflated by
     the propagated first-order error; the matched disk must carry the same
@@ -182,8 +172,8 @@ def _match_permutation(cand: MoebiusCandidate, rootset: RootSet):
     """
     centers = rootset.centers()
     mults = [r.multiplicity for r in rootset.roots]
-    (a, b), (c, d) = cand.matrix
-    det = cand.det
+    (a, b), (c, d) = mat
+    det = a * d - b * c
     perm = []
     for k, (z, rk) in enumerate(zip(centers, rootset.roots)):
         den = c * z + d
@@ -224,34 +214,53 @@ def _probe_point(w: WeightEnumerator):
     raise PrecisionFailureError("no nonzero probe point found")
 
 
-def _verified_twists(w: WeightEnumerator, cand: MoebiusCandidate):
-    """Rescale the candidate so it fixes W and verify all n scalar twists.
+def _residual(coeffs, mat) -> float:
+    """Relative coefficient defect of substituting `mat` into the form."""
+    got = substitute_linear(coeffs, mat[0][0], mat[0][1], mat[1][0], mat[1][1])
+    return max(abs(g - v) for g, v in zip(got, coeffs)) / max(abs(v) for v in coeffs)
+
+
+def _verified_twists(w: WeightEnumerator, mat):
+    """Rescale the Moebius matrix so it fixes W and verify all n scalar twists.
 
     Returns a list of n StabilizerElements, or None when verification
     fails (the candidate survived screening but is not an invariant).
     """
     n = w.n
     x0, y0 = _probe_point(w)
-    (a, b), (c, d) = cand.matrix
+    (a, b), (c, d) = mat
     lam = w.evaluate(a * x0 + b * y0, c * x0 + d * y0) / w.evaluate(x0, y0)
     if lam == 0 or not cmath.isfinite(lam):
         return None
     mu = cmath.exp(-cmath.log(lam) / n)
-    scale = max(abs(v) for v in w.coeffs)
     zeta = cmath.exp(2j * cmath.pi / n)
     out = []
     twist = mu
     for _ in range(n):
-        mat = ((twist * a, twist * b), (twist * c, twist * d))
-        got = substitute_linear(w.coeffs, mat[0][0], mat[0][1], mat[1][0], mat[1][1])
-        residual = max(abs(g - v) for g, v in zip(got, w.coeffs)) / scale
+        twisted = ((twist * a, twist * b), (twist * c, twist * d))
+        residual = _residual(w.coeffs, twisted)
         if residual > VERIFY_TOL:
             return None
         out.append(
-            StabilizerElement(matrix=mat, scalar_lambda=lam, residual=residual)
+            StabilizerElement(matrix=twisted, scalar_lambda=lam, residual=residual)
         )
         twist *= zeta
     return out
+
+
+def _check_group(perms):
+    """Raise unless the root permutations contain the identity and are
+    closed under composition.  They are integer tuples, so the check is
+    exact; a finite set with both properties is a group."""
+    perms = set(perms)
+    d = len(next(iter(perms), ()))
+    closed = tuple(range(d)) in perms and all(
+        tuple(p[i] for i in r) in perms for p in perms for r in perms
+    )
+    if not closed:
+        raise PrecisionFailureError(
+            f"accepted root permutations ({len(perms)}) do not form a group"
+        )
 
 
 def _finite_group(w, q, rootset, cls):
@@ -262,18 +271,21 @@ def _finite_group(w, q, rootset, cls):
     for idx in permutations(range(d), 3):
         images = tuple(centers[i] for i in idx)
         try:
-            cand = solve_moebius(ref, images, source=idx)
+            mat = solve_moebius(ref, images)
         except DegenerateInputError:
             continue
-        perm = _match_permutation(cand, rootset)
+        perm = _match_permutation(mat, rootset)
         if perm is None or perm in classes:
             continue
-        classes[perm] = cand
+        classes[perm] = mat
     elements = []
-    for cand in classes.values():
-        twists = _verified_twists(w, cand)
+    accepted = []
+    for perm, mat in classes.items():
+        twists = _verified_twists(w, mat)
         if twists:
             elements.extend(twists)
+            accepted.append(perm)
+    _check_group(accepted)
     return StabilizerReport(
         verdict=Verdict.FINITE_GROUP,
         classification=cls,
@@ -284,16 +296,11 @@ def _finite_group(w, q, rootset, cls):
     )
 
 
-def compute_stabilizer(
-    w: WeightEnumerator,
-    q: int,
-    eps_target: float = 1e-12,
-    max_precision_retries: int = 3,
-) -> StabilizerReport:
+def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Full stabilizer of the homogeneous enumerator.
 
     Infinite verdict for the three two-root shapes; otherwise the verified
-    finite element list.  Root accuracy is tightened internally when disk
+    finite element list.  Root accuracy moves down _EPS_LADDER when disk
     screening cannot separate candidate images.
     """
     cls = classify(w, q)
@@ -301,13 +308,12 @@ def compute_stabilizer(
         return StabilizerReport(
             verdict=Verdict.INFINITE, classification=cls, degree=w.n
         )
-    eps = eps_target
-    for _ in range(max(1, max_precision_retries)):
+    for eps in _EPS_LADDER:
         rootset = roots_of(w, eps)
         try:
             return _finite_group(w, q, rootset, cls)
         except _ScreeningAmbiguity:
-            eps /= 1e3
+            continue
     raise PrecisionFailureError(
         "root disks could not be separated at maximum precision"
     )
@@ -361,20 +367,16 @@ def _certify_tuple(t, p, q, where, threshold):
     return gap, best
 
 
-def certify_trivial(
-    w: WeightEnumerator,
-    q: int,
-    eps_target: float = 1e-12,
-    max_precision_retries: int = 3,
-) -> StabilizerReport:
+def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Certified-trivial stabilizer via two critical tuples.
 
     Scans ordered 4-tuples lexicographically; the first two certifiable
     tuples sharing a 3-prefix prove the projective stabilizer trivial, so
     the full GL2 stabilizer is the n scalar matrices zeta_n^t I.  When
-    some needed comparison stays below the certified threshold at maximum
-    precision the verdict is Inconclusive (with the offending pair), which
-    is weaker than and distinct from "not trivial".
+    some needed comparison stays below the certified threshold at every
+    level of _EPS_LADDER the verdict is Inconclusive (with the offending
+    pair and the last level scanned), which is weaker than and distinct
+    from "not trivial".
     """
     cls = classify(w, q)
     sf = square_free(w)
@@ -383,13 +385,14 @@ def certify_trivial(
             f"triviality certificate needs >= 5 distinct roots, "
             f"found {sf.degree}"
         )
-    eps = eps_target
+    scanned = None
     offending = None
-    for _ in range(max(1, max_precision_retries)):
+    for eps in _EPS_LADDER:
         try:
             rootset = roots_of(w, eps)
         except PrecisionFailureError:
             break  # accuracy exhausted; report what we know, never "not trivial"
+        scanned = eps
         found, offending = _scan_for_certificate(rootset)
         if found:
             n = w.n
@@ -411,13 +414,12 @@ def certify_trivial(
                 certificate=found,
                 eps=rootset.eps,
             )
-        eps /= 1e3
     return StabilizerReport(
         verdict=Verdict.INCONCLUSIVE,
         classification=cls,
         degree=w.n,
         offending=offending,
-        eps=eps * 1e3,
+        eps=scanned,
     )
 
 
@@ -483,9 +485,7 @@ def rm2_dual_invariant_matrix(m: int) -> StabilizerElement:
     w_dual = macwilliams(w_first, 2, 2 ** (m + 1))
     u = (cmath.exp(2j * cmath.pi / 2 ** (m - 1)) + 1) / 2
     mat = ((u, u - 1), (u - 1, u))
-    got = substitute_linear(w_dual.coeffs, mat[0][0], mat[0][1], mat[1][0], mat[1][1])
-    scale = max(abs(v) for v in w_dual.coeffs)
-    residual = max(abs(g - v) for g, v in zip(got, w_dual.coeffs)) / scale
+    residual = _residual(w_dual.coeffs, mat)
     if residual > 1e-9:
         raise PrecisionFailureError(
             f"invariant matrix residual {residual:.3e} above 1e-9"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import monomial_transform, oracle_weight_coeffs, random_code, seeded
+from wenum.catalog import verify_catalog
 from wenum.codes import (
     LinearCode,
     WeightEnumerator,
@@ -104,6 +105,12 @@ def test_direct_sum_random_codes():
 def test_direct_sum_field_mismatch():
     with pytest.raises(FieldMismatchError):
         direct_sum(LinearCode(GF(2), [[1, 1]]), LinearCode(GF(3), [[1, 1]]))
+
+
+def test_catalog_matches_stated_enumerators():
+    results = verify_catalog()
+    assert results
+    assert [r for r in results if not r[1]] == []
 
 
 def test_dual_of_full_space_is_zero():

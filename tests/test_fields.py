@@ -2,7 +2,7 @@
 
 import pytest
 
-from wenum.errors import DomainError, FieldMismatchError
+from wenum.errors import DomainError
 from wenum.fields import GF, FiniteField
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -17,11 +17,10 @@ def test_gf4_fixed_irreducible():
     # x^2 + x + 1, so omega = index 2, omega^2 = index 3
     f = GF(4)
     assert f.irreducible == (1, 1, 1)
-    omega = f.element(2)
-    one = f.element(1)
-    assert (omega + one).value == 3
-    assert (omega * omega).value == 3
-    assert omega.inverse().value == 3
+    omega, one = 2, 1
+    assert f.add(omega, one) == 3
+    assert f.mul(omega, omega) == 3
+    assert f.inv(omega) == 3
 
 
 def test_gf5_arithmetic():
@@ -44,15 +43,6 @@ def test_absorbing_zero_and_identities(q):
 def test_inverse_of_zero_rejected():
     with pytest.raises(DomainError):
         GF(5).inv(0)
-
-
-def test_mismatched_fields_rejected():
-    a = GF(4).element(1)
-    b = GF(5).element(1)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    with pytest.raises(FieldMismatchError):
-        a * b
 
 
 @pytest.mark.parametrize("q", SUPPORTED)

@@ -2,11 +2,12 @@
 
 import cmath
 import math
+from itertools import product
 
 import pytest
 
 from conftest import seeded
-from wenum.algebra import d_delta_matrix, self_dual_matrix
+from wenum.algebra import d_delta_matrix, macwilliams, self_dual_matrix
 from wenum.codes import (
     WeightEnumerator,
     enumerate_weights,
@@ -18,10 +19,12 @@ from wenum.errors import (
     DegenerateInputError,
     DomainError,
     HypothesisViolationError,
+    PrecisionFailureError,
 )
 from wenum.reedmuller import reed_muller
 from wenum.stabilizer import (
     Verdict,
+    _check_group,
     certify_distinct_cross_ratios,
     certify_trivial,
     compute_stabilizer,
@@ -53,18 +56,45 @@ def mat_inv(m):
     return ((d / det, -b / det), (-c / det, a / det))
 
 
-def mulclose(generators, tol=1e-6, cap=100000):
+def _near_cells(m, h, tol):
+    """Keys of the grid cells (side h, per real coordinate) holding every
+    matrix within entrywise distance tol of m."""
+    options = []
+    for v in (complex(x) for row in m for x in row):
+        for x in (v.real, v.imag):
+            k = math.floor(x / h)
+            near = [k]
+            if x - k * h <= tol:
+                near.append(k - 1)
+            if (k + 1) * h - x <= tol:
+                near.append(k + 1)
+            options.append(near)
+    return product(*options)
+
+
+def mulclose(generators, tol=1e-6, cap=100000, h=1e-3):
     """Brute-force closure of a matrix set under products, with numeric
-    deduplication.  Independent oracle for the group computation."""
+    deduplication hashed on a grid of side h.  Independent oracle for the
+    group computation."""
     els = []
+    cells = {}
 
     def seen(m):
-        return any(matrix_distance(m, e) <= tol for e in els)
+        return any(
+            matrix_distance(m, e) <= tol
+            for key in _near_cells(m, h, tol)
+            for e in cells.get(key, ())
+        )
+
+    def add(m):
+        els.append(m)
+        own = next(_near_cells(m, h, 0.0))  # the first key is m's own cell
+        cells.setdefault(own, []).append(m)
 
     frontier = []
     for g in generators:
         if not seen(g):
-            els.append(g)
+            add(g)
             frontier.append(g)
     while frontier:
         nxt = []
@@ -72,7 +102,7 @@ def mulclose(generators, tol=1e-6, cap=100000):
             for g in list(els):
                 for prod in (mat_mul(f, g), mat_mul(g, f)):
                     if not seen(prod):
-                        els.append(prod)
+                        add(prod)
                         nxt.append(prod)
                         if len(els) > cap:
                             raise AssertionError("closure did not terminate")
@@ -122,14 +152,12 @@ def test_cross_ratio_degenerate():
 
 
 def test_solve_moebius_identity():
-    cand = solve_moebius((0, 1, 2), (0, 1, 2))
-    (a, b), (c, d) = cand.matrix
+    (a, b), (c, d) = solve_moebius((0, 1, 2), (0, 1, 2))
     assert abs(a - d) < 1e-9 and abs(b) < 1e-9 and abs(c) < 1e-9
 
 
 def test_solve_moebius_translation():
-    cand = solve_moebius((0, 1, 2), (1, 2, 3))
-    (a, b), (c, d) = cand.matrix
+    (a, b), (c, d) = solve_moebius((0, 1, 2), (1, 2, 3))
     assert abs(a - b) < 1e-9 and abs(a - d) < 1e-9 and abs(c) < 1e-9
 
 
@@ -140,9 +168,9 @@ def test_solve_moebius_interpolates():
         w = tuple(_rand_complex(rng) for _ in range(3))
         if len(set(z)) < 3 or len(set(w)) < 3:
             continue
-        cand = solve_moebius(z, w)
+        (a, b), (c, d) = solve_moebius(z, w)
         for zi, wi in zip(z, w):
-            assert abs(cand.apply(zi) - wi) <= 1e-9 * (1 + abs(wi))
+            assert abs((a * zi + b) / (c * zi + d) - wi) <= 1e-9 * (1 + abs(wi))
 
 
 def test_solve_moebius_degenerate():
@@ -186,6 +214,28 @@ def test_scalar_twist_structure():
         (a, b), (c, d) = e.matrix
         twisted = ((zeta * a, zeta * b), (zeta * c, zeta * d))
         assert find_element(rep.elements, twisted) is not None
+
+
+def test_group_check_rejects_non_groups():
+    ident, cycle = (0, 1, 2), (1, 2, 0)
+    _check_group([ident, cycle, (2, 0, 1)])
+    with pytest.raises(PrecisionFailureError):
+        _check_group([ident, cycle])  # cycle twice is missing
+    with pytest.raises(PrecisionFailureError):
+        _check_group([cycle, (2, 0, 1)])  # no identity
+    with pytest.raises(PrecisionFailureError):
+        _check_group([])
+
+
+@pytest.mark.parametrize("m, order", [(3, 192), (4, 256), (5, 1024)])
+def test_macwilliams_dual_same_order(m, order):
+    # the stabilizers of W and of its MacWilliams transform are conjugate
+    w = rm2_closed_form(m)
+    w_dual = macwilliams(w, 2, 2 ** (m + 1))
+    for v in (w, w_dual):
+        rep = compute_stabilizer(v, 2)
+        assert rep.verdict is Verdict.FINITE_GROUP
+        assert rep.size == order
 
 
 def test_infinite_verdicts():
@@ -265,7 +315,7 @@ def test_certify_trivial_needs_five_roots():
 
 def test_certify_trivial_gleason_inconclusive():
     # symmetric root set: coinciding cross ratios, certificate impossible
-    rep = certify_trivial(GLEASON, 2, max_precision_retries=2)
+    rep = certify_trivial(GLEASON, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.offending is not None
 
