@@ -15,7 +15,9 @@ is a proof, not an estimate.
 
 If the target radius is unreachable in double precision the iteration
 escalates to mpmath working precision; certification always happens at
-the final double-precision centers with exact coefficients.
+the final double-precision centers with exact coefficients.  Certified
+radii therefore cannot fall below the rounding of those centers (about
+d * ulp(max |z|)), so a finer target only adds escalations that fail.
 """
 
 from __future__ import annotations

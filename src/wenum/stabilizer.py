@@ -23,15 +23,14 @@ outside its V4 orbit the cross-multiplied cross-ratio gap exceeds
 120 N^3 eps, which guarantees the true cross ratios differ.  Failure to
 certify is reported as inconclusive, never as "not trivial".
 
-Both paths solve for roots on one fixed precision ladder, _EPS_LADDER,
-moving to the next level when the disks at the current one are too
-coarse (or, for certificates, when no certificate is found).
+Each verb solves for roots once, at ROOT_EPS; the working-precision
+escalation inside roots.find_roots is the only precision ladder.  Disks
+too coarse to match an image uniquely raise PrecisionFailureError.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -46,11 +45,11 @@ from .errors import (
     HypothesisViolationError,
     PrecisionFailureError,
 )
-from .roots import RootSet, roots_of, square_free
+from .roots import RootSet, roots_of
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 DEDUP_TOL = 1e-6  # entrywise distance identifying two numeric matrices
-_EPS_LADDER = (1e-12, 1e-15, 1e-18)  # root accuracy targets, tried in order
+ROOT_EPS = 1e-12  # root accuracy requested by both verbs
 _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
@@ -121,7 +120,7 @@ class StabilizerReport:
     elements: tuple = ()
     bound: int | None = None  # d! * n for the finite case
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
-    eps: float | None = None  # certified root accuracy actually used
+    eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
     offending: tuple | None = None  # uncertifiable tuple pair (inconclusive)
 
     @property
@@ -159,16 +158,13 @@ def find_element(elements, matrix, tol=DEDUP_TOL):
 # --- finite-group computation ------------------------------------------------
 
 
-class _ScreeningAmbiguity(Exception):
-    """Root disks too coarse to match candidate images uniquely."""
-
-
 def _match_permutation(mat, rootset: RootSet):
     """The root permutation induced by the Moebius matrix, or None.
 
     Each image of a disk center must land in exactly one disk, inflated by
     the propagated first-order error; the matched disk must carry the same
-    multiplicity, and the matches must form a bijection.
+    multiplicity, and the matches must form a bijection.  An image in two
+    disks raises PrecisionFailureError: the disks are too coarse.
     """
     centers = rootset.centers()
     mults = [r.multiplicity for r in rootset.roots]
@@ -189,7 +185,9 @@ def _match_permutation(mat, rootset: RootSet):
         if not hits:
             return None
         if len(hits) > 1:
-            raise _ScreeningAmbiguity
+            raise PrecisionFailureError(
+                f"image of root {k} lies in {len(hits)} root disks"
+            )
         m = hits[0]
         if mults[m] != mults[k]:
             return None
@@ -263,7 +261,7 @@ def _check_group(perms):
         )
 
 
-def _finite_group(w, q, rootset, cls):
+def _finite_group(w, rootset, cls):
     centers = rootset.centers()
     d = len(centers)
     ref = tuple(centers[:3])
@@ -291,7 +289,7 @@ def _finite_group(w, q, rootset, cls):
         classification=cls,
         degree=w.n,
         elements=tuple(elements),
-        bound=math.factorial(d) * w.n,
+        bound=cls.stabilizer_bound,
         eps=rootset.eps,
     )
 
@@ -300,23 +298,15 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Full stabilizer of the homogeneous enumerator.
 
     Infinite verdict for the three two-root shapes; otherwise the verified
-    finite element list.  Root accuracy moves down _EPS_LADDER when disk
-    screening cannot separate candidate images.
+    finite element list from one root solve at ROOT_EPS.  Raises
+    PrecisionFailureError when those disks cannot separate candidate images.
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer:
         return StabilizerReport(
             verdict=Verdict.INFINITE, classification=cls, degree=w.n
         )
-    for eps in _EPS_LADDER:
-        rootset = roots_of(w, eps)
-        try:
-            return _finite_group(w, q, rootset, cls)
-        except _ScreeningAmbiguity:
-            continue
-    raise PrecisionFailureError(
-        "root disks could not be separated at maximum precision"
-    )
+    return _finite_group(w, roots_of(w, ROOT_EPS), cls)
 
 
 # --- triviality certificates --------------------------------------------------
@@ -370,56 +360,54 @@ def _certify_tuple(t, p, q, where, threshold):
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Certified-trivial stabilizer via two critical tuples.
 
-    Scans ordered 4-tuples lexicographically; the first two certifiable
-    tuples sharing a 3-prefix prove the projective stabilizer trivial, so
-    the full GL2 stabilizer is the n scalar matrices zeta_n^t I.  When
-    some needed comparison stays below the certified threshold at every
-    level of _EPS_LADDER the verdict is Inconclusive (with the offending
-    pair and the last level scanned), which is weaker than and distinct
-    from "not trivial".
+    Solves for roots once, at ROOT_EPS, and scans ordered 4-tuples
+    lexicographically; the first two certifiable tuples sharing a 3-prefix
+    prove the projective stabilizer trivial, so the full GL2 stabilizer is
+    the n scalar matrices zeta_n^t I.  When some needed comparison stays
+    below the certified threshold the verdict is Inconclusive, with the
+    offending pair and the accuracy scanned (None when the root solve
+    failed), which is weaker than and distinct from "not trivial".
     """
     cls = classify(w, q)
-    sf = square_free(w)
-    if sf.degree < 5:
+    if cls.infinite_stabilizer or cls.distinct_roots < 5:
         raise DomainError(
             f"triviality certificate needs >= 5 distinct roots, "
-            f"found {sf.degree}"
+            f"found {cls.distinct_roots or 'at most 2'}"
         )
-    scanned = None
-    offending = None
-    for eps in _EPS_LADDER:
-        try:
-            rootset = roots_of(w, eps)
-        except PrecisionFailureError:
-            break  # accuracy exhausted; report what we know, never "not trivial"
-        scanned = eps
-        found, offending = _scan_for_certificate(rootset)
-        if found:
-            n = w.n
-            zeta = cmath.exp(2j * cmath.pi / n)
-            elements = tuple(
-                StabilizerElement(
-                    matrix=((zeta**t, 0j), (0j, zeta**t)),
-                    scalar_lambda=1 + 0j,
-                    residual=0.0,
-                )
-                for t in range(n)
-            )
-            return StabilizerReport(
-                verdict=Verdict.TRIVIAL_CERTIFIED,
-                classification=cls,
-                degree=n,
-                elements=elements,
-                bound=math.factorial(sf.degree) * n,
-                certificate=found,
-                eps=rootset.eps,
-            )
+    try:
+        rootset = roots_of(w, ROOT_EPS)
+    except PrecisionFailureError:
+        # accuracy exhausted; report what we know, never "not trivial"
+        return StabilizerReport(
+            verdict=Verdict.INCONCLUSIVE, classification=cls, degree=w.n
+        )
+    found, offending = _scan_for_certificate(rootset)
+    if not found:
+        return StabilizerReport(
+            verdict=Verdict.INCONCLUSIVE,
+            classification=cls,
+            degree=w.n,
+            offending=offending,
+            eps=rootset.eps,
+        )
+    n = w.n
+    zeta = cmath.exp(2j * cmath.pi / n)
+    elements = tuple(
+        StabilizerElement(
+            matrix=((zeta**t, 0j), (0j, zeta**t)),
+            scalar_lambda=1 + 0j,
+            residual=0.0,
+        )
+        for t in range(n)
+    )
     return StabilizerReport(
-        verdict=Verdict.INCONCLUSIVE,
+        verdict=Verdict.TRIVIAL_CERTIFIED,
         classification=cls,
-        degree=w.n,
-        offending=offending,
-        eps=scanned,
+        degree=n,
+        elements=elements,
+        bound=cls.stabilizer_bound,
+        certificate=found,
+        eps=rootset.eps,
     )
 
 

@@ -22,9 +22,12 @@ from wenum.errors import (
     PrecisionFailureError,
 )
 from wenum.reedmuller import reed_muller
+from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
+    ROOT_EPS,
     Verdict,
     _check_group,
+    _match_permutation,
     certify_distinct_cross_ratios,
     certify_trivial,
     compute_stabilizer,
@@ -216,6 +219,17 @@ def test_scalar_twist_structure():
         assert find_element(rep.elements, twisted) is not None
 
 
+def test_match_permutation_ambiguous_image_raises():
+    # disks at 0 and 1e-10 overlap, so the identity's image of 0 lands in both
+    rs = RootSet(
+        roots=tuple(Root(z, 1e-9, 1) for z in (0j, 1e-10 + 0j, 1 + 0j)),
+        eps=1e-9,
+        N=2.0,
+    )
+    with pytest.raises(PrecisionFailureError):
+        _match_permutation(((1, 0), (0, 1)), rs)
+
+
 def test_group_check_rejects_non_groups():
     ident, cycle = (0, 1, 2), (1, 2, 0)
     _check_group([ident, cycle, (2, 0, 1)])
@@ -309,15 +323,32 @@ def test_certify_trivial_rm4_2_2():
 
 
 def test_certify_trivial_needs_five_roots():
-    with pytest.raises(DomainError):
-        certify_trivial(pair_sum_enumerator(4, 4), 4)
+    # two infinite shapes, and rm2_closed_form(2): finite stabilizer, 4 roots
+    for w, q in (
+        (pair_sum_enumerator(4, 4), 4),
+        (zero_code_enumerator(5), 2),
+        (rm2_closed_form(2), 2),
+    ):
+        with pytest.raises(DomainError):
+            certify_trivial(w, q)
 
 
-def test_certify_trivial_gleason_inconclusive():
+def test_certify_trivial_gleason_inconclusive(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return roots_of(*args)
+
+    monkeypatch.setattr("wenum.stabilizer.roots_of", counted)
     # symmetric root set: coinciding cross ratios, certificate impossible
     rep = certify_trivial(GLEASON, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.offending is not None
+    assert rep.eps == roots_of(GLEASON, ROOT_EPS).eps  # the accuracy scanned
+    assert len(solves) == 1
+    compute_stabilizer(GLEASON, 2)
+    assert len(solves) == 2
 
 
 def test_agreement_trivial_vs_group():
@@ -330,8 +361,6 @@ def test_agreement_trivial_vs_group():
 
 def test_group_action_preserves_cross_ratio():
     rep = compute_stabilizer(GLEASON, 2)
-    from wenum.roots import roots_of
-
     centers = roots_of(GLEASON, 1e-12).centers()
     z = centers[:4]
     base = cross_ratio(*z)
