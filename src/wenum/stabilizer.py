@@ -17,11 +17,25 @@ is heuristic; acceptance is only ever by the coefficient residual.  The
 accepted root permutations must form a group, which is checked exactly.
 
 Triviality certificates: two critical 4-tuples of roots sharing their
-first three entries force the projective stabilizer to be trivial.  A
-tuple is certified critical when for every competing ordered 4-tuple
-outside its V4 orbit the cross-multiplied cross-ratio gap exceeds
-120 N^3 eps, which guarantees the true cross ratios differ.  Failure to
-certify is reported as inconclusive, never as "not trivial".
+first three entries force the projective stabilizer to be trivial.  With
+cross-ratio(T) = P_T / Q_T, a tuple t is certified critical when for every
+competing ordered 4-tuple s outside its V4 orbit the cross-multiplied gap
+|P_t Q_s - Q_t P_s| exceeds 120 N^3 eps, which guarantees the true cross
+ratios differ.  Failure to certify is reported as inconclusive, never as
+"not trivial".  The scan compares t only with nearby tuples: the gap is
+|Q_t| |Q_s| |lambda_t - lambda_s|, so a competitor within the threshold
+has its cross ratio within 120 N^3 eps / (|Q_t| min|Q|) of lambda_t.  The
+tuples are sorted by a projection of lambda (which lengthens no distance),
+and t is compared with every tuple whose projection lies within that
+radius, widened by the relative slack 2^-40 in the radius and 2^-40
+|lambda_t| besides.  The rounding of the products, the quotient and the
+projection is a few units of 2^-53, so the slack covers it many times
+over and no competitor within the threshold is missed; each gap compared
+is the same elementwise expression as a full row, so the verdict, the
+certificate and the offending pair are those of comparing all pairs.  The
+certificate's gaps and the offending competitor come from one full row
+each.  Tuples are checked in blocks of whole 3-prefixes in lexicographic
+order, so an early certificate ends the scan early.
 
 Each verb solves for roots once, at ROOT_EPS; the working-precision
 escalation inside roots.find_roots is the only precision ladder.  Disks
@@ -51,6 +65,9 @@ VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 DEDUP_TOL = 1e-6  # entrywise distance identifying two numeric matrices
 ROOT_EPS = 1e-12  # root accuracy requested by both verbs
 _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
+_PREFIXES = 256  # 3-prefixes scanned per block
+_PAIRS = 1 << 18  # candidate pairs compared at once
 
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> complex:
@@ -330,31 +347,31 @@ def certify_distinct_cross_ratios(x, eps: float, N: float) -> bool:
     return abs(a - b) > 120 * N**3 * eps
 
 
-def _tuple_products(centers):
-    """P, Q with cross-ratio(T) = P/Q for every ordered 4-tuple of
-    distinct indices, plus the index of each tuple."""
-    d = len(centers)
-    tuples = list(permutations(range(d), 4))
-    z = np.array(centers)
-    idx = np.array(tuples)
-    p = (z[idx[:, 0]] - z[idx[:, 2]]) * (z[idx[:, 1]] - z[idx[:, 3]])
-    q = (z[idx[:, 0]] - z[idx[:, 3]]) * (z[idx[:, 1]] - z[idx[:, 2]])
-    where = {t: i for i, t in enumerate(tuples)}
-    return tuples, p, q, where
+def _tuples(d):
+    """Every ordered 4-tuple of distinct indices below d, one per row, in
+    the order of permutations(range(d), 4): row r holds the digits of r in
+    the mixed radix (d, d-1, d-2, d-3), each lifted past the indices
+    already taken."""
+    out = np.empty((d * (d - 1) * (d - 2) * (d - 3), 4), dtype=np.intp)
+    rank = np.arange(len(out))
+    for j in range(3, -1, -1):
+        rank, out[:, j] = np.divmod(rank, d - j)
+    for j in range(1, 4):
+        taken = np.sort(out[:, :j], axis=1)
+        for k in range(j):
+            out[:, j] += out[:, j] >= taken[:, k]
+    return out
 
 
-def _certify_tuple(t, p, q, where, threshold):
-    """Smallest |a - b| against tuples outside the V4 orbit, or the first
-    offending competitor when the tuple cannot be certified."""
-    row = where[t]
-    diffs = np.abs(p[row] * q - q[row] * p)
-    orbit = [where[tuple(t[i] for i in sigma)] for sigma in _V4]
-    diffs[orbit] = np.inf
-    best = int(np.argmin(diffs))
-    gap = float(diffs[best])
-    if gap > threshold:
-        return gap, None
-    return gap, best
+def _orbit_keys(tuples, d):
+    """One integer per V4 orbit: the base-d digits of the orbit's member
+    that starts with its smallest index (V4 moves each position to the
+    front exactly once)."""
+    front = np.asarray(_V4)[np.argmin(tuples, axis=1)]
+    key = np.zeros(len(tuples), dtype=np.intp)
+    for column in np.take_along_axis(tuples, front, axis=1).T:
+        key = key * d + column
+    return key
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
@@ -418,27 +435,79 @@ def _scan_for_certificate(rootset: RootSet):
     if eps >= 0.5:
         return None, None
     threshold = 120 * bigN**3 * eps
-    tuples, p, q, where = _tuple_products(centers)
-    first_offender = None
-    for prefix in permutations(range(d), 3):
-        certified = []
-        rest = [i for i in range(d) if i not in prefix]
-        for i4 in rest:
-            t = prefix + (i4,)
-            gap, bad = _certify_tuple(t, p, q, where, threshold)
-            if bad is None:
+    tuples = _tuples(d)
+    orbit = _orbit_keys(tuples, d)
+    z = np.array(centers)
+    p = (z[tuples[:, 0]] - z[tuples[:, 2]]) * (z[tuples[:, 1]] - z[tuples[:, 3]])
+    q = (z[tuples[:, 0]] - z[tuples[:, 3]]) * (z[tuples[:, 1]] - z[tuples[:, 2]])
+    lam = p / q
+    abs_q = np.abs(q)
+    q_min = abs_q.min()
+    # projection on a direction off both axes: a real W has conjugate
+    # roots, so a cross ratio and its conjugate share their real part
+    x = 0.6 * lam.real + 0.8 * lam.imag
+    order = np.argsort(x)
+    keys = x[order]
+
+    def full_row(r):
+        """Smallest |a - b| of row r against every tuple outside its V4
+        orbit, and the first competitor attaining it."""
+        diffs = np.abs(p[r] * q - q[r] * p)
+        diffs[orbit == orbit[r]] = np.inf
+        best = int(np.argmin(diffs))
+        return float(diffs[best]), best
+
+    def uncertifiable(start, stop):
+        """Whether each row in [start, stop) has a competitor outside its
+        V4 orbit with |a - b| <= threshold; only the competitors whose
+        projection lies within the row's candidate radius are compared."""
+        rows = slice(start, stop)
+        radius = (
+            threshold / (abs_q[rows] * q_min) + _SLACK * np.abs(lam[rows])
+        ) * (1 + _SLACK)
+        lo = np.searchsorted(keys, x[rows] - radius, "left")
+        counts = np.searchsorted(keys, x[rows] + radius, "right") - lo
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        bad = np.zeros(stop - start, dtype=bool)
+        i = 0
+        while i < len(counts):  # pieces of at most _PAIRS pairs, or one row
+            j = int(np.searchsorted(edges, edges[i] + _PAIRS, "right")) - 1
+            j = max(j, i + 1)
+            t = np.repeat(np.arange(start + i, start + j), counts[i:j])
+            s = order[
+                np.repeat(lo[i:j] - edges[i:j], counts[i:j])
+                + np.arange(edges[i], edges[j])
+            ]
+            diffs = np.abs(p[t] * q[s] - q[t] * p[s])
+            bad[t[(diffs <= threshold) & (orbit[s] != orbit[t])] - start] = True
+            i = j
+        return bad
+
+    width = d - 3  # tuples per 3-prefix, consecutive rows
+    step = _PREFIXES * width
+    first_bad = None
+    for start in range(0, len(tuples), step):
+        bad = uncertifiable(start, min(start + step, len(tuples)))
+        good = ~bad.reshape(-1, width)
+        done = np.flatnonzero(good.sum(axis=1) >= 2)
+        if len(done):
+            k = done[0]
+            certified = []
+            for j in np.flatnonzero(good[k])[:2]:
+                r = start + k * width + j
+                t = tuple(int(i) for i in tuples[r])
                 certified.append(
                     CriticalTuple(
                         indices=t,
                         cross_ratio=cross_ratio(*(centers[i] for i in t)),
-                        gap=gap,
+                        gap=full_row(r)[0],
                     )
                 )
-                if len(certified) == 2:
-                    return tuple(certified), None
-            elif first_offender is None:
-                first_offender = (t, tuples[bad])
-    return None, first_offender
+            return tuple(certified), None
+        if first_bad is None and bad.any():
+            first_bad = start + int(np.argmax(bad))
+    best = full_row(first_bad)[1]
+    return None, tuple(tuple(int(i) for i in tuples[r]) for r in (first_bad, best))
 
 
 # --- the dual Reed-Muller invariant ------------------------------------------

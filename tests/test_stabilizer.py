@@ -41,6 +41,7 @@ from wenum.stabilizer import (
 )
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
+V4_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
 def _rand_complex(rng, scale=2.0):
@@ -318,7 +319,12 @@ def test_certify_trivial_rm4_2_2():
     t1, t2 = rep.certificate
     assert t1.indices[:3] == t2.indices[:3]
     assert t1.indices[3] != t2.indices[3]
-    assert min(t1.gap, t2.gap) > 120 * 0  # positive certified gaps
+    rs = roots_of(w, ROOT_EPS)
+    assert rep.eps == rs.eps
+    assert min(t1.gap, t2.gap) > 120 * rs.N**3 * rs.eps  # certified gaps
+    centers = rs.centers()
+    for t in (t1, t2):
+        assert t.cross_ratio == cross_ratio(*(centers[i] for i in t.indices))
     assert rep.size == w.n  # the scalar subgroup
 
 
@@ -349,6 +355,23 @@ def test_certify_trivial_gleason_inconclusive(monkeypatch):
     assert len(solves) == 1
     compute_stabilizer(GLEASON, 2)
     assert len(solves) == 2
+
+
+def test_certify_trivial_rm2_1_4_inconclusive():
+    # nontrivial group (order 256), so no certificate exists at d = 16
+    w = rm2_closed_form(4)
+    rep = certify_trivial(w, 2)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    rs = roots_of(w, ROOT_EPS)
+    assert rep.eps == rs.eps
+    z = rs.centers()
+    t, s = rep.offending
+    assert s not in {tuple(t[i] for i in sigma) for sigma in V4_PERMS}
+    p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
+    q_t = (z[t[0]] - z[t[3]]) * (z[t[1]] - z[t[2]])
+    p_s = (z[s[0]] - z[s[2]]) * (z[s[1]] - z[s[3]])
+    q_s = (z[s[0]] - z[s[3]]) * (z[s[1]] - z[s[2]])
+    assert abs(p_t * q_s - q_t * p_s) <= 120 * rs.N**3 * rs.eps
 
 
 def test_agreement_trivial_vs_group():
