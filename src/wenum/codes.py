@@ -1,13 +1,13 @@
 """Linear codes over GF(q): enumeration, weight enumerators, duals.
 
-The enumeration walk is the hot loop.  Messages are split into a prefix
-(the first t symbols) and a suffix (the last j symbols): all q^j suffix
-combinations are materialized once as a table, and the prefix is walked
-in a modular base-q Gray order so that each step updates the running
-offset codeword by a single precomputed row delta.  Weight counting over
-a block is a pair of vectorized table lookups.  Workers partition the
-prefix range, which is exactly a partition of the message space by its
-leading symbols; per-worker counts merge by addition.
+Enumeration is the hot loop.  Messages are split into a prefix (the
+first t symbols) and a suffix (the last j symbols), and the q^t prefix
+and q^j suffix combinations of the generator rows are materialized once
+as two tables.  Each prefix row plus the whole suffix table is one block
+of codewords, built by a single add-table gather; counting the weights
+of a block is one more vectorized pass.  Workers take contiguous parts of
+the prefix table, which is exactly a partition of the message space by
+its leading symbols; per-worker counts merge by addition.
 """
 
 from __future__ import annotations
@@ -223,8 +223,7 @@ class LinearCode:
             return False
         a, _ = rref(self.field, self.generator)
         b, _ = rref(other.field, other.generator)
-        ka = rank(self.field, self.generator)
-        return bool(np.array_equal(a[:ka], b[:ka]))
+        return bool(np.array_equal(a[: self.k], b[: self.k]))
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
@@ -249,10 +248,15 @@ def dual(code: LinearCode) -> LinearCode:
 # --- enumeration ----------------------------------------------------------
 
 
-def _suffix_table(field, rows):
-    """All GF(q)-combinations of the given generator rows, one per table row."""
+def _combination_table(field, rows):
+    """All GF(q)-combinations of the given generator rows, one per table row.
+
+    Row r holds the combination whose coefficients are the base-q digits
+    of r, the first generator row taking the leading digit.  No rows give
+    the single zero word.
+    """
     q = field.q
-    n = rows.shape[1] if rows.size else 0
+    n = rows.shape[1]
     table = np.zeros((1, n), dtype=np.uint8)
     addk = field.add_table
     mulk = field.mul_table
@@ -262,75 +266,31 @@ def _suffix_table(field, rows):
     return table
 
 
-def _gray_start(field, prefix_rows, index):
-    """Gray digits and offset codeword for an arbitrary prefix index.
+def _tables(code, budget):
+    """Budget check, then the prefix and suffix combination tables.
 
-    Digit i of the walk drives prefix row (t-1-i), so contiguous index
-    ranges partition the message space by its leading symbols.
+    The suffix table takes the last j generator rows, with q^j the largest
+    power of q within _BLOCK_CAP; the prefix table takes the rest.  Every
+    message is one prefix row plus one suffix row.
     """
-    q = field.q
-    t = len(prefix_rows)
-    plain = []
-    x = index
-    for _ in range(t + 1):
-        plain.append(x % q)
-        x //= q
-    gray = [(plain[i] - plain[i + 1]) % q for i in range(t)]
-    n = prefix_rows.shape[1] if t else 0
-    offset = np.zeros(n, dtype=np.uint8)
-    addk = field.add_table
-    mulk = field.mul_table
-    for i, g in enumerate(gray):
-        offset = addk[offset, mulk[g, prefix_rows[t - 1 - i]]]
-    return gray, offset
-
-
-def _walk_counts(field, prefix_rows, table, lo, hi, n, collect_weight=None):
-    """Accumulate weight counts over prefix indices [lo, hi).
-
-    With collect_weight set, also gather every codeword of that weight.
-    """
-    q = field.q
-    t = len(prefix_rows)
-    addk = field.add_table
-    subk = field.sub_table
-    mulk = field.mul_table
-    # delta[i, a] = ((a+1 mod q) - a) * row(digit i), the Gray step update
-    if t:
-        delta = np.empty((t, q, n), dtype=np.uint8)
-        for i in range(t):
-            row = prefix_rows[t - 1 - i]
-            for a in range(q):
-                d = subk[(a + 1) % q, a]
-                delta[i, a] = mulk[d, row]
-    gray, offset = _gray_start(field, prefix_rows, lo)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    hits = []
-    for s in range(lo, hi):
-        block = addk[table, offset] if t else table
-        weights = np.count_nonzero(block, axis=1)
-        counts += np.bincount(weights, minlength=n + 1)
-        if collect_weight is not None:
-            sel = weights == collect_weight
-            if sel.any():
-                hits.append(block[sel].copy())
-        if s + 1 < hi:
-            r, x = 0, s
-            while x % q == q - 1:
-                r += 1
-                x //= q
-            offset = addk[offset, delta[r, gray[r]]]
-            gray[r] = (gray[r] + 1) % q
-    return counts, hits
-
-
-def _split_rows(code):
-    """Choose the suffix-table size; prefix rows are the leading ones."""
+    total = code.size
+    if total > budget:
+        raise EnumerationBudgetError(total, budget)
     q, k = code.q, code.k
     j = 0
     while j < k and q ** (j + 1) <= _BLOCK_CAP:
         j += 1
-    return code.generator[: k - j], code.generator[k - j :]
+    return (
+        _combination_table(code.field, code.generator[: k - j]),
+        _combination_table(code.field, code.generator[k - j :]),
+    )
+
+
+def _blocks(field, prefixes, table):
+    """One block of codewords per prefix row: that row plus each table row."""
+    addk = field.add_table
+    for offset in prefixes:
+        yield addk[table, offset]
 
 
 def enumerate_weights(
@@ -338,58 +298,46 @@ def enumerate_weights(
 ) -> WeightEnumerator:
     """Exact weight enumerator by full codeword enumeration.
 
-    Rejects enumerations with more than `budget` codewords.  With
-    workers > 1 the prefix range is split into contiguous chunks handled
-    by a thread pool; counts merge by addition, so the result is exact
+    Rejects enumerations with more than `budget` codewords.  Each prefix
+    row yields one block (itself plus every suffix word) whose weights are
+    counted at once.  With workers > 1 the prefix table is split into
+    contiguous parts counted by a thread pool; a part is a set of leading
+    message symbols, so counts merge by addition and the result is exact
     regardless of scheduling.
     """
-    total = code.size
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    n, q = code.n, code.q
-    if code.k == 0:
-        return zero_code_enumerator(n)
-    prefix_rows, suffix_rows = _split_rows(code)
-    table = _suffix_table(code.field, suffix_rows)
-    prefixes = q ** len(prefix_rows)
-    workers = max(1, min(workers, prefixes))
-    if workers == 1:
-        counts, _ = _walk_counts(code.field, prefix_rows, table, 0, prefixes, n)
+    n = code.n
+    prefixes, table = _tables(code, budget)
+
+    def count(part):
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for block in _blocks(code.field, part, table):
+            counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+        return counts
+
+    parts = np.array_split(prefixes, max(1, min(workers, len(prefixes))))
+    if len(parts) == 1:
+        counts = count(parts[0])
     else:
-        bounds = [prefixes * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda se: _walk_counts(
-                    code.field, prefix_rows, table, se[0], se[1], n
-                )[0],
-                zip(bounds, bounds[1:]),
-            )
-            counts = sum(parts)
-    assert counts.sum() == total
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            counts = sum(pool.map(count, parts))
+    if counts.sum() != code.size:
+        raise RuntimeError(
+            f"enumeration counted {int(counts.sum())} codewords, "
+            f"expected {code.size}"
+        )
     # a_i counts words of weight n-i
-    coeffs = [int(counts[n - i]) for i in range(n + 1)]
-    return WeightEnumerator(coeffs)
+    return WeightEnumerator([int(counts[n - i]) for i in range(n + 1)])
 
 
 def codewords_of_weight(
     code: LinearCode, weight: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """All codewords of the given weight, one per row."""
-    total = code.size
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    if code.k == 0:
-        return np.zeros((1 if weight == 0 else 0, code.n), dtype=np.uint8)
-    prefix_rows, suffix_rows = _split_rows(code)
-    table = _suffix_table(code.field, suffix_rows)
-    prefixes = code.q ** len(prefix_rows)
-    _, hits = _walk_counts(
-        code.field, prefix_rows, table, 0, prefixes, code.n,
-        collect_weight=weight,
-    )
-    if not hits:
-        return np.zeros((0, code.n), dtype=np.uint8)
-    return np.concatenate(hits, axis=0)
+    prefixes, table = _tables(code, budget)
+    return np.concatenate([
+        block[np.count_nonzero(block, axis=1) == weight]
+        for block in _blocks(code.field, prefixes, table)
+    ])
 
 
 def decompose_case_c(

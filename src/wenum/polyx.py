@@ -26,14 +26,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return normalize(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    )
-
-
 def sub(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return normalize(

@@ -1,10 +1,14 @@
 """Enumeration against the naive oracle, duals, direct sums, case (c)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import monomial_transform, oracle_weight_coeffs, random_code, seeded
-from wenum.catalog import verify_catalog
+from wenum import codes
+from wenum.catalog import get_entry, verify_catalog
 from wenum.codes import (
     LinearCode,
     WeightEnumerator,
@@ -24,6 +28,8 @@ from wenum.errors import (
 )
 from wenum.fields import GF
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
 
 def test_zero_code_length5():
     c = LinearCode(GF(3), [], n=5)
@@ -35,14 +41,20 @@ def test_pair_over_gf3():
     assert enumerate_weights(c).coeffs == (2, 0, 1)  # x^2 + 2
 
 
-def test_random_codes_match_oracle():
+def test_random_codes_match_oracle(monkeypatch):
     rng = seeded("oracle")
     for q in (2, 3, 4, 5):
         for _ in range(6):
             n = rng.randrange(3, 9)
             k = rng.randrange(1, min(n, 5) + 1)
             code = random_code(rng, q, n, k)
-            assert enumerate_weights(code).coeffs == oracle_weight_coeffs(code)
+            want = oracle_weight_coeffs(code)
+            assert enumerate_weights(code).coeffs == want
+            # a one-row suffix table: q^(k-1) prefixes
+            with monkeypatch.context() as m:
+                m.setattr("wenum.codes._BLOCK_CAP", q)
+                for workers in (1, 3):
+                    assert enumerate_weights(code, workers=workers).coeffs == want
 
 
 def test_enumeration_totals():
@@ -54,10 +66,54 @@ def test_enumeration_totals():
         assert w.coeffs[-1] == 1
 
 
-def test_workers_agree_with_single_thread():
+def test_workers_agree_with_single_thread(monkeypatch):
     rng = seeded("workers")
     code = random_code(rng, 3, 10, 7)
-    assert enumerate_weights(code) == enumerate_weights(code, workers=4)
+    single = enumerate_weights(code)
+    parts = []
+    blocks = codes._blocks
+
+    def spy(field, prefixes, table):
+        parts.append(len(prefixes))
+        return blocks(field, prefixes, table)
+
+    monkeypatch.setattr("wenum.codes._blocks", spy)
+    assert enumerate_weights(code, workers=4) == single
+    assert parts == [1]  # 3^7 words fit one suffix table
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 3)
+    for workers in (1, 3):
+        parts.clear()
+        assert enumerate_weights(code, workers=workers) == single
+        assert sorted(parts) == [3**6 // workers] * workers
+
+
+def test_enumeration_coverage_checked(monkeypatch):
+    tables = codes._tables
+
+    def drop_a_prefix(code, budget):
+        prefixes, table = tables(code, budget)
+        return prefixes[1:], table
+
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 2)
+    monkeypatch.setattr("wenum.codes._tables", drop_a_prefix)
+    with pytest.raises(RuntimeError, match="counted 6 codewords, expected 8"):
+        enumerate_weights(LinearCode(GF(2), np.eye(3, dtype=np.uint8)))
+
+
+def test_rm4_3_2_matches_benchmark_reference():
+    # 4^10 words: 16 prefixes at the default block cap
+    ref = json.loads(REFERENCE.read_text())["rm4_3_2"]
+    code = get_entry("rm4_3_2").code
+    assert (code.q, code.n, code.k) == (ref["q"], ref["n"], ref["k"])
+    for workers in (1, 3):
+        assert list(enumerate_weights(code, workers=workers).coeffs) == ref["coeffs"]
+    w = WeightEnumerator(ref["coeffs"])
+    place = 4 ** np.arange(code.n, dtype=np.int64)
+    for weight in range(code.n + 1):
+        words = codewords_of_weight(code, weight)
+        assert len(words) == w.weight_count(weight)
+        assert (np.count_nonzero(words, axis=1) == weight).all()
+        assert np.unique(words @ place).size == len(words)
 
 
 def test_budget_rejected():
@@ -146,6 +202,9 @@ def test_codewords_of_weight():
     words = codewords_of_weight(c, 2)
     assert len(words) == 2
     assert all(np.count_nonzero(w) == 2 for w in words)
+    z = LinearCode(GF(3), [], n=4)
+    assert np.array_equal(codewords_of_weight(z, 0), np.zeros((1, 4)))
+    assert codewords_of_weight(z, 1).shape == (0, 4)
 
 
 def test_decompose_blocks():
