@@ -115,7 +115,7 @@ class ClassificationResult:
     n: int
     q: int
     distinct_roots: int | None = None  # ThreePlusRoots only
-    stabilizer_bound: int | None = None  # d! * n, finite-case cap
+    stabilizer_bound: int | None = None  # n * max(2d, 60): Klein's finite cap
 
     @property
     def infinite_stabilizer(self) -> bool:
@@ -133,7 +133,11 @@ def classify(w: WeightEnumerator, q: int) -> ClassificationResult:
     """Sort a code enumerator into the two-roots shapes or ThreePlusRoots.
 
     The first three shapes force an infinite stabilizer; otherwise the
-    stabilizer is finite of order at most d! * n for d distinct roots.
+    stabilizer is finite.  Its image in PGL2(C) acts faithfully on the d
+    distinct roots, so by Klein it is C_k or D_k with k <= d (a rotation
+    moves all but its two fixed points in orbits of size k), or A4, S4 or
+    A5 of order <= 60; with the n scalar matrices the order is at most
+    n * max(2d, 60).
     """
     if w.coeffs[-1] != 1:
         raise NotACodeEnumeratorError("a_n != 1: not derived from a code")
@@ -154,7 +158,7 @@ def classify(w: WeightEnumerator, q: int) -> ClassificationResult:
     return ClassificationResult(
         Shape.THREE_PLUS_ROOTS, n, q,
         distinct_roots=d,
-        stabilizer_bound=math.factorial(d) * n,
+        stabilizer_bound=n * max(2 * d, 60),
     )
 
 

@@ -2,19 +2,30 @@
 
 Finite/infinite dichotomy: the stabilizer is infinite exactly when the
 enumerator has at most two distinct roots (the three classified shapes);
-otherwise it is finite of order at most d! * n.
+otherwise it is finite, and by Klein's classification of the finite
+subgroups of PGL2(C) (C_k and D_k with k <= d, A4, S4, A5) its order is
+at most n * max(2d, 60).
 
 Finite case: PGL2(C) acts simply 3-transitively, so every stabilizing
 Moebius map is determined by the images of a fixed reference triple of
-roots.  For every ordered triple of distinct roots we interpolate the
+roots, and with d >= 3 roots the projective stabilizer acts faithfully on
+them.  For every ordered triple of distinct roots we interpolate the
 unique Moebius candidate in closed form (the map sending the reference
 triple to (0, 1, inf), followed by the inverse of the one sending the
-image triple there), screen it by whether it permutes the certified
-root disks (respecting multiplicities), recover the scalar on a probe
-point, rescale so the polynomial is fixed on the nose, and finally verify
-each of the n scalar twists by direct coefficient comparison.  Screening
-is heuristic; acceptance is only ever by the coefficient residual.  The
-accepted root permutations must form a group, which is checked exactly.
+image triple there) and screen it by whether it permutes the certified
+root disks (respecting multiplicities).  Each screened root permutation
+is measured once: its matrix is rescaled by the scalar recovered on a
+probe point so the polynomial is fixed on the nose, and its relative
+coefficient residual is read off one substitution.  The n scalar twists
+zeta^k of that matrix need no check of their own, since W has degree n
+and zeta^n = 1.  The group is the exact closure, over integer tuples, of
+the permutations whose residual is within VERIFY_TOL; a closure is a
+group by construction.  Every permutation of the closure must have been
+screened and rescaled, and n times the closure's order must stay within
+Klein's bound; otherwise PrecisionFailureError is raised.  A screened
+permutation outside the closure failed verification and is rejected.
+Screening is heuristic; acceptance is only ever by a residual or by
+closure under accepted elements.
 
 Triviality certificates: two critical 4-tuples of roots sharing their
 first three entries force the projective stabilizer to be trivial.  With
@@ -45,24 +56,19 @@ too coarse to match an image uniquely raise PrecisionFailureError.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 
 import numpy as np
 
-from .algebra import ClassificationResult, classify, macwilliams, substitute_linear
+from .algebra import ClassificationResult, classify, substitute_linear
 from .codes import WeightEnumerator
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    HypothesisViolationError,
-    PrecisionFailureError,
-)
+from .errors import DegenerateInputError, DomainError, PrecisionFailureError
 from .roots import RootSet, roots_of
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
-DEDUP_TOL = 1e-6  # entrywise distance identifying two numeric matrices
 ROOT_EPS = 1e-12  # root accuracy requested by both verbs
 _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
@@ -114,11 +120,13 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class StabilizerElement:
-    """A verified group element: applying `matrix` to W reproduces W
-    coefficient-wise within `residual` (relative to max |a_i|)."""
+    """A group element: applying `matrix` to W reproduces W coefficient-wise
+    within `residual` (relative to max |a_i|), as measured once for its
+    root permutation and shared by the n scalar twists.  An element
+    accepted through closure under verified ones may carry a residual
+    above VERIFY_TOL."""
 
     matrix: tuple
-    scalar_lambda: complex
     residual: float
 
 
@@ -135,7 +143,7 @@ class StabilizerReport:
     classification: ClassificationResult
     degree: int
     elements: tuple = ()
-    bound: int | None = None  # d! * n for the finite case
+    bound: int | None = None  # n * max(2d, 60): Klein's cap, finite case
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
     eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
     offending: tuple | None = None  # uncertifiable tuple pair (inconclusive)
@@ -143,33 +151,6 @@ class StabilizerReport:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-
-# --- matrix utilities -------------------------------------------------------
-
-
-def phase_normalize(matrix):
-    """Divide out the phase of the largest-modulus entry (first on ties)."""
-    flat = [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]]
-    mags = [abs(v) for v in flat]
-    pivot = flat[mags.index(max(mags))]
-    ph = pivot / abs(pivot)
-    a, b, c, d = (v / ph for v in flat)
-    return ((a, b), (c, d))
-
-
-def matrix_distance(m1, m2) -> float:
-    return max(
-        abs(m1[i][j] - m2[i][j]) for i in range(2) for j in range(2)
-    )
-
-
-def find_element(elements, matrix, tol=DEDUP_TOL):
-    """Index of a listed element entrywise-close to `matrix`, or None."""
-    for i, el in enumerate(elements):
-        if matrix_distance(el.matrix, matrix) <= tol:
-            return i
-    return None
 
 
 # --- finite-group computation ------------------------------------------------
@@ -229,60 +210,46 @@ def _probe_point(w: WeightEnumerator):
     raise PrecisionFailureError("no nonzero probe point found")
 
 
-def _residual(coeffs, mat) -> float:
-    """Relative coefficient defect of substituting `mat` into the form."""
-    got = substitute_linear(coeffs, mat[0][0], mat[0][1], mat[1][0], mat[1][1])
-    return max(abs(g - v) for g, v in zip(got, coeffs)) / max(abs(v) for v in coeffs)
-
-
-def _verified_twists(w: WeightEnumerator, mat):
-    """Rescale the Moebius matrix so it fixes W and verify all n scalar twists.
-
-    Returns a list of n StabilizerElements, or None when verification
-    fails (the candidate survived screening but is not an invariant).
-    """
-    n = w.n
-    x0, y0 = _probe_point(w)
+def _fixing(w: WeightEnumerator, mat, probe):
+    """The multiple of the Moebius matrix that fixes W at the probe point,
+    with its relative coefficient residual, or None when the scalar there
+    is zero or not finite."""
+    x0, y0 = probe
     (a, b), (c, d) = mat
     lam = w.evaluate(a * x0 + b * y0, c * x0 + d * y0) / w.evaluate(x0, y0)
     if lam == 0 or not cmath.isfinite(lam):
         return None
-    mu = cmath.exp(-cmath.log(lam) / n)
-    zeta = cmath.exp(2j * cmath.pi / n)
-    out = []
-    twist = mu
-    for _ in range(n):
-        twisted = ((twist * a, twist * b), (twist * c, twist * d))
-        residual = _residual(w.coeffs, twisted)
-        if residual > VERIFY_TOL:
-            return None
-        out.append(
-            StabilizerElement(matrix=twisted, scalar_lambda=lam, residual=residual)
-        )
-        twist *= zeta
-    return out
+    mu = cmath.exp(-cmath.log(lam) / w.n)
+    a, b, c, d = mu * a, mu * b, mu * c, mu * d
+    got = substitute_linear(w.coeffs, a, b, c, d)
+    residual = max(abs(g - v) for g, v in zip(got, w.coeffs)) / max(w.coeffs)
+    return ((a, b), (c, d)), residual
 
 
-def _check_group(perms):
-    """Raise unless the root permutations contain the identity and are
-    closed under composition.  They are integer tuples, so the check is
-    exact; a finite set with both properties is a group."""
-    perms = set(perms)
-    d = len(next(iter(perms), ()))
-    closed = tuple(range(d)) in perms and all(
-        tuple(p[i] for i in r) in perms for p in perms for r in perms
-    )
-    if not closed:
-        raise PrecisionFailureError(
-            f"accepted root permutations ({len(perms)}) do not form a group"
-        )
+def _closure(gens, d, limit=math.inf):
+    """The group of permutations of range(d) generated by `gens`, as a set
+    of integer tuples: breadth first from the identity, right-multiplying
+    by each generator.  A finite group needs no inverses.  The search stops
+    early once it holds more than `limit` permutations."""
+    identity = tuple(range(d))
+    group, frontier = {identity}, [identity]
+    while frontier and len(group) <= limit:
+        found = []
+        for p in frontier:
+            for g in gens:
+                r = tuple(p[i] for i in g)
+                if r not in group:
+                    group.add(r)
+                    found.append(r)
+        frontier = found
+    return group
 
 
 def _finite_group(w, rootset, cls):
     centers = rootset.centers()
     d = len(centers)
     ref = tuple(centers[:3])
-    classes = {}
+    screened = {}
     for idx in permutations(range(d), 3):
         images = tuple(centers[i] for i in idx)
         try:
@@ -290,22 +257,40 @@ def _finite_group(w, rootset, cls):
         except DegenerateInputError:
             continue
         perm = _match_permutation(mat, rootset)
-        if perm is None or perm in classes:
+        if perm is None or perm in screened:
             continue
-        classes[perm] = mat
-    elements = []
-    accepted = []
-    for perm, mat in classes.items():
-        twists = _verified_twists(w, mat)
-        if twists:
-            elements.extend(twists)
-            accepted.append(perm)
-    _check_group(accepted)
+        screened[perm] = mat
+    probe = _probe_point(w)
+    fixing = {perm: _fixing(w, mat, probe) for perm, mat in screened.items()}
+    verified = [p for p, f in fixing.items() if f and f[1] <= VERIFY_TOL]
+    # a group larger than the screened set cannot lie inside it
+    group = _closure(verified, d, limit=len(screened))
+    unmeasured = sum(fixing.get(p) is None for p in group)
+    if unmeasured:
+        raise PrecisionFailureError(
+            f"{unmeasured} root permutations generated by the verified ones "
+            f"were not screened or not rescaled"
+        )
+    n = w.n
+    if n * len(group) > cls.stabilizer_bound:
+        raise PrecisionFailureError(
+            f"group order {n * len(group)} above Klein's bound "
+            f"{cls.stabilizer_bound}"
+        )
+    zeta = cmath.exp(2j * cmath.pi / n)
+    elements = tuple(
+        StabilizerElement(
+            matrix=tuple(tuple(zeta**k * v for v in row) for row in mat),
+            residual=residual,
+        )
+        for mat, residual in (fixing[p] for p in screened if p in group)
+        for k in range(n)
+    )
     return StabilizerReport(
         verdict=Verdict.FINITE_GROUP,
         classification=cls,
-        degree=w.n,
-        elements=tuple(elements),
+        degree=n,
+        elements=elements,
         bound=cls.stabilizer_bound,
         eps=rootset.eps,
     )
@@ -327,24 +312,6 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 
 
 # --- triviality certificates --------------------------------------------------
-
-
-def certify_distinct_cross_ratios(x, eps: float, N: float) -> bool:
-    """Certify [x1..x4] != [x5..x8] from approximations.
-
-    True when |a~ - b~| > 120 N^3 eps for the cross-multiplied products,
-    which guarantees the true cross ratios differ.  One-directional: False
-    means "could not certify", never "equal".
-    """
-    if eps >= 0.5:
-        raise HypothesisViolationError("error bound needs eps < 1/2")
-    if len(x) != 8:
-        raise DomainError("need exactly 8 points")
-    if any(abs(v) > N for v in x):
-        raise HypothesisViolationError("all approximations must have |x| <= N")
-    a = (x[0] - x[2]) * (x[1] - x[3]) * (x[4] - x[7]) * (x[5] - x[6])
-    b = (x[0] - x[3]) * (x[1] - x[2]) * (x[4] - x[6]) * (x[5] - x[7])
-    return abs(a - b) > 120 * N**3 * eps
 
 
 def _tuples(d):
@@ -410,11 +377,7 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     n = w.n
     zeta = cmath.exp(2j * cmath.pi / n)
     elements = tuple(
-        StabilizerElement(
-            matrix=((zeta**t, 0j), (0j, zeta**t)),
-            scalar_lambda=1 + 0j,
-            residual=0.0,
-        )
+        StabilizerElement(matrix=((zeta**t, 0j), (0j, zeta**t)), residual=0.0)
         for t in range(n)
     )
     return StabilizerReport(
@@ -510,7 +473,7 @@ def _scan_for_certificate(rootset: RootSet):
     return None, tuple(tuple(int(i) for i in tuples[r]) for r in (first_bad, best))
 
 
-# --- the dual Reed-Muller invariant ------------------------------------------
+# --- the first-order Reed-Muller enumerator ---------------------------------
 
 
 def rm2_closed_form(m: int) -> WeightEnumerator:
@@ -522,29 +485,3 @@ def rm2_closed_form(m: int) -> WeightEnumerator:
     cs[n] = 1
     cs[n // 2] = 2 * (2**m - 1)
     return WeightEnumerator(cs)
-
-
-def rm2_dual_invariant_matrix(m: int) -> StabilizerElement:
-    """The non-scalar invariant [[u, u-1], [u-1, u]] of the dual of the
-    first-order code of length 2^m, with u = (zeta + 1)/2 for a 2^m-th
-    root of unity zeta, verified numerically.
-
-    The substitution maps x+y to zeta(x+y) and x-y to itself, and the dual
-    enumerator is a polynomial in (x+y)^(2^(m-1)) and (x-y), so invariance
-    holds exactly when zeta^(2^(m-1)) = 1; zeta is therefore taken of
-    order 2^(m-1), the largest that works.  The dual enumerator comes
-    exactly from the MacWilliams transform of the closed form; residual is
-    the relative coefficient defect of the substitution.
-    """
-    if m < 3:
-        raise DomainError("invariant matrix needs m >= 3")
-    w_first = rm2_closed_form(m)
-    w_dual = macwilliams(w_first, 2, 2 ** (m + 1))
-    u = (cmath.exp(2j * cmath.pi / 2 ** (m - 1)) + 1) / 2
-    mat = ((u, u - 1), (u - 1, u))
-    residual = _residual(w_dual.coeffs, mat)
-    if residual > 1e-9:
-        raise PrecisionFailureError(
-            f"invariant matrix residual {residual:.3e} above 1e-9"
-        )
-    return StabilizerElement(matrix=mat, scalar_lambda=1 + 0j, residual=residual)

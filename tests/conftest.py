@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 
 from wenum.codes import LinearCode
+from wenum.errors import DomainError
 from wenum.fields import GF
 
 
@@ -26,7 +27,8 @@ def oracle_weight_coeffs(code):
 
 
 def random_code(rng, q, n, k):
-    """Random [n, k] code over GF(q) (rejection sampling for full rank)."""
+    """Random [n, k] code over GF(q), k >= 0 (rejection sampling for full
+    rank)."""
     f = GF(q)
     while True:
         gen = np.array(
@@ -34,9 +36,10 @@ def random_code(rng, q, n, k):
             dtype=np.uint8,
         )
         try:
-            return LinearCode(f, gen)
-        except Exception:
-            continue
+            return LinearCode(f, gen, n)
+        except DomainError as exc:
+            if "full row rank" not in str(exc):
+                raise
 
 
 def monomial_transform(rng, code):

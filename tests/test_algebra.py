@@ -131,7 +131,7 @@ def test_classify_shapes():
     res = classify(GLEASON, 2)
     assert res.shape is Shape.THREE_PLUS_ROOTS
     assert res.distinct_roots == 8
-    assert res.stabilizer_bound == 8 * 40320
+    assert res.stabilizer_bound == 8 * 60  # n * max(2d, 60)
 
 
 def test_classify_rejects_non_enumerator():

@@ -44,9 +44,12 @@ def test_pair_over_gf3():
 def test_random_codes_match_oracle(monkeypatch):
     rng = seeded("oracle")
     for q in (2, 3, 4, 5):
-        for _ in range(6):
-            n = rng.randrange(3, 9)
-            k = rng.randrange(1, min(n, 5) + 1)
+        for i in range(7):
+            if i == 6:
+                n, k = 5, 0  # the zero code, which draws nothing from rng
+            else:
+                n = rng.randrange(3, 9)
+                k = rng.randrange(1, min(n, 5) + 1)
             code = random_code(rng, q, n, k)
             want = oracle_weight_coeffs(code)
             assert enumerate_weights(code).coeffs == want

@@ -1,13 +1,20 @@
 """Cross ratios, Moebius interpolation, stabilizer groups, certificates."""
 
 import cmath
+import dataclasses
 import math
 from itertools import product
 
 import pytest
 
 from conftest import seeded
-from wenum.algebra import d_delta_matrix, macwilliams, self_dual_matrix
+from wenum.algebra import (
+    classify,
+    d_delta_matrix,
+    macwilliams,
+    self_dual_matrix,
+    substitute_linear,
+)
 from wenum.codes import (
     WeightEnumerator,
     enumerate_weights,
@@ -25,18 +32,14 @@ from wenum.reedmuller import reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
+    StabilizerElement,
     Verdict,
-    _check_group,
+    _closure,
     _match_permutation,
-    certify_distinct_cross_ratios,
     certify_trivial,
     compute_stabilizer,
     cross_ratio,
-    find_element,
-    matrix_distance,
-    phase_normalize,
     rm2_closed_form,
-    rm2_dual_invariant_matrix,
     solve_moebius,
 )
 
@@ -46,6 +49,76 @@ V4_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 def _rand_complex(rng, scale=2.0):
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+DEDUP_TOL = 1e-6  # entrywise distance identifying two numeric matrices
+
+
+def phase_normalize(matrix):
+    """Divide out the phase of the largest-modulus entry (first on ties)."""
+    flat = [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]]
+    mags = [abs(v) for v in flat]
+    pivot = flat[mags.index(max(mags))]
+    ph = pivot / abs(pivot)
+    a, b, c, d = (v / ph for v in flat)
+    return ((a, b), (c, d))
+
+
+def matrix_distance(m1, m2) -> float:
+    return max(abs(m1[i][j] - m2[i][j]) for i in range(2) for j in range(2))
+
+
+def find_element(elements, matrix, tol=DEDUP_TOL):
+    """Index of a listed element entrywise-close to `matrix`, or None."""
+    for i, el in enumerate(elements):
+        if matrix_distance(el.matrix, matrix) <= tol:
+            return i
+    return None
+
+
+def certify_distinct_cross_ratios(x, eps: float, N: float) -> bool:
+    """Certify [x1..x4] != [x5..x8] from approximations.
+
+    True when |a~ - b~| > 120 N^3 eps for the cross-multiplied products,
+    which guarantees the true cross ratios differ.  One-directional: False
+    means "could not certify", never "equal".
+    """
+    if eps >= 0.5:
+        raise HypothesisViolationError("error bound needs eps < 1/2")
+    if len(x) != 8:
+        raise DomainError("need exactly 8 points")
+    if any(abs(v) > N for v in x):
+        raise HypothesisViolationError("all approximations must have |x| <= N")
+    a = (x[0] - x[2]) * (x[1] - x[3]) * (x[4] - x[7]) * (x[5] - x[6])
+    b = (x[0] - x[3]) * (x[1] - x[2]) * (x[4] - x[6]) * (x[5] - x[7])
+    return abs(a - b) > 120 * N**3 * eps
+
+
+def rm2_dual_invariant_matrix(m: int) -> StabilizerElement:
+    """The non-scalar invariant [[u, u-1], [u-1, u]] of the dual of the
+    first-order code of length 2^m, with u = (zeta + 1)/2 for a 2^m-th
+    root of unity zeta, verified numerically.
+
+    The substitution maps x+y to zeta(x+y) and x-y to itself, and the dual
+    enumerator is a polynomial in (x+y)^(2^(m-1)) and (x-y), so invariance
+    holds exactly when zeta^(2^(m-1)) = 1; zeta is therefore taken of
+    order 2^(m-1), the largest that works.  The dual enumerator comes
+    exactly from the MacWilliams transform of the closed form; residual is
+    the relative coefficient defect of the substitution.
+    """
+    if m < 3:
+        raise DomainError("invariant matrix needs m >= 3")
+    w_dual = macwilliams(rm2_closed_form(m), 2, 2 ** (m + 1))
+    u = (cmath.exp(2j * cmath.pi / 2 ** (m - 1)) + 1) / 2
+    got = substitute_linear(w_dual.coeffs, u, u - 1, u - 1, u)
+    residual = max(abs(g - v) for g, v in zip(got, w_dual.coeffs)) / max(
+        w_dual.coeffs
+    )
+    if residual > 1e-9:
+        raise PrecisionFailureError(
+            f"invariant matrix residual {residual:.3e} above 1e-9"
+        )
+    return StabilizerElement(matrix=((u, u - 1), (u - 1, u)), residual=residual)
 
 
 def mat_mul(m1, m2):
@@ -198,7 +271,7 @@ def test_gleason_group():
     # group axioms under numeric matching
     ident = ((1, 0), (0, 1))
     assert find_element(els, ident) is not None
-    assert len(els) <= math.factorial(8) * 8 == rep.bound
+    assert len(els) <= 8 * max(2 * 8, 60) == rep.bound  # n * max(2d, 60)
     sample = els[:: max(1, len(els) // 12)]
     for e1 in sample:
         assert find_element(els, mat_inv(e1.matrix)) is not None
@@ -231,15 +304,77 @@ def test_match_permutation_ambiguous_image_raises():
         _match_permutation(((1, 0), (0, 1)), rs)
 
 
-def test_group_check_rejects_non_groups():
-    ident, cycle = (0, 1, 2), (1, 2, 0)
-    _check_group([ident, cycle, (2, 0, 1)])
+def test_closure():
+    assert _closure([(1, 2, 0)], 3) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    # a 4-cycle and a reflection of the square generate D_4
+    group = _closure([(1, 2, 3, 0), (0, 3, 2, 1)], 4)
+    assert len(group) == 8
+    assert all(tuple(p[i] for i in r) in group for p in group for r in group)
+    assert _closure([], 5) == {(0, 1, 2, 3, 4)}
+
+
+def test_one_substitution_per_screened_permutation(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute_linear(*args)
+
+    monkeypatch.setattr("wenum.stabilizer.substitute_linear", counted)
+    rep = compute_stabilizer(GLEASON, 2)
+    assert rep.size == 192
+    assert len(calls) == 24  # one per root permutation, none per twist
+
+
+def test_closure_accepts_unverified_element(monkeypatch):
+    # a defect forced on the second screened permutation (the first is the
+    # identity) fails verification; closure under the others restores it
+    calls = []
+
+    def defective(coeffs, a, b, c, d):
+        calls.append(((a, b), (c, d)))
+        if len(calls) == 2:
+            return [v + 0.5 * max(coeffs) for v in coeffs]
+        return substitute_linear(coeffs, a, b, c, d)
+
+    monkeypatch.setattr("wenum.stabilizer.substitute_linear", defective)
+    rep = compute_stabilizer(GLEASON, 2)
+    assert rep.size == 192
+    forced = [e for e in rep.elements if e.residual == 0.5]
+    assert len(forced) == GLEASON.n
+    (a, b), (c, d) = calls[1]
+    assert abs(b) > 1e-6 or abs(c) > 1e-6 or abs(a - d) > 1e-6  # non-identity
+    zeta = cmath.exp(2j * cmath.pi / GLEASON.n)
+    for k, e in enumerate(forced):
+        assert matrix_distance(
+            e.matrix, ((zeta**k * a, zeta**k * b), (zeta**k * c, zeta**k * d))
+        ) <= 1e-12
+
+
+def test_unscreened_closure_element_raises(monkeypatch):
+    # the screen misses one non-identity permutation; the others generate it
+    dropped = []
+
+    def screen(mat, rootset):
+        perm = _match_permutation(mat, rootset)
+        identity = tuple(range(len(rootset.roots)))
+        if not dropped and perm not in (None, identity):
+            dropped.append(perm)
+        return None if dropped and perm == dropped[0] else perm
+
+    monkeypatch.setattr("wenum.stabilizer._match_permutation", screen)
     with pytest.raises(PrecisionFailureError):
-        _check_group([ident, cycle])  # cycle twice is missing
+        compute_stabilizer(GLEASON, 2)
+    assert dropped
+
+
+def test_order_above_klein_bound_raises(monkeypatch):
+    def tight(w, q):
+        return dataclasses.replace(classify(w, q), stabilizer_bound=191)
+
+    monkeypatch.setattr("wenum.stabilizer.classify", tight)
     with pytest.raises(PrecisionFailureError):
-        _check_group([cycle, (2, 0, 1)])  # no identity
-    with pytest.raises(PrecisionFailureError):
-        _check_group([])
+        compute_stabilizer(GLEASON, 2)  # order 192
 
 
 @pytest.mark.parametrize("m, order", [(3, 192), (4, 256), (5, 1024)])
