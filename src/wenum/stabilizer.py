@@ -7,25 +7,26 @@ subgroups of PGL2(C) (C_k and D_k with k <= d, A4, S4, A5) its order is
 at most n * max(2d, 60).
 
 Finite case: PGL2(C) acts simply 3-transitively, so every stabilizing
-Moebius map is determined by the images of a fixed reference triple of
-roots, and with d >= 3 roots the projective stabilizer acts faithfully on
-them.  For every ordered triple of distinct roots we interpolate the
-unique Moebius candidate in closed form (the map sending the reference
-triple to (0, 1, inf), followed by the inverse of the one sending the
-image triple there) and screen it by whether it permutes the certified
-root disks (respecting multiplicities).  Each screened root permutation
-is measured once: its matrix is rescaled by the scalar recovered on a
-probe point so the polynomial is fixed on the nose, and its relative
-coefficient residual is read off one substitution.  The n scalar twists
-zeta^k of that matrix need no check of their own, since W has degree n
-and zeta^n = 1.  The group is the exact closure, over integer tuples, of
-the permutations whose residual is within VERIFY_TOL; a closure is a
-group by construction.  Every permutation of the closure must have been
-screened and rescaled, and n times the closure's order must stay within
-Klein's bound; otherwise PrecisionFailureError is raised.  A screened
-permutation outside the closure failed verification and is rejected.
-Screening is heuristic; acceptance is only ever by a residual or by
-closure under accepted elements.
+Moebius map is determined by the images (a, b, c) of the reference roots
+0, 1, 2, and with d >= 3 roots the projective stabilizer acts faithfully
+on them.  A Moebius map keeps cross ratios, so (a, b, c) induces the root
+permutation sigma exactly when [a, b, c, sigma(k)] = [0, 1, 2, k] for
+every k >= 3; sigma must also keep multiplicities.  Each equality is
+tested with the certificate's gap and threshold (below), which true-equal
+cross ratios always meet, so no stabilizing map is missed.  Each screened
+permutation gets its matrix M in closed form (the map sending the
+reference triple to (0, 1, inf), followed by the inverse of the one
+sending the image triple there) and is measured once: one substitution
+gives W(M) = lambda W, with lambda read at W's largest coefficient, and
+the relative coefficient residual of mu M, mu = lambda^(-1/n), which
+fixes W on the nose.  The n scalar twists zeta^k of mu M need no check
+of their own, since W has degree n and zeta^n = 1.  The group is the
+exact closure, over integer tuples, of the permutations whose residual
+is within VERIFY_TOL; a closure is a group by construction.  Every
+permutation of the closure must have been screened and rescaled, and n
+times the closure's order must stay within Klein's bound; otherwise
+PrecisionFailureError is raised.  A screened permutation outside the
+closure failed verification and is rejected.
 
 Triviality certificates: two critical 4-tuples of roots sharing their
 first three entries force the projective stabilizer to be trivial.  With
@@ -49,7 +50,7 @@ each.  Tuples are checked in blocks of whole 3-prefixes in lexicographic
 order, so an early certificate ends the scan early.
 
 Each verb solves for roots once, at ROOT_EPS; the working-precision
-escalation inside roots.find_roots is the only precision ladder.  Disks
+escalation inside roots.find_roots is the only precision ladder.  Roots
 too coarse to match an image uniquely raise PrecisionFailureError.
 """
 
@@ -74,6 +75,7 @@ _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
 _PAIRS = 1 << 18  # candidate pairs compared at once
+_SCREEN_ROWS = 4096  # 4-tuples compared at once by the permutation screen
 
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> complex:
@@ -156,74 +158,68 @@ class StabilizerReport:
 # --- finite-group computation ------------------------------------------------
 
 
-def _match_permutation(mat, rootset: RootSet):
-    """The root permutation induced by the Moebius matrix, or None.
-
-    Each image of a disk center must land in exactly one disk, inflated by
-    the propagated first-order error; the matched disk must carry the same
-    multiplicity, and the matches must form a bijection.  An image in two
-    disks raises PrecisionFailureError: the disks are too coarse.
+def _screen(rootset: RootSet):
+    """{root permutation: Moebius matrix} for every permutation whose
+    cross ratios pass the certificate's test, in the lexicographic order of
+    its first three images.  Only the image triples under which root 3
+    matches are compared in full; a root that then matches two roots
+    raises PrecisionFailureError.
     """
+    if rootset.eps >= 0.5:
+        raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
     centers = rootset.centers()
-    mults = [r.multiplicity for r in rootset.roots]
-    (a, b), (c, d) = mat
-    det = a * d - b * c
-    perm = []
-    for k, (z, rk) in enumerate(zip(centers, rootset.roots)):
-        den = c * z + d
-        if abs(den) < 1e-9 * (abs(c) * abs(z) + abs(d) + 1e-30):
-            return None  # pole at a root: cannot permute a finite root set
-        image = (a * z + b) / den
-        prop = abs(det) / (abs(den) ** 2) * rk.radius
-        hits = []
-        for m, zm in enumerate(centers):
-            tol = prop + rootset.roots[m].radius + 1e-9 * (1 + abs(image))
-            if abs(image - zm) <= tol:
-                hits.append(m)
-        if not hits:
-            return None
-        if len(hits) > 1:
-            raise PrecisionFailureError(
-                f"image of root {k} lies in {len(hits)} root disks"
+    d = len(centers)
+    z = np.array(centers)
+    mult = np.array([r.multiplicity for r in rootset.roots])
+    threshold = 120 * rootset.N**3 * rootset.eps
+    if d == 3:  # no root to pin: any permutation of three points is Moebius
+        perms = [p for p in permutations(range(3)) if (mult[list(p)] == mult).all()]
+    else:
+        perms = []
+        width = d - 3  # tuples per image triple, consecutive rows
+        ref_p, ref_q = _cross_parts(z, _tuples(d, 0, width))  # rows (0, 1, 2, k)
+        step = max(1, _SCREEN_ROWS // width) * width
+        total = d * (d - 1) * (d - 2) * width
+        for start in range(0, total, step):
+            rows = _tuples(d, start, min(start + step, total))
+            p, q = (v.reshape(-1, width) for v in _cross_parts(z, rows))
+            triples = rows[::width, :3]
+            pinned = (np.abs(ref_p[0] * q - ref_q[0] * p) <= threshold).any(axis=1)
+            pinned &= (mult[triples] == mult[:3]).all(axis=1)
+            cand = np.flatnonzero(pinned)
+            # hits[i, k, j]: root 3 + k matches row j of candidate triple i
+            hits = (
+                np.abs(ref_p[:, None] * q[cand, None] - ref_q[:, None] * p[cand, None])
+                <= threshold
             )
-        m = hits[0]
-        if mults[m] != mults[k]:
-            return None
-        perm.append(m)
-    if len(set(perm)) != len(perm):
-        return None
-    return tuple(perm)
+            counts = hits.sum(axis=2)
+            full = (counts > 0).all(axis=1)
+            if (counts[full] > 1).any():
+                raise PrecisionFailureError(
+                    f"a root matches {counts[full].max()} roots under one triple"
+                )
+            cand, hits = cand[full], hits[full]
+            images = rows[(cand * width)[:, None] + hits.argmax(axis=2), 3]
+            for perm in np.hstack((triples[cand], images)):
+                if (mult[perm] == mult).all() and len(set(perm)) == d:
+                    perms.append(tuple(int(i) for i in perm))
+    ref = tuple(centers[:3])
+    return {p: solve_moebius(ref, tuple(centers[i] for i in p[:3])) for p in perms}
 
 
-_PROBES = [(0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
-
-
-def _probe_point(w: WeightEnumerator):
-    """First probe with W(x0, y0) != 0, decided in exact integer arithmetic.
-
-    The textbook probe (0, 1) reads off a_0, which vanishes whenever the
-    code has no full-weight codeword, so a fixed fallback list is scanned.
-    """
-    for x0, y0 in _PROBES:
-        if w.evaluate(x0, y0) != 0:
-            return x0, y0
-    raise PrecisionFailureError("no nonzero probe point found")
-
-
-def _fixing(w: WeightEnumerator, mat, probe):
-    """The multiple of the Moebius matrix that fixes W at the probe point,
-    with its relative coefficient residual, or None when the scalar there
-    is zero or not finite."""
-    x0, y0 = probe
+def _fixing(w: WeightEnumerator, mat):
+    """mu M, with mu = lambda^(-1/n) for W(M) = lambda W read at W's
+    largest coefficient, and its relative coefficient residual; None when
+    lambda is zero or not finite."""
     (a, b), (c, d) = mat
-    lam = w.evaluate(a * x0 + b * y0, c * x0 + d * y0) / w.evaluate(x0, y0)
+    got = substitute_linear(w.coeffs, a, b, c, d)
+    top = max(w.coeffs)
+    lam = got[w.coeffs.index(top)] / top
     if lam == 0 or not cmath.isfinite(lam):
         return None
     mu = cmath.exp(-cmath.log(lam) / w.n)
-    a, b, c, d = mu * a, mu * b, mu * c, mu * d
-    got = substitute_linear(w.coeffs, a, b, c, d)
-    residual = max(abs(g - v) for g, v in zip(got, w.coeffs)) / max(w.coeffs)
-    return ((a, b), (c, d)), residual
+    residual = max(abs(g / lam - v) for g, v in zip(got, w.coeffs)) / top
+    return ((mu * a, mu * b), (mu * c, mu * d)), residual
 
 
 def _closure(gens, d, limit=math.inf):
@@ -246,25 +242,11 @@ def _closure(gens, d, limit=math.inf):
 
 
 def _finite_group(w, rootset, cls):
-    centers = rootset.centers()
-    d = len(centers)
-    ref = tuple(centers[:3])
-    screened = {}
-    for idx in permutations(range(d), 3):
-        images = tuple(centers[i] for i in idx)
-        try:
-            mat = solve_moebius(ref, images)
-        except DegenerateInputError:
-            continue
-        perm = _match_permutation(mat, rootset)
-        if perm is None or perm in screened:
-            continue
-        screened[perm] = mat
-    probe = _probe_point(w)
-    fixing = {perm: _fixing(w, mat, probe) for perm, mat in screened.items()}
+    d = len(rootset.roots)
+    fixing = {perm: _fixing(w, mat) for perm, mat in _screen(rootset).items()}
     verified = [p for p, f in fixing.items() if f and f[1] <= VERIFY_TOL]
     # a group larger than the screened set cannot lie inside it
-    group = _closure(verified, d, limit=len(screened))
+    group = _closure(verified, d, limit=len(fixing))
     unmeasured = sum(fixing.get(p) is None for p in group)
     if unmeasured:
         raise PrecisionFailureError(
@@ -283,7 +265,7 @@ def _finite_group(w, rootset, cls):
             matrix=tuple(tuple(zeta**k * v for v in row) for row in mat),
             residual=residual,
         )
-        for mat, residual in (fixing[p] for p in screened if p in group)
+        for mat, residual in (f for p, f in fixing.items() if p in group)
         for k in range(n)
     )
     return StabilizerReport(
@@ -301,7 +283,8 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 
     Infinite verdict for the three two-root shapes; otherwise the verified
     finite element list from one root solve at ROOT_EPS.  Raises
-    PrecisionFailureError when those disks cannot separate candidate images.
+    PrecisionFailureError when those roots cannot tell candidate images
+    apart.
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer:
@@ -314,13 +297,16 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 # --- triviality certificates --------------------------------------------------
 
 
-def _tuples(d):
-    """Every ordered 4-tuple of distinct indices below d, one per row, in
-    the order of permutations(range(d), 4): row r holds the digits of r in
-    the mixed radix (d, d-1, d-2, d-3), each lifted past the indices
-    already taken."""
-    out = np.empty((d * (d - 1) * (d - 2) * (d - 3), 4), dtype=np.intp)
-    rank = np.arange(len(out))
+def _tuples(d, start=0, stop=None):
+    """The ordered 4-tuples of distinct indices below d of rank start to
+    stop (default: all), one per row, in the order of
+    permutations(range(d), 4): row r holds the digits of rank r in the
+    mixed radix (d, d-1, d-2, d-3), each lifted past the indices already
+    taken."""
+    if stop is None:
+        stop = d * (d - 1) * (d - 2) * (d - 3)
+    out = np.empty((stop - start, 4), dtype=np.intp)
+    rank = np.arange(start, stop)
     for j in range(3, -1, -1):
         rank, out[:, j] = np.divmod(rank, d - j)
     for j in range(1, 4):
@@ -328,6 +314,13 @@ def _tuples(d):
         for k in range(j):
             out[:, j] += out[:, j] >= taken[:, k]
     return out
+
+
+def _cross_parts(z, tuples):
+    """P and Q of the cross ratio P / Q of each row of indices into z."""
+    p = (z[tuples[:, 0]] - z[tuples[:, 2]]) * (z[tuples[:, 1]] - z[tuples[:, 3]])
+    q = (z[tuples[:, 0]] - z[tuples[:, 3]]) * (z[tuples[:, 1]] - z[tuples[:, 2]])
+    return p, q
 
 
 def _orbit_keys(tuples, d):
@@ -401,8 +394,7 @@ def _scan_for_certificate(rootset: RootSet):
     tuples = _tuples(d)
     orbit = _orbit_keys(tuples, d)
     z = np.array(centers)
-    p = (z[tuples[:, 0]] - z[tuples[:, 2]]) * (z[tuples[:, 1]] - z[tuples[:, 3]])
-    q = (z[tuples[:, 0]] - z[tuples[:, 3]]) * (z[tuples[:, 1]] - z[tuples[:, 2]])
+    p, q = _cross_parts(z, tuples)
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()

@@ -3,11 +3,12 @@
 import cmath
 import dataclasses
 import math
-from itertools import product
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
-from conftest import seeded
+from conftest import random_code, seeded
 from wenum.algebra import (
     classify,
     d_delta_matrix,
@@ -35,7 +36,7 @@ from wenum.stabilizer import (
     StabilizerElement,
     Verdict,
     _closure,
-    _match_permutation,
+    _screen,
     certify_trivial,
     compute_stabilizer,
     cross_ratio,
@@ -293,15 +294,113 @@ def test_scalar_twist_structure():
         assert find_element(rep.elements, twisted) is not None
 
 
-def test_match_permutation_ambiguous_image_raises():
-    # disks at 0 and 1e-10 overlap, so the identity's image of 0 lands in both
+@pytest.mark.parametrize(
+    "coeffs, order",
+    [
+        ((1, 0, 0, 1), 18),  # x^3 + y^3, the binary [3, 1] repetition code
+        ((0, 0, 3, 0, 1), 8),  # x^4 + 3x^2y^2: a double root at 0
+    ],
+)
+def test_three_roots(coeffs, order):
+    w = WeightEnumerator(coeffs)
+    assert len(roots_of(w, ROOT_EPS)) == 3
+    rep = compute_stabilizer(w, 2)
+    assert rep.verdict is Verdict.FINITE_GROUP
+    assert rep.size == order
+    assert all(e.residual <= 1e-8 for e in rep.elements)
+
+
+def test_screen_ambiguous_image_raises():
+    # disks at 0 and 1e-10 overlap, so under the identity triple root 3
+    # matches both
     rs = RootSet(
-        roots=tuple(Root(z, 1e-9, 1) for z in (0j, 1e-10 + 0j, 1 + 0j)),
+        roots=tuple(Root(z, 1e-9, 1) for z in (1 + 0j, 2 + 0j, 3 + 0j, 0j, 1e-10 + 0j)),
         eps=1e-9,
-        N=2.0,
+        N=4.0,
     )
     with pytest.raises(PrecisionFailureError):
-        _match_permutation(((1, 0), (0, 1)), rs)
+        _screen(rs)
+    # with eps >= 1/2 the certified gap decides nothing
+    with pytest.raises(PrecisionFailureError):
+        _screen(dataclasses.replace(rs, eps=0.5))
+
+
+def reference_screen(rootset):
+    """{root permutation: Moebius matrix} by brute force: every ordered
+    image triple from itertools, the map from the null space of its 3 x 4
+    linear system, each image matched to the nearest center."""
+    z = np.array(rootset.centers())
+    mult = [r.multiplicity for r in rootset.roots]
+    d = len(z)
+    found = {}
+    for triple in permutations(range(d), 3):
+        w = z[list(triple)]
+        # a z + b - c z w - d w = 0 at the three reference roots
+        system = np.array([[z[i], 1, -z[i] * w[i], -w[i]] for i in range(3)])
+        a, b, c, e = np.linalg.svd(system)[2][-1].conj()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            images = (a * z + b) / (c * z + e)
+        dist = np.abs(images[:, None] - z[None, :])
+        perm = tuple(int(m) for m in np.argmin(dist, axis=1))
+        if (
+            all(dist[k, m] <= 1e-6 * (1 + abs(z[m])) for k, m in enumerate(perm))
+            and sorted(perm) == list(range(d))
+            and all(mult[m] == mult[k] for k, m in enumerate(perm))
+        ):
+            found[perm] = np.array([a, b, c, e])
+    return found
+
+
+def test_screen_keeps_multiplicities():
+    # a regular pentagon's Moebius stabilizer is D5; a double root at
+    # index 4 leaves the identity and the reflection through that root
+    z = [cmath.exp(2j * cmath.pi * j / 5) for j in range(5)]
+    rs = RootSet(
+        roots=tuple(Root(v, 1e-15, m) for v, m in zip(z, (1, 1, 1, 1, 2))),
+        eps=1e-15,
+        N=1 + 1e-15,
+    )
+    want = [(0, 1, 2, 3, 4), (3, 2, 1, 0, 4)]
+    assert list(_screen(rs)) == list(reference_screen(rs)) == want
+    simple = tuple(dataclasses.replace(r, multiplicity=1) for r in rs.roots)
+    assert len(_screen(dataclasses.replace(rs, roots=simple))) == 10  # all of D5
+
+
+def _screen_enumerators():
+    """(name, W): catalog enumerators, the two of test_three_roots, and
+    seeded random codes with a finite stabilizer and their MacWilliams
+    duals."""
+    out = [
+        ("gleason", GLEASON),
+        ("rm2_1_3", rm2_closed_form(3)),
+        ("rm2_1_4", rm2_closed_form(4)),
+        ("rm4_2_2", enumerate_weights(reed_muller(4, 2, 2))),
+        ("x3_y3", WeightEnumerator((1, 0, 0, 1))),
+        ("x4_3x2y2", WeightEnumerator((0, 0, 3, 0, 1))),
+    ]
+    for slot, (q, n, k) in enumerate([(2, 12, 5), (3, 10, 4), (4, 9, 3), (5, 8, 3)]):
+        rng = seeded(f"screen:{slot}")
+        while True:
+            code = random_code(rng, q, n, k)
+            w = enumerate_weights(code)
+            if not classify(w, q).infinite_stabilizer:
+                break
+        name = f"rand_q{q}_{n}_{k}"
+        out += [(name, w), (name + "_dual", macwilliams(w, q, q**k))]
+    return [pytest.param(w, id=name) for name, w in out]
+
+
+@pytest.mark.parametrize("w", _screen_enumerators())
+def test_screen_matches_reference(w):
+    rootset = roots_of(w, ROOT_EPS)
+    got = _screen(rootset)
+    expected = reference_screen(rootset)
+    assert list(got) == list(expected)  # the same permutations, in order
+    for perm, mat in got.items():
+        ours = np.array(mat).ravel()
+        pivot = np.argmax(np.abs(ours))
+        theirs = expected[perm]
+        assert np.allclose(ours / ours[pivot], theirs / theirs[pivot], atol=1e-8)
 
 
 def test_closure():
@@ -328,44 +427,52 @@ def test_one_substitution_per_screened_permutation(monkeypatch):
 
 def test_closure_accepts_unverified_element(monkeypatch):
     # a defect forced on the second screened permutation (the first is the
-    # identity) fails verification; closure under the others restores it
+    # identity) fails verification; closure under the others restores it.
+    # It sits where W's coefficient is 0, so the scalar read off W's
+    # largest coefficient does not change.
     calls = []
 
     def defective(coeffs, a, b, c, d):
         calls.append(((a, b), (c, d)))
+        got = substitute_linear(coeffs, a, b, c, d)
         if len(calls) == 2:
-            return [v + 0.5 * max(coeffs) for v in coeffs]
-        return substitute_linear(coeffs, a, b, c, d)
+            got[coeffs.index(0)] += got[coeffs.index(max(coeffs))] / 2
+        return got
 
     monkeypatch.setattr("wenum.stabilizer.substitute_linear", defective)
     rep = compute_stabilizer(GLEASON, 2)
     assert rep.size == 192
-    forced = [e for e in rep.elements if e.residual == 0.5]
+    forced = [e for e in rep.elements if abs(e.residual - 0.5) <= 1e-9]
     assert len(forced) == GLEASON.n
-    (a, b), (c, d) = calls[1]
+    assert all(e.residual <= 1e-8 for e in rep.elements if e not in forced)
+    mat = calls[1]
+    (a, b), (c, d) = mat
     assert abs(b) > 1e-6 or abs(c) > 1e-6 or abs(a - d) > 1e-6  # non-identity
+    # the forced elements are zeta^k mu M, and mu M fixes W
     zeta = cmath.exp(2j * cmath.pi / GLEASON.n)
+    i, j = max(product(range(2), repeat=2), key=lambda ij: abs(mat[ij[0]][ij[1]]))
+    mu = forced[0].matrix[i][j] / mat[i][j]
+    got = substitute_linear(GLEASON.coeffs, mu * a, mu * b, mu * c, mu * d)
+    assert max(abs(g - v) for g, v in zip(got, GLEASON.coeffs)) <= 1e-8 * 14
     for k, e in enumerate(forced):
-        assert matrix_distance(
-            e.matrix, ((zeta**k * a, zeta**k * b), (zeta**k * c, zeta**k * d))
-        ) <= 1e-12
+        scaled = tuple(tuple(zeta**k * mu * v for v in row) for row in mat)
+        assert matrix_distance(e.matrix, scaled) <= 1e-12
 
 
 def test_unscreened_closure_element_raises(monkeypatch):
     # the screen misses one non-identity permutation; the others generate it
     dropped = []
 
-    def screen(mat, rootset):
-        perm = _match_permutation(mat, rootset)
-        identity = tuple(range(len(rootset.roots)))
-        if not dropped and perm not in (None, identity):
-            dropped.append(perm)
-        return None if dropped and perm == dropped[0] else perm
+    def screen(rootset):
+        found = _screen(rootset)
+        dropped.append(list(found)[1])  # the first is the identity
+        del found[dropped[0]]
+        return found
 
-    monkeypatch.setattr("wenum.stabilizer._match_permutation", screen)
+    monkeypatch.setattr("wenum.stabilizer._screen", screen)
     with pytest.raises(PrecisionFailureError):
         compute_stabilizer(GLEASON, 2)
-    assert dropped
+    assert dropped[0] != tuple(range(8))
 
 
 def test_order_above_klein_bound_raises(monkeypatch):
