@@ -3,11 +3,16 @@
 Enumeration is the hot loop.  Messages are split into a prefix (the
 first t symbols) and a suffix (the last j symbols), and the q^t prefix
 and q^j suffix combinations of the generator rows are materialized once
-as two tables.  Each prefix row plus the whole suffix table is one block
-of codewords, built by a single add-table gather; counting the weights
-of a block is one more vectorized pass.  Workers take contiguous parts of
-the prefix table, which is exactly a partition of the message space by
-its leading symbols; per-worker counts merge by addition.
+as two tables.  Every codeword is one prefix row p plus one suffix row
+s, and its weight is n minus its zero count.  Coordinate c of p + s is
+zero exactly when s_c = -p_c, so no codeword needs to be built to count
+its zeros: the suffix table is packed once into per-value bitmasks
+(bit c of mask v of row s is set when s_c = v), the negated prefix row
+into the same form, and the zero counts of a whole block of q^j
+codewords are the popcounts of the OR over v of the two masks' AND.
+Workers take contiguous parts of the prefix table, which is exactly a
+partition of the message space by its leading symbols; per-worker
+counts merge by addition.
 """
 
 from __future__ import annotations
@@ -286,11 +291,46 @@ def _tables(code, budget):
     )
 
 
-def _blocks(field, prefixes, table):
-    """One block of codewords per prefix row: that row plus each table row."""
-    addk = field.add_table
-    for offset in prefixes:
-        yield addk[table, offset]
+def _bitmasks(q, values):
+    """masks[v, w, r] has bit b set when values[r, 64*w + b] == v.
+
+    A row of n symbols takes ceil(n/64) uint64 words per value; bits past
+    column n stay clear in every mask.
+    """
+    rows, n = values.shape
+    words = -(-n // 64)
+    masks = np.empty((q, words, rows), dtype=np.uint64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    for v in range(q):
+        bits = np.packbits(values == v, axis=1, bitorder="little")
+        packed[:, : bits.shape[1]] = bits
+        masks[v] = packed.view("<u8").T
+    return masks
+
+
+def _zero_counts(field, prefixes, masks):
+    """For each prefix row p, the zero count of p + s for every suffix row s.
+
+    `masks` holds the suffix table as _bitmasks.  Coordinate c of p + s is
+    zero exactly when s_c = -p_c, so the zeros of p + s are the bits where
+    the suffix mask of value v meets the columns with -p_c = v, for some v.
+    Counts reach n, so they are summed over the words in the smallest
+    unsigned type that holds n.
+    """
+    q, words, rows = masks.shape
+    count_type = np.min_scalar_type(prefixes.shape[1])
+    negated = _bitmasks(q, field.neg_table[prefixes])
+    hits = np.empty(rows, dtype=np.uint64)
+    meet = np.empty(rows, dtype=np.uint64)
+    for i in range(len(prefixes)):
+        zeros = np.zeros(rows, dtype=count_type)
+        for w in range(words):
+            np.bitwise_and(masks[0, w], negated[0, w, i], out=hits)
+            for v in range(1, q):
+                np.bitwise_and(masks[v, w], negated[v, w, i], out=meet)
+                hits |= meet
+            zeros += np.bitwise_count(hits)
+        yield zeros
 
 
 def enumerate_weights(
@@ -299,19 +339,22 @@ def enumerate_weights(
     """Exact weight enumerator by full codeword enumeration.
 
     Rejects enumerations with more than `budget` codewords.  Each prefix
-    row yields one block (itself plus every suffix word) whose weights are
-    counted at once.  With workers > 1 the prefix table is split into
+    row gives the zero counts of its block (itself plus every suffix
+    word) by bitmask popcounts, without building the codewords; a_i counts
+    the words with i zeros, so the histogram of zero counts is the
+    enumerator.  With workers > 1 the prefix table is split into
     contiguous parts counted by a thread pool; a part is a set of leading
     message symbols, so counts merge by addition and the result is exact
     regardless of scheduling.
     """
     n = code.n
     prefixes, table = _tables(code, budget)
+    masks = _bitmasks(code.q, table)
 
     def count(part):
         counts = np.zeros(n + 1, dtype=np.int64)
-        for block in _blocks(code.field, part, table):
-            counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+        for zeros in _zero_counts(code.field, part, masks):
+            counts += np.bincount(zeros, minlength=n + 1)
         return counts
 
     parts = np.array_split(prefixes, max(1, min(workers, len(prefixes))))
@@ -325,18 +368,22 @@ def enumerate_weights(
             f"enumeration counted {int(counts.sum())} codewords, "
             f"expected {code.size}"
         )
-    # a_i counts words of weight n-i
-    return WeightEnumerator([int(counts[n - i]) for i in range(n + 1)])
+    return WeightEnumerator(counts.tolist())
 
 
 def codewords_of_weight(
     code: LinearCode, weight: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
-    """All codewords of the given weight, one per row."""
+    """All codewords of the given weight, one per row.
+
+    Zero counts pick the suffix rows first; only the returned words are
+    built.
+    """
     prefixes, table = _tables(code, budget)
+    addk = code.field.add_table
+    zeros = _zero_counts(code.field, prefixes, _bitmasks(code.q, table))
     return np.concatenate([
-        block[np.count_nonzero(block, axis=1) == weight]
-        for block in _blocks(code.field, prefixes, table)
+        addk[table[z == code.n - weight], p] for p, z in zip(prefixes, zeros)
     ])
 
 

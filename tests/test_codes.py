@@ -27,6 +27,8 @@ from wenum.errors import (
     FieldMismatchError,
 )
 from wenum.fields import GF
+from wenum.reedmuller import reed_muller
+from wenum.stabilizer import rm2_closed_form
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -60,6 +62,29 @@ def test_random_codes_match_oracle(monkeypatch):
                     assert enumerate_weights(code, workers=workers).coeffs == want
 
 
+@pytest.mark.parametrize("m", [6, 7, 8])  # n = 64, 128, 256: one to four mask words
+def test_first_order_rm_matches_closed_form(m, monkeypatch):
+    code = reed_muller(2, 1, m)
+    want = rm2_closed_form(m)
+    assert enumerate_weights(code) == want
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 2)  # 2^m prefixes
+    assert enumerate_weights(code) == want
+
+
+def test_long_random_code_matches_oracle(monkeypatch):
+    code = random_code(seeded("long"), 3, 70, 4)  # two mask words
+    want = oracle_weight_coeffs(code)
+    assert enumerate_weights(code).coeffs == want
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 3)
+    assert enumerate_weights(code).coeffs == want
+
+
+def test_zero_counts_past_uint16():
+    n = 2**16 + 1  # the zero word has n zeros
+    w = enumerate_weights(LinearCode(GF(2), np.ones((1, n), dtype=np.uint8)))
+    assert w.coeffs[0] == w.coeffs[n] == 1 and sum(w.coeffs) == 2
+
+
 def test_enumeration_totals():
     rng = seeded("totals")
     for q in (2, 4, 5):
@@ -74,13 +99,13 @@ def test_workers_agree_with_single_thread(monkeypatch):
     code = random_code(rng, 3, 10, 7)
     single = enumerate_weights(code)
     parts = []
-    blocks = codes._blocks
+    zero_counts = codes._zero_counts
 
-    def spy(field, prefixes, table):
+    def spy(field, prefixes, masks):
         parts.append(len(prefixes))
-        return blocks(field, prefixes, table)
+        return zero_counts(field, prefixes, masks)
 
-    monkeypatch.setattr("wenum.codes._blocks", spy)
+    monkeypatch.setattr("wenum.codes._zero_counts", spy)
     assert enumerate_weights(code, workers=4) == single
     assert parts == [1]  # 3^7 words fit one suffix table
     monkeypatch.setattr("wenum.codes._BLOCK_CAP", 3)
@@ -200,7 +225,7 @@ def test_dual_dimension_and_orthogonality():
         assert dual(d).row_space_equal(code)
 
 
-def test_codewords_of_weight():
+def test_codewords_of_weight(monkeypatch):
     c = LinearCode(GF(3), [[1, 1]])
     words = codewords_of_weight(c, 2)
     assert len(words) == 2
@@ -208,6 +233,23 @@ def test_codewords_of_weight():
     z = LinearCode(GF(3), [], n=4)
     assert np.array_equal(codewords_of_weight(z, 0), np.zeros((1, 4)))
     assert codewords_of_weight(z, 1).shape == (0, 4)
+    for weight in (-1, 3):
+        words = codewords_of_weight(c, weight)
+        assert words.shape == (0, 2) and words.dtype == np.uint8
+    code = random_code(seeded("extremes"), 5, 5, 3)
+
+    def built(weight):
+        # every codeword built by the add table, then filtered by weight
+        prefixes, table = codes._tables(code, codes.DEFAULT_BUDGET)
+        words = np.concatenate([code.field.add_table[table, p] for p in prefixes])
+        return words[np.count_nonzero(words, axis=1) == weight]
+
+    for cap in (codes._BLOCK_CAP, 5):
+        monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
+        for weight in (0, code.n):
+            got, want = codewords_of_weight(code, weight), built(weight)
+            assert len(want) and got.dtype == np.uint8
+            assert sorted(map(tuple, got)) == sorted(map(tuple, want))
 
 
 def test_decompose_blocks():

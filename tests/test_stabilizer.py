@@ -484,7 +484,7 @@ def test_order_above_klein_bound_raises(monkeypatch):
         compute_stabilizer(GLEASON, 2)  # order 192
 
 
-@pytest.mark.parametrize("m, order", [(3, 192), (4, 256), (5, 1024)])
+@pytest.mark.parametrize("m, order", [(3, 192), (4, 256), (5, 1024), (6, 4096)])
 def test_macwilliams_dual_same_order(m, order):
     # the stabilizers of W and of its MacWilliams transform are conjugate
     w = rm2_closed_form(m)
