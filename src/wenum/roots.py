@@ -2,16 +2,18 @@
 
 Pipeline: exact Yun square-free decomposition over Q, simultaneous
 Weierstrass (Durand-Kerner) iteration on the square-free part, then an
-a-posteriori certificate computed in exact rational arithmetic from the
+a-posteriori certificate computed in exact integer arithmetic from the
 integer coefficients.  For monic p of degree d and pairwise-distinct
 approximations z_1..z_d, every root of p lies in the union of the disks
 
     D(z_j, d * |p(z_j)| / prod_{k != j} |z_j - z_k|),
 
 and if the disks are pairwise disjoint each one contains exactly one
-root.  Radii are evaluated as exact fractions (float centers convert to
-rationals exactly) with outward-rounded square roots, so a reported disk
-is a proof, not an estimate.
+root.  Every double center is a dyadic rational, so all of them are
+written over one common power of two with Gaussian-integer numerators;
+p(z_j) and the differences z_j - z_k are then exact integers at a known
+scale, each squared radius is one exact fraction, and its square root is
+rounded outward.  A reported disk is a proof, not an estimate.
 
 If the target radius is unreachable in double precision the iteration
 escalates to mpmath working precision; certification always happens at
@@ -116,47 +118,84 @@ def _float_up(fr: Fraction) -> float:
     return x
 
 
-def _eval_exact(poly, zre: Fraction, zim: Fraction):
-    """Horner evaluation of an integer polynomial at an exact complex point."""
-    are, aim = Fraction(0), Fraction(0)
-    for c in reversed(poly):
-        are, aim = are * zre - aim * zim + c, are * zim + aim * zre
-    return are, aim
+def _dyadic(centers):
+    """(e, [(x_j, y_j)]) with z_j = (x_j + i*y_j) / 2**e exactly.
+
+    Every finite double is a dyadic rational, so one power of two (the
+    largest denominator of any component) puts all of them over integer
+    numerators.
+    """
+    parts = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+             for z in centers]
+    e = max((den.bit_length() - 1 for pair in parts for _, den in pair),
+            default=0)
+    return e, [
+        (xn << (e + 1 - xd.bit_length()), yn << (e + 1 - yd.bit_length()))
+        for (xn, xd), (yn, yd) in parts
+    ]
 
 
-def _abs2(fr_re: Fraction, fr_im: Fraction) -> Fraction:
-    return fr_re * fr_re + fr_im * fr_im
+def _scaled_abs2(poly, e, points):
+    """|S^d * poly(z)|^2 for each z = (x + i*y) / S, S = 2**e, d = deg poly.
+
+    Horner over the Gaussian integers, with coefficient i scaled by
+    S^(d - i): every intermediate is an exact integer.
+    """
+    d = polyx.degree(poly)
+    coeffs = [c << (e * (d - i)) for i, c in enumerate(poly)][::-1]
+    out = []
+    for x, y in points:
+        are, aim = 0, 0
+        for c in coeffs:
+            are, aim = are * x - aim * y + c, are * y + aim * x
+        out.append(are * are + aim * aim)
+    return out
 
 
 def certified_radii(poly, centers):
     """Exact per-center inclusion radii (as Fractions) for `poly`.
 
-    poly must have integer coefficients; centers are complex doubles.
+    poly must have integer coefficients; centers are complex doubles.  All
+    centers are written over one power of two S = 2**e with Gaussian-integer
+    numerators (`_dyadic`), so |S^d p(z_j)|^2 and every |S (z_j - z_k)|^2
+    are integers and each squared radius
+    d^2 |p(z_j)|^2 / (lc^2 prod_k |z_j - z_k|^2) is one exact fraction.
     """
     d = polyx.degree(poly)
     lc = poly[-1]
-    exact = [(Fraction(z.real), Fraction(z.imag)) for z in centers]
+    e, pts = _dyadic(centers)
+    # S^(2(m-1)) from the m-1 differences against S^(2d) from p(z_j)
+    shift = 2 * e * (len(pts) - 1 - d)
     radii = []
-    for j, (re, im) in enumerate(exact):
-        pre, pim = _eval_exact(poly, re, im)
-        num2 = _abs2(pre, pim) * d * d
-        den2 = Fraction(lc * lc)
-        for k, (re2, im2) in enumerate(exact):
+    for j, a2 in enumerate(_scaled_abs2(poly, e, pts)):
+        x, y = pts[j]
+        den2 = lc * lc
+        for k, (u, v) in enumerate(pts):
             if k != j:
-                den2 *= _abs2(re - re2, im - im2)
-        radii.append(_sqrt_upper(num2 / den2))
+                den2 *= (x - u) * (x - u) + (y - v) * (y - v)
+        num2 = d * d * a2
+        radii.append(_sqrt_upper(
+            Fraction(num2 << max(shift, 0), den2 << max(-shift, 0))
+        ))
     return radii
 
 
 def _disks_disjoint(centers, radii):
-    exact = [(Fraction(z.real), Fraction(z.imag)) for z in centers]
-    for j in range(len(centers)):
-        for k in range(j + 1, len(centers)):
-            sep2 = _abs2(
-                exact[j][0] - exact[k][0], exact[j][1] - exact[k][1]
-            )
-            lim = radii[j] + radii[k]
-            if sep2 <= lim * lim:
+    """Whether the closed disks D(centers[j], radii[j]) are pairwise disjoint.
+
+    radii are doubles (rounded up from the exact ones, which only makes the
+    test stricter); centers and radii go over one power of two, so the
+    comparison is exact in integers.
+    """
+    m = len(centers)
+    _, pts = _dyadic([*centers, *map(complex, radii)])
+    rs = [r for r, _ in pts[m:]]
+    for j in range(m):
+        x, y = pts[j]
+        for k in range(j + 1, m):
+            u, v = pts[k]
+            lim = rs[j] + rs[k]
+            if (x - u) * (x - u) + (y - v) * (y - v) <= lim * lim:
                 return False
     return True
 
@@ -249,13 +288,11 @@ def _assign_multiplicities(sf: SquareFreeData, centers, radii):
         return [m] * len(centers)
     mult = [0] * len(centers)
     claimed = set()
+    e, pts = _dyadic(centers)
     for f, m in sf.factors:
         deg_f = polyx.degree(f)
-        scores = []
-        for idx, z in enumerate(centers):
-            re, im = Fraction(z.real), Fraction(z.imag)
-            scores.append((_abs2(*_eval_exact(f, re, im)), idx))
-        scores.sort()
+        # one common scale S^(2 deg f) keeps the order of the exact |f(z)|^2
+        scores = sorted(zip(_scaled_abs2(f, e, pts), range(len(pts))))
         mine = [idx for _, idx in scores[:deg_f]]
         if claimed & set(mine):
             return None
@@ -316,14 +353,15 @@ def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
         centers.sort(key=lambda v: (v.real, v.imag))
         radii = certified_radii(poly, centers)
         if all(r <= eps_frac for r in radii):
-            if not _disks_disjoint(centers, radii):
+            radii_up = [_float_up(r) for r in radii]
+            if not _disks_disjoint(centers, radii_up):
                 last_failure = "overlap"
                 continue
             mult = _assign_multiplicities(sf, centers, radii)
             if mult is None:
                 last_failure = "multiplicity assignment uncertified"
                 continue
-            return _build_rootset(poly, centers, radii, mult, cauchy)
+            return _build_rootset(centers, radii, radii_up, mult, cauchy)
         last_failure = "radius above target"
     if last_failure == "overlap":
         raise ClusterUnresolvedError(
@@ -334,13 +372,16 @@ def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
     )
 
 
-def _build_rootset(poly, centers, radii, mult, cauchy):
-    roots = []
-    n_bound = Fraction(0)
-    for zc, r, m in zip(centers, radii, mult):
-        zabs = _sqrt_upper(_abs2(Fraction(zc.real), Fraction(zc.imag)))
-        n_bound = max(n_bound, zabs + r)
-        roots.append(Root(center=zc, radius=_float_up(r), multiplicity=m))
+def _build_rootset(centers, radii, radii_up, mult, cauchy):
+    e, pts = _dyadic(centers)
+    n_bound = max(
+        _sqrt_upper(Fraction(x * x + y * y, 1 << 2 * e)) + r
+        for (x, y), r in zip(pts, radii)
+    )
+    roots = [
+        Root(center=zc, radius=r, multiplicity=m)
+        for zc, r, m in zip(centers, radii_up, mult)
+    ]
     eps = max((r.radius for r in roots), default=0.0)
     n_val = _float_up(n_bound)
     # every certified disk must sit inside the Cauchy bound

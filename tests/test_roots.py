@@ -1,6 +1,7 @@
 """Square-free decomposition and certified root disks."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,14 @@ from wenum import polyx
 from wenum.codes import WeightEnumerator, pair_sum_enumerator, zero_code_enumerator
 from wenum.errors import PrecisionFailureError
 from wenum.fields import GF
-from wenum.roots import certified_radii, find_roots, roots_of, square_free
+from wenum.roots import (
+    _disks_disjoint,
+    _float_up,
+    certified_radii,
+    find_roots,
+    roots_of,
+    square_free,
+)
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -72,6 +80,20 @@ def test_multiplicities_multi_factor():
         by_mult.setdefault(r.multiplicity, []).append(r.center)
     assert sorted(abs(z) for z in by_mult[1]) == pytest.approx([1.0, 1.0])
     assert sorted(abs(z) for z in by_mult[2]) == pytest.approx([2.0, 2.0])
+    # (x+1)(x+2)^2(x^2+3)^3: three Yun factors with roots of modulus 1, 2
+    # and sqrt(3)
+    w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
+    assert len(square_free(w).factors) == 3
+    rs = roots_of(w, 1e-10)
+    got = sorted((round(z.real), round(z.imag * z.imag), r.multiplicity)
+                 for r in rs.roots for z in [r.center])
+    assert got == [(-2, 0, 2), (-1, 0, 1), (0, 3, 3), (0, 3, 3)]
+    # the certified values of the plain-Fraction implementation
+    assert rs.eps == float.fromhex("0x1.1cd16c62d8c9dp-51")
+    assert rs.N == 2.0
+    for r in rs.roots:
+        if r.multiplicity < 3:
+            assert r.radius == 0.0
 
 
 def _enumerator(code):
@@ -131,6 +153,99 @@ def test_certified_containment_independent_check():
                     den *= z - mpmath.mpc(other.center)
             bound = d * abs(num) / abs(den)
             assert bound <= root.radius * (1 + 1e-12) + 1e-300
+
+
+def _sqrt_up(fr):
+    s = math.isqrt(fr.numerator * fr.denominator)
+    if s * s < fr.numerator * fr.denominator:
+        s += 1
+    return Fraction(s, fr.denominator)
+
+
+def reference_radii(poly, centers):
+    """d * |p(z_j)| / (|lc| * prod_k |z_j - z_k|), term by term in Fractions,
+    its square root rounded up over the reduced denominator."""
+    d = len(poly) - 1
+    exact = [(Fraction(z.real), Fraction(z.imag)) for z in centers]
+    radii = []
+    for j, (re, im) in enumerate(exact):
+        pre, pim = Fraction(0), Fraction(0)
+        for c in reversed(poly):
+            pre, pim = pre * re - pim * im + c, pre * im + pim * re
+        r2 = (pre * pre + pim * pim) * d * d / poly[-1] ** 2
+        for k, (re2, im2) in enumerate(exact):
+            if k != j:
+                r2 /= (re - re2) ** 2 + (im - im2) ** 2
+        radii.append(_sqrt_up(r2))
+    return radii
+
+
+def _random_centers(rng, m, scales):
+    return [complex(rng.choice((-1, 1)) * rng.random() * rng.choice(scales),
+                    rng.choice((-1, 1)) * rng.random() * rng.choice(scales))
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("d, tiny", [(1, 1e-200), (2, 1e-200), (5, 1e-200),
+                                     (17, 1e-200), (40, 1e-20)])
+def test_certified_radii_match_fraction_oracle(d, tiny):
+    rng = random.Random(d)
+    poly = tuple(rng.randint(-10**6, 10**6) for _ in range(d)) + (rng.randint(1, 99),)
+    # binary exponents from about -665 (1e-200) or -66 (1e-20) to +20
+    centers = _random_centers(rng, d, (tiny, 1e-3, 1.0, 1e6))
+    assert certified_radii(poly, centers) == reference_radii(poly, centers)
+    # zero and negative real and imaginary parts
+    centers = [0j, -2.5 + 0j, 3j, -1e-200j, -7.25 - 1e6j][:d]
+    centers += _random_centers(rng, d - len(centers), (1e-3, 1.0))
+    assert certified_radii(poly, centers) == reference_radii(poly, centers)
+
+
+def test_certified_radii_count_differs_from_degree():
+    rng = random.Random(3)
+    poly = (5, -3, 0, 2, 7, 1)
+    for m in (2, 3, 8):
+        centers = _random_centers(rng, m, (1e-5, 1.0, 1e3))
+        assert certified_radii(poly, centers) == reference_radii(poly, centers)
+
+
+def test_certified_radii_match_oracle_on_factors():
+    # every Yun factor of (x+1)(x+2)^2(x^2+3)^3 at its own certified roots,
+    # and prm5_3_2's degree-31 square-free part at its roots
+    from wenum.codes import enumerate_weights
+    from wenum.reedmuller import projective_reed_muller
+
+    w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
+    sf = square_free(w)
+    centers = find_roots(sf, 1e-10).centers()
+    for f, _ in sf.factors:
+        mine = sorted(centers, key=lambda z: abs(polyx.evaluate(f, z)))[: len(f) - 1]
+        assert certified_radii(f, mine) == reference_radii(f, mine)
+    assert certified_radii(sf.squarefree, centers) == reference_radii(
+        sf.squarefree, centers
+    )
+    sf = square_free(enumerate_weights(projective_reed_muller(5, 3, 2)))
+    rs = find_roots(sf, 1e-12)
+    want = reference_radii(sf.squarefree, rs.centers())
+    assert certified_radii(sf.squarefree, rs.centers()) == want
+    # the stored double radius is the exact one rounded up, never down
+    assert all(0 <= Fraction(r.radius) - w <= Fraction(r.radius) * 2.0**-52
+               for r, w in zip(rs.roots, want))
+
+
+def test_tangent_disks_are_not_disjoint():
+    below = math.nextafter(0.5, 0.0)
+    assert not _disks_disjoint([0j, 1 + 0j], [0.5, 0.5])
+    assert _disks_disjoint([0j, 1 + 0j], [0.5, below])
+    assert not _disks_disjoint([0j, 5 + 0j, 1 + 0j], [0.5, 0.1, 0.5])
+    # the same at a binary exponent near -1000, across the imaginary axis
+    t = 3e-300
+    assert not _disks_disjoint([complex(0, -t), complex(0, t)], [t, t])
+    assert _disks_disjoint([complex(0, -t), complex(0, t)], [t, math.nextafter(t, 0)])
+    # rounding radii up never turns an exact overlap into "disjoint"
+    exact = (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**80))
+    up = [_float_up(r) for r in exact]
+    assert all(Fraction(u) >= r for u, r in zip(up, exact))
+    assert not _disks_disjoint([0j, 1 + 0j], up)
 
 
 def test_exact_radius_formula_matches_module():
