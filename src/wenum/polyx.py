@@ -134,10 +134,3 @@ def yun_squarefree(p: Poly):
         i += 1
     return out
 
-
-def evaluate(p: Poly, x):
-    """Horner evaluation; works for any coefficient/argument ring."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc

@@ -1,10 +1,24 @@
 """Certified complex roots of W(x, 1).
 
-Pipeline: exact Yun square-free decomposition over Q, simultaneous
-Weierstrass (Durand-Kerner) iteration on the square-free part, then an
-a-posteriori certificate computed in exact integer arithmetic from the
-integer coefficients.  For monic p of degree d and pairwise-distinct
-approximations z_1..z_d, every root of p lies in the union of the disks
+Pipeline: exact Yun square-free decomposition over Q, the Aberth-Ehrlich
+iteration on the square-free part, then an a-posteriori certificate
+computed in exact integer arithmetic from the integer coefficients.
+
+The iteration runs in numpy on the coefficients rounded to doubles and
+corrects all d approximations of a sweep at once, from a circle that
+encloses every root:
+
+    z_j -= r_j / (1 - r_j * sum_{k != j} 1 / (z_j - z_k)),  r_j = p(z_j) / p'(z_j).
+
+Once doubles stall, one more step takes p(z_j) exactly at the double
+centers; p' stays in doubles, as it only scales an already small
+correction.  Around that step, imaginary parts at most 2^-52 |Re z| are
+set to 0: real roots leave the iteration with imaginary parts of 1e-34
+and below, which would widen every exact integer through the common
+power of two below.
+
+For monic p of degree d and pairwise-distinct approximations z_1..z_d,
+every root of p lies in the union of the disks
 
     D(z_j, d * |p(z_j)| / prod_{k != j} |z_j - z_k|),
 
@@ -15,21 +29,17 @@ p(z_j) and the differences z_j - z_k are then exact integers at a known
 scale, each squared radius is one exact fraction, and its square root is
 rounded outward.  A reported disk is a proof, not an estimate.
 
-If the target radius is unreachable in double precision the iteration
-escalates to mpmath working precision; certification always happens at
-the final double-precision centers with exact coefficients.  Certified
-radii therefore cannot fall below the rounding of those centers (about
-d * ulp(max |z|)), so a finer target only adds escalations that fail.
+Certified radii cannot fall below the rounding of the double centers
+(about d * ulp(max |z|)); a finer target raises PrecisionFailureError.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
+import numpy as np
 
 from . import polyx
 from .codes import WeightEnumerator
@@ -40,7 +50,6 @@ from .errors import (
 )
 
 _SWEEP_CAP = 1000
-_MPMATH_DPS = (50, 100)  # escalation levels after plain doubles
 
 
 @dataclass(frozen=True)
@@ -135,8 +144,9 @@ def _dyadic(centers):
     ]
 
 
-def _scaled_abs2(poly, e, points):
-    """|S^d * poly(z)|^2 for each z = (x + i*y) / S, S = 2**e, d = deg poly.
+def _scaled_values(poly, e, points):
+    """S^d * poly(z) as a Gaussian integer (re, im) for each
+    z = (x + i*y) / S, S = 2**e, d = deg poly.
 
     Horner over the Gaussian integers, with coefficient i scaled by
     S^(d - i): every intermediate is an exact integer.
@@ -148,7 +158,7 @@ def _scaled_abs2(poly, e, points):
         are, aim = 0, 0
         for c in coeffs:
             are, aim = are * x - aim * y + c, are * y + aim * x
-        out.append(are * are + aim * aim)
+        out.append((are, aim))
     return out
 
 
@@ -167,13 +177,13 @@ def certified_radii(poly, centers):
     # S^(2(m-1)) from the m-1 differences against S^(2d) from p(z_j)
     shift = 2 * e * (len(pts) - 1 - d)
     radii = []
-    for j, a2 in enumerate(_scaled_abs2(poly, e, pts)):
+    for j, (are, aim) in enumerate(_scaled_values(poly, e, pts)):
         x, y = pts[j]
         den2 = lc * lc
         for k, (u, v) in enumerate(pts):
             if k != j:
                 den2 *= (x - u) * (x - u) + (y - v) * (y - v)
-        num2 = d * d * a2
+        num2 = d * d * (are * are + aim * aim)
         radii.append(_sqrt_upper(
             Fraction(num2 << max(shift, 0), den2 << max(-shift, 0))
         ))
@@ -231,47 +241,60 @@ def _fujiwara_bound(poly) -> float:
     return 2.0 * best if best else 1.0
 
 
-def _weierstrass(poly, z, cap, tol):
-    """In-place simultaneous iteration; returns final max correction.
+def _aberth_step(z, pz, dpz):
+    """The Aberth correction of every z_j at once, given p(z) and p'(z)."""
+    r = pz / dpz
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1)
+    inv = 1 / diff
+    np.fill_diagonal(inv, 0)
+    return r / (1 - r * inv.sum(axis=1))
 
-    Stops at the correction tolerance or once no sweep in a 40-sweep
-    window beat the running best by a factor 1.5 (precision exhausted at
-    the current working precision; geometric convergence from the start
-    circle improves faster than that even at degree ~60).
+
+def _snap_real(z):
+    """Set each imaginary part at most 2^-52 |Re z| to 0, in place."""
+    z.imag[np.abs(z.imag) <= 2.0**-52 * np.abs(z.real)] = 0
+
+
+def _aberth(poly, radius, tol):
+    """Centers for the d roots of poly, as a list of complex doubles.
+
+    Aberth sweeps in doubles from the circle of the given radius, until
+    the largest correction is at most tol or no sweep in a 40-sweep window
+    beat the running best by a factor 1.5 (doubles exhausted); then one
+    step with the exact residual p(z_j).
     """
-    d = len(z)
-    lc = poly[-1]
-    corr_max = math.inf
+    d = polyx.degree(poly)
+    coeffs = np.array(poly[::-1], dtype=float)
+    dcoeffs = np.polyder(coeffs)
+    z = radius * np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
     best = math.inf
     since_best = 0
-    for _ in range(cap):
-        corr_max = 0.0
-        for j in range(d):
-            num = polyx.evaluate(poly, z[j])
-            den = lc
-            for k in range(d):
-                if k != j:
-                    diff = z[j] - z[k]
-                    if diff == 0:
-                        diff = (abs(z[j]) + 1e-6) * 1e-9
-                    den = den * diff
-            if den == 0:
-                continue
-            c = num / den
-            z[j] = z[j] - c
-            mag = abs(c)
-            if mag > corr_max:
-                corr_max = mag
-        if corr_max <= tol:
-            break
-        if corr_max * 1.5 <= best:
-            best = corr_max
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= 40:
+    with np.errstate(all="ignore"):
+        for _ in range(_SWEEP_CAP):
+            w = _aberth_step(z, np.polyval(coeffs, z), np.polyval(dcoeffs, z))
+            z = z - w
+            corr_max = np.abs(w).max()
+            if corr_max <= tol:
                 break
-    return corr_max
+            if corr_max * 1.5 <= best:
+                best = corr_max
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= 40:
+                    break
+        if np.isfinite(z).all():
+            _snap_real(z)
+            e, pts = _dyadic(z.tolist())
+            scale = 1 << (e * d)
+            pz = np.array([complex(are / scale, aim / scale)
+                           for are, aim in _scaled_values(poly, e, pts)])
+            z = z - _aberth_step(z, pz, np.polyval(dcoeffs, z))
+    if not np.isfinite(z).all():
+        raise PrecisionFailureError("Aberth iteration diverged")
+    _snap_real(z)
+    return z.tolist()
 
 
 def _assign_multiplicities(sf: SquareFreeData, centers, radii):
@@ -292,7 +315,8 @@ def _assign_multiplicities(sf: SquareFreeData, centers, radii):
     for f, m in sf.factors:
         deg_f = polyx.degree(f)
         # one common scale S^(2 deg f) keeps the order of the exact |f(z)|^2
-        scores = sorted(zip(_scaled_abs2(f, e, pts), range(len(pts))))
+        scores = sorted((a * a + b * b, idx)
+                        for idx, (a, b) in enumerate(_scaled_values(f, e, pts)))
         mine = [idx for _, idx in scores[:deg_f]]
         if claimed & set(mine):
             return None
@@ -312,8 +336,11 @@ def _assign_multiplicities(sf: SquareFreeData, centers, radii):
 def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
     """Certified disks for the distinct roots of the square-free part.
 
-    Iterates until every exact radius is <= target_eps and the disks are
-    pairwise disjoint, escalating working precision when doubles stall.
+    Centers from one Aberth iteration (`_aberth`), certified once.  Raises
+    PrecisionFailureError when a certified radius is above target_eps,
+    when the coefficients or the iteration leave the range of doubles, or
+    when the multiplicities cannot be certified; ClusterUnresolvedError
+    when radii within target_eps give overlapping disks.
     """
     if target_eps <= 0:
         raise DomainError("target_eps must be positive")
@@ -321,75 +348,44 @@ def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
     d = polyx.degree(poly)
     if d < 1:
         return RootSet(roots=(), eps=0.0, N=0.0)
-    cauchy = _cauchy_bound(poly)
-    start_radius = min(cauchy, _fujiwara_bound(poly))
-
-    def _circle():
-        return [
-            start_radius * complex(math.cos(2 * math.pi * j / d + 0.4),
-                                   math.sin(2 * math.pi * j / d + 0.4))
-            for j in range(d)
-        ]
-
-    z = _circle()
-    eps_frac = Fraction(target_eps)
-    tol = 0.25 * target_eps / d
-    last_failure = "did not converge"
-    for level in range(1 + len(_MPMATH_DPS)):
-        if not all(cmath.isfinite(v) for v in z):
-            z = _circle()
-        if level == 0:
-            _weierstrass(poly, z, _SWEEP_CAP, tol)
-            centers = list(z)
-        else:
-            with mpmath.workdps(_MPMATH_DPS[level - 1]):
-                zm = [mpmath.mpc(v) for v in z]
-                _weierstrass([mpmath.mpf(c) for c in poly], zm, _SWEEP_CAP, tol)
-                centers = [complex(v) for v in zm]
-                z = centers
-        if not all(cmath.isfinite(v) for v in centers):
-            last_failure = "iteration diverged"
-            continue
-        centers.sort(key=lambda v: (v.real, v.imag))
-        radii = certified_radii(poly, centers)
-        if all(r <= eps_frac for r in radii):
-            radii_up = [_float_up(r) for r in radii]
-            if not _disks_disjoint(centers, radii_up):
-                last_failure = "overlap"
-                continue
-            mult = _assign_multiplicities(sf, centers, radii)
-            if mult is None:
-                last_failure = "multiplicity assignment uncertified"
-                continue
-            return _build_rootset(centers, radii, radii_up, mult, cauchy)
-        last_failure = "radius above target"
-    if last_failure == "overlap":
+    try:
+        cauchy = _cauchy_bound(poly)
+        centers = _aberth(poly, min(cauchy, _fujiwara_bound(poly)),
+                          0.25 * target_eps / d)
+    except OverflowError as exc:
+        raise PrecisionFailureError(
+            "coefficients or iterates beyond the range of doubles"
+        ) from exc
+    centers.sort(key=lambda v: (v.real, v.imag))
+    radii = certified_radii(poly, centers)
+    radii_up = [_float_up(r) for r in radii]
+    if max(radii) > target_eps:
+        raise PrecisionFailureError(
+            f"certified radius {max(radii_up)} above eps={target_eps}"
+        )
+    if not _disks_disjoint(centers, radii_up):
         raise ClusterUnresolvedError(
             f"certified disks overlap at eps={target_eps}"
         )
-    raise PrecisionFailureError(
-        f"could not certify roots at eps={target_eps}: {last_failure}"
-    )
-
-
-def _build_rootset(centers, radii, radii_up, mult, cauchy):
+    mult = _assign_multiplicities(sf, centers, radii)
+    if mult is None:
+        raise PrecisionFailureError(
+            f"could not certify root multiplicities at eps={target_eps}"
+        )
+    eps = max(radii_up)
     e, pts = _dyadic(centers)
-    n_bound = max(
+    n_val = _float_up(max(
         _sqrt_upper(Fraction(x * x + y * y, 1 << 2 * e)) + r
         for (x, y), r in zip(pts, radii)
-    )
-    roots = [
-        Root(center=zc, radius=r, multiplicity=m)
-        for zc, r, m in zip(centers, radii_up, mult)
-    ]
-    eps = max((r.radius for r in roots), default=0.0)
-    n_val = _float_up(n_bound)
+    ))
     # every certified disk must sit inside the Cauchy bound
     if n_val > cauchy + 2 * eps:
         raise PrecisionFailureError(
             "certified root bound exceeds the Cauchy bound"
         )
-    return RootSet(roots=tuple(roots), eps=eps, N=n_val)
+    roots = tuple(Root(center=zc, radius=r, multiplicity=m)
+                  for zc, r, m in zip(centers, radii_up, mult))
+    return RootSet(roots=roots, eps=eps, N=n_val)
 
 
 def roots_of(w: WeightEnumerator, target_eps: float) -> RootSet:

@@ -49,9 +49,10 @@ certificate's gaps and the offending competitor come from one full row
 each.  Tuples are checked in blocks of whole 3-prefixes in lexicographic
 order, so an early certificate ends the scan early.
 
-Each verb solves for roots once, at ROOT_EPS; the working-precision
-escalation inside roots.find_roots is the only precision ladder.  Roots
-too coarse to match an image uniquely raise PrecisionFailureError.
+Each verb solves for roots once, at ROOT_EPS: roots.find_roots certifies
+the centers of one double-precision iteration, with no higher working
+precision to fall back on.  Roots too coarse to match an image uniquely
+raise PrecisionFailureError.
 """
 
 from __future__ import annotations

@@ -8,17 +8,26 @@ import mpmath
 import pytest
 
 from wenum import polyx
-from wenum.codes import WeightEnumerator, pair_sum_enumerator, zero_code_enumerator
+from wenum.algebra import macwilliams
+from wenum.codes import (
+    WeightEnumerator,
+    enumerate_weights,
+    pair_sum_enumerator,
+    zero_code_enumerator,
+)
 from wenum.errors import PrecisionFailureError
 from wenum.fields import GF
+from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import (
     _disks_disjoint,
+    _dyadic,
     _float_up,
     certified_radii,
     find_roots,
     roots_of,
     square_free,
 )
+from wenum.stabilizer import Verdict, certify_trivial, rm2_closed_form
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -88,8 +97,13 @@ def test_multiplicities_multi_factor():
     got = sorted((round(z.real), round(z.imag * z.imag), r.multiplicity)
                  for r in rs.roots for z in [r.center])
     assert got == [(-2, 0, 2), (-1, 0, 1), (0, 3, 3), (0, 3, 3)]
-    # the certified values of the plain-Fraction implementation
-    assert rs.eps == float.fromhex("0x1.1cd16c62d8c9dp-51")
+    # every radius is the Fraction oracle's rounded up, and no larger than
+    # the 4.94e-16 the Weierstrass iteration reached at its centers
+    sf = square_free(w)
+    centers = rs.centers()
+    want = reference_radii(sf.squarefree, centers)
+    assert [r.radius for r in rs.roots] == [_float_up(r) for r in want]
+    assert rs.eps <= float.fromhex("0x1.1cd16c62d8c9dp-51")
     assert rs.N == 2.0
     for r in rs.roots:
         if r.multiplicity < 3:
@@ -217,8 +231,15 @@ def test_certified_radii_match_oracle_on_factors():
     w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
     sf = square_free(w)
     centers = find_roots(sf, 1e-10).centers()
+
+    def horner(f, z):
+        acc = 0
+        for c in reversed(f):
+            acc = acc * z + c
+        return acc
+
     for f, _ in sf.factors:
-        mine = sorted(centers, key=lambda z: abs(polyx.evaluate(f, z)))[: len(f) - 1]
+        mine = sorted(centers, key=lambda z: abs(horner(f, z)))[: len(f) - 1]
         assert certified_radii(f, mine) == reference_radii(f, mine)
     assert certified_radii(sf.squarefree, centers) == reference_radii(
         sf.squarefree, centers
@@ -271,3 +292,77 @@ def test_root_count_matches_squarefree_degree():
     rs = find_roots(sf, 1e-12)
     assert len(rs) == sf.degree == 31
     assert rs.eps <= 1e-12
+
+
+def test_coefficients_beyond_doubles_raise_precision_failure():
+    with pytest.raises(PrecisionFailureError):
+        roots_of(WeightEnumerator((1, 10**400, 1)), 1e-12)
+    # so the certificate reports it as inconclusive instead of crashing
+    rep = certify_trivial(WeightEnumerator((1, 3, 10**400, 7, 5, 11, 1)), 2)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.eps is None
+
+
+def test_rm2_1_6_dual_disks():
+    # coefficients up to 2^57: doubles alone stall far from the roots, and
+    # the step against the exact residual reaches the double-precision floor
+    rs = roots_of(macwilliams(rm2_closed_form(6), 2, 2**7), 1e-12)
+    assert len(rs) == 64
+    assert rs.eps <= 4.74e-14
+    exact = [(Fraction(r.center.real), Fraction(r.center.imag), Fraction(r.radius))
+             for r in rs.roots]
+    for j, (x, y, r) in enumerate(exact):
+        for u, v, s in exact[j + 1:]:
+            assert (x - u) ** 2 + (y - v) ** 2 > (r + s) ** 2
+
+
+def sturm_real_roots(poly):
+    """Number of distinct real roots of poly (ascending integer
+    coefficients): sign changes of its Sturm sequence, in Fractions, at
+    -infinity minus those at +infinity."""
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i, c in enumerate(b):
+                a[len(a) - len(b) + i] -= q * c
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    seq = [[Fraction(c) for c in poly],
+           [Fraction(i * c) for i, c in enumerate(poly)][1:]]
+    while len(seq[-1]) > 1:
+        r = rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_plus = [p[-1] > 0 for p in seq]
+    at_minus = [(p[-1] > 0) == (len(p) % 2 == 1) for p in seq]
+    return changes(at_minus) - changes(at_plus)
+
+
+def test_sturm_oracle():
+    assert sturm_real_roots((3, 0, 1)) == 0
+    assert sturm_real_roots((-6, 11, -6, 1)) == 3  # (x-1)(x-2)(x-3)
+    assert sturm_real_roots((-2, 0, 0, 1)) == 1
+
+
+@pytest.mark.parametrize("code", [
+    lambda: reed_muller(4, 2, 2),
+    lambda: reed_muller(5, 2, 2),
+    lambda: projective_reed_muller(5, 3, 2),
+], ids=["rm4_2_2", "rm5_2_2", "prm5_3_2"])
+def test_real_roots_on_the_real_axis(code):
+    sf = square_free(enumerate_weights(code()))
+    rs = find_roots(sf, 1e-12)
+    centers = rs.centers()
+    # no imaginary part of 1e-34 left on a real root to widen the common
+    # power of two of the exact certificate
+    assert _dyadic(centers)[0] <= 64
+    assert sum(z.imag == 0 for z in centers) == sturm_real_roots(sf.squarefree)
