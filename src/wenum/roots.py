@@ -252,8 +252,11 @@ def _aberth_step(z, pz, dpz):
 
 
 def _snap_real(z):
-    """Set each imaginary part at most 2^-52 |Re z| to 0, in place."""
-    z.imag[np.abs(z.imag) <= 2.0**-52 * np.abs(z.real)] = 0
+    """Set each imaginary part at most 2^-52 |Re z| to 0, and each real
+    part at most 2^-52 |Im z|, in place."""
+    re, im = np.abs(z.real), np.abs(z.imag)
+    z.imag[im <= 2.0**-52 * re] = 0
+    z.real[re <= 2.0**-52 * im] = 0
 
 
 def _aberth(poly, radius, tol):

@@ -13,23 +13,31 @@ on them.  A Moebius map keeps cross ratios, so (a, b, c) induces the root
 permutation sigma exactly when [a, b, c, sigma(k)] = [0, 1, 2, k] for
 every k >= 3; sigma must also keep multiplicities.  Each equality is
 tested with the certificate's gap and threshold (below), which true-equal
-cross ratios always meet, so no stabilizing map is missed.  Each screened
-permutation gets its matrix M in closed form (the map sending the
-reference triple to (0, 1, inf), followed by the inverse of the one
-sending the image triple there) and is measured once: one substitution
-gives W(M) = lambda W, with lambda read at W's largest coefficient, and
-the relative coefficient residual of mu M, mu = lambda^(-1/n), which
-fixes W on the nose.  The n scalar twists zeta^k of mu M need no check
-of their own, since W has degree n and zeta^n = 1.  The group is the
-exact closure, over integer tuples, of the permutations whose residual
-is within VERIFY_TOL; a closure is a group by construction.  Every
-permutation of the closure must have been screened and rescaled, and n
-times the closure's order must stay within Klein's bound; otherwise
-PrecisionFailureError is raised.  A screened permutation outside the
-closure failed verification and is rejected.
+cross ratios always meet, so no stabilizing map is missed.  The image
+triples that keep multiplicities go in lexicographic blocks, each row
+(a, b, c) against every fourth root x at once (the scan's expression for
+the tuple (a, b, c, x)); only the triples under which root 3 matches are
+compared in full.  Each screened permutation gets its matrix M in closed
+form (the map sending the reference triple to (0, 1, inf), followed by
+the inverse of the one sending the image triple there) and is measured
+once: one substitution gives W(M) = lambda W, with lambda read at W's
+largest coefficient, and the relative coefficient residual of mu M,
+mu = lambda^(-1/n), which fixes W on the nose.  The n scalar twists
+zeta^k of mu M need no check of their own, since W has degree n and
+zeta^n = 1.  The group is the exact closure, over integer tuples, of
+the permutations whose residual is within VERIFY_TOL; a closure is a
+group by construction.  Every permutation of the closure must have been
+screened and rescaled, and n times the closure's order must stay within
+Klein's bound; otherwise PrecisionFailureError is raised.  A screened
+permutation outside the closure failed verification and is rejected.
 
-Triviality certificates: two critical 4-tuples of roots sharing their
-first three entries force the projective stabilizer to be trivial.  With
+Triviality certificates: certify_trivial screens first.  Every
+stabilizing map passes the screen; when the map of a screened
+non-identity permutation fixes W within VERIFY_TOL, the stabilizer is
+numerically nontrivial, so the verdict is Inconclusive with that
+permutation as witness, and nothing is scanned.  Otherwise the paper's
+witness decides: two critical 4-tuples of roots sharing their first
+three entries force the projective stabilizer to be trivial.  With
 cross-ratio(T) = P_T / Q_T, a tuple t is certified critical when for every
 competing ordered 4-tuple s outside its V4 orbit the cross-multiplied gap
 |P_t Q_s - Q_t P_s| exceeds 120 N^3 eps, which guarantees the true cross
@@ -61,7 +69,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -76,7 +83,7 @@ _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
 _PAIRS = 1 << 18  # candidate pairs compared at once
-_SCREEN_ROWS = 4096  # 4-tuples compared at once by the permutation screen
+_TRIPLES = 256  # image triples compared at once by the permutation screen
 
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> complex:
@@ -150,6 +157,7 @@ class StabilizerReport:
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
     eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
     offending: tuple | None = None  # uncertifiable tuple pair (inconclusive)
+    witness: tuple | None = None  # verified non-identity permutation (inconclusive)
 
     @property
     def size(self) -> int:
@@ -162,9 +170,10 @@ class StabilizerReport:
 def _screen(rootset: RootSet):
     """{root permutation: Moebius matrix} for every permutation whose
     cross ratios pass the certificate's test, in the lexicographic order of
-    its first three images.  Only the image triples under which root 3
-    matches are compared in full; a root that then matches two roots
-    raises PrecisionFailureError.
+    its first three images.  The image triples that keep multiplicities go
+    in blocks of _TRIPLES, each against every fourth root at once; only the
+    triples under which root 3 matches are compared in full, and a root
+    that then matches two roots raises PrecisionFailureError.
     """
     if rootset.eps >= 0.5:
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
@@ -173,37 +182,33 @@ def _screen(rootset: RootSet):
     z = np.array(centers)
     mult = np.array([r.multiplicity for r in rootset.roots])
     threshold = 120 * rootset.N**3 * rootset.eps
-    if d == 3:  # no root to pin: any permutation of three points is Moebius
-        perms = [p for p in permutations(range(3)) if (mult[list(p)] == mult).all()]
-    else:
-        perms = []
-        width = d - 3  # tuples per image triple, consecutive rows
-        ref_p, ref_q = _cross_parts(z, _tuples(d, 0, width))  # rows (0, 1, 2, k)
-        step = max(1, _SCREEN_ROWS // width) * width
-        total = d * (d - 1) * (d - 2) * width
-        for start in range(0, total, step):
-            rows = _tuples(d, start, min(start + step, total))
-            p, q = (v.reshape(-1, width) for v in _cross_parts(z, rows))
-            triples = rows[::width, :3]
-            pinned = (np.abs(ref_p[0] * q - ref_q[0] * p) <= threshold).any(axis=1)
-            pinned &= (mult[triples] == mult[:3]).all(axis=1)
-            cand = np.flatnonzero(pinned)
-            # hits[i, k, j]: root 3 + k matches row j of candidate triple i
-            hits = (
-                np.abs(ref_p[:, None] * q[cand, None] - ref_q[:, None] * p[cand, None])
-                <= threshold
+    triples = _triples(d)
+    triples = triples[(mult[triples] == mult[:3]).all(axis=1)]
+    x = np.arange(d)
+    ref_p, ref_q = _cross_parts(z, 0, 1, 2, x[3:])  # rows (0, 1, 2, k)
+    perms = []
+    for start in range(0, len(triples), _TRIPLES):
+        block = triples[start : start + _TRIPLES]
+        p, q = _cross_parts(z, *block.T[:, :, None], x)
+        outside = _outside(block, d)
+
+        def hits(rows, ks):
+            """hits[i, k, x]: root 3 + k matches root x under triple i."""
+            gap = ref_p[ks, None] * q[rows, None] - ref_q[ks, None] * p[rows, None]
+            return (np.abs(gap) <= threshold) & outside[rows, None]
+
+        # root 3 matches (vacuous at d = 3)
+        cand = np.flatnonzero(hits(slice(None), slice(1)).any(axis=2).all(axis=1))
+        found = hits(cand, slice(None))
+        counts = found.sum(axis=2)
+        full = (counts > 0).all(axis=1)
+        if (counts[full] > 1).any():
+            raise PrecisionFailureError(
+                f"a root matches {counts[full].max()} roots under one triple"
             )
-            counts = hits.sum(axis=2)
-            full = (counts > 0).all(axis=1)
-            if (counts[full] > 1).any():
-                raise PrecisionFailureError(
-                    f"a root matches {counts[full].max()} roots under one triple"
-                )
-            cand, hits = cand[full], hits[full]
-            images = rows[(cand * width)[:, None] + hits.argmax(axis=2), 3]
-            for perm in np.hstack((triples[cand], images)):
-                if (mult[perm] == mult).all() and len(set(perm)) == d:
-                    perms.append(tuple(int(i) for i in perm))
+        for perm in np.hstack((block[cand[full]], found[full].argmax(axis=2))):
+            if (mult[perm] == mult).all() and len(set(perm)) == d:
+                perms.append(tuple(int(i) for i in perm))
     ref = tuple(centers[:3])
     return {p: solve_moebius(ref, tuple(centers[i] for i in p[:3])) for p in perms}
 
@@ -298,30 +303,33 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 # --- triviality certificates --------------------------------------------------
 
 
-def _tuples(d, start=0, stop=None):
-    """The ordered 4-tuples of distinct indices below d of rank start to
-    stop (default: all), one per row, in the order of
-    permutations(range(d), 4): row r holds the digits of rank r in the
-    mixed radix (d, d-1, d-2, d-3), each lifted past the indices already
-    taken."""
-    if stop is None:
-        stop = d * (d - 1) * (d - 2) * (d - 3)
-    out = np.empty((stop - start, 4), dtype=np.intp)
-    rank = np.arange(start, stop)
-    for j in range(3, -1, -1):
-        rank, out[:, j] = np.divmod(rank, d - j)
-    for j in range(1, 4):
-        taken = np.sort(out[:, :j], axis=1)
-        for k in range(j):
-            out[:, j] += out[:, j] >= taken[:, k]
-    return out
+def _triples(d):
+    """The ordered triples of distinct indices below d, one per row, in
+    the order of permutations(range(d), 3)."""
+    t = np.indices((d,) * 3).reshape(3, -1).T
+    return t[(t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])]
 
 
-def _cross_parts(z, tuples):
-    """P and Q of the cross ratio P / Q of each row of indices into z."""
-    p = (z[tuples[:, 0]] - z[tuples[:, 2]]) * (z[tuples[:, 1]] - z[tuples[:, 3]])
-    q = (z[tuples[:, 0]] - z[tuples[:, 3]]) * (z[tuples[:, 1]] - z[tuples[:, 2]])
-    return p, q
+def _outside(triples, d):
+    """outside[i, x]: index x is not in row i of triples."""
+    return (np.arange(d) != triples[:, :, None]).all(axis=1)
+
+
+def _tuples(d):
+    """The ordered 4-tuples of distinct indices below d, one per row, in
+    the order of permutations(range(d), 4): each triple of _triples(d)
+    followed by every index outside it, in increasing order."""
+    t = _triples(d)
+    out = np.empty((len(t), d - 3, 4), dtype=np.intp)
+    out[:, :, :3] = t[:, None]
+    out[:, :, 3] = _outside(t, d).nonzero()[1].reshape(len(t), d - 3)
+    return out.reshape(-1, 4)
+
+
+def _cross_parts(z, a, b, c, x):
+    """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
+    arrays that broadcast together."""
+    return (z[a] - z[c]) * (z[b] - z[x]), (z[a] - z[x]) * (z[b] - z[c])
 
 
 def _orbit_keys(tuples, d):
@@ -338,13 +346,17 @@ def _orbit_keys(tuples, d):
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Certified-trivial stabilizer via two critical tuples.
 
-    Solves for roots once, at ROOT_EPS, and scans ordered 4-tuples
-    lexicographically; the first two certifiable tuples sharing a 3-prefix
-    prove the projective stabilizer trivial, so the full GL2 stabilizer is
-    the n scalar matrices zeta_n^t I.  When some needed comparison stays
-    below the certified threshold the verdict is Inconclusive, with the
-    offending pair and the accuracy scanned (None when the root solve
-    failed), which is weaker than and distinct from "not trivial".
+    Solves for roots once, at ROOT_EPS, and screens first: the first
+    screened non-identity permutation whose map fixes W within VERIFY_TOL
+    gives an Inconclusive verdict with that permutation as `witness`.
+    Otherwise (also when the screen cannot decide) ordered 4-tuples are
+    scanned lexicographically; the first two certifiable tuples sharing a
+    3-prefix prove the projective stabilizer trivial, so the full GL2
+    stabilizer is the n scalar matrices zeta_n^t I.  When some needed
+    comparison stays below the certified threshold the verdict is
+    Inconclusive, with the offending pair and the accuracy scanned (None
+    when the root solve failed), which is weaker than and distinct from
+    "not trivial".
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer or cls.distinct_roots < 5:
@@ -359,6 +371,21 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
         return StabilizerReport(
             verdict=Verdict.INCONCLUSIVE, classification=cls, degree=w.n
         )
+    try:
+        screened = _screen(rootset)
+    except PrecisionFailureError:
+        screened = {}  # the scan below decides on its own
+    identity = tuple(range(len(rootset.roots)))
+    for perm, mat in screened.items():
+        fixing = _fixing(w, mat) if perm != identity else None
+        if fixing and fixing[1] <= VERIFY_TOL:
+            return StabilizerReport(
+                verdict=Verdict.INCONCLUSIVE,
+                classification=cls,
+                degree=w.n,
+                eps=rootset.eps,
+                witness=perm,
+            )
     found, offending = _scan_for_certificate(rootset)
     if not found:
         return StabilizerReport(
@@ -395,7 +422,7 @@ def _scan_for_certificate(rootset: RootSet):
     tuples = _tuples(d)
     orbit = _orbit_keys(tuples, d)
     z = np.array(centers)
-    p, q = _cross_parts(z, tuples)
+    p, q = _cross_parts(z, *tuples.T)
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()

@@ -96,9 +96,6 @@ def test_tuples_and_orbit_keys():
     for d in range(4, 8):
         tuples = _tuples(d)
         assert [tuple(r) for r in tuples.tolist()] == list(permutations(range(d), 4))
-        # a rank range is the same rows of the full table
-        for start, stop in ((0, 0), (5, 17), (d - 3, 2 * (d - 3)), (3, len(tuples))):
-            assert (_tuples(d, start, stop) == tuples[start:stop]).all()
         keys = _orbit_keys(tuples, d)
         for t, key in zip(tuples.tolist(), keys.tolist()):
             orbit = {tuple(t[i] for i in sigma) for sigma in V4}

@@ -366,3 +366,15 @@ def test_real_roots_on_the_real_axis(code):
     # power of two of the exact certificate
     assert _dyadic(centers)[0] <= 64
     assert sum(z.imag == 0 for z in centers) == sturm_real_roots(sf.squarefree)
+
+
+def test_imaginary_roots_on_the_imaginary_axis():
+    # (x + y)(x + 2y)(x + 3y)(x^2 + 2y^2): the last factor's roots are
+    # purely imaginary, and the iteration leaves real parts of about 1e-33
+    # on them unless they are snapped to 0
+    w = WeightEnumerator((1, 6, 13, 18, 22, 12))
+    rs = roots_of(w, 1e-12)
+    imaginary = [z for z in rs.centers() if abs(abs(z.imag) - 0.5**0.5) < 1e-9]
+    assert len(imaginary) == 2
+    assert all(z.real == 0 for z in imaginary)
+    assert _dyadic(rs.centers())[0] <= 64

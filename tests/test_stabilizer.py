@@ -16,6 +16,7 @@ from wenum.algebra import (
     self_dual_matrix,
     substitute_linear,
 )
+from wenum.catalog import catalog
 from wenum.codes import (
     WeightEnumerator,
     enumerate_weights,
@@ -36,6 +37,7 @@ from wenum.stabilizer import (
     StabilizerElement,
     Verdict,
     _closure,
+    _scan_for_certificate,
     _screen,
     certify_trivial,
     compute_stabilizer,
@@ -375,6 +377,8 @@ def _screen_enumerators():
         ("rm2_1_3", rm2_closed_form(3)),
         ("rm2_1_4", rm2_closed_form(4)),
         ("rm4_2_2", enumerate_weights(reed_muller(4, 2, 2))),
+        ("rm5_2_2", enumerate_weights(reed_muller(5, 2, 2))),
+        ("rm2_1_5", rm2_closed_form(5)),  # d = 32: more than one block
         ("x3_y3", WeightEnumerator((1, 0, 0, 1))),
         ("x4_3x2y2", WeightEnumerator((0, 0, 3, 0, 1))),
     ]
@@ -401,6 +405,13 @@ def test_screen_matches_reference(w):
         pivot = np.argmax(np.abs(ours))
         theirs = expected[perm]
         assert np.allclose(ours / ours[pivot], theirs / theirs[pivot], atol=1e-8)
+
+
+def test_screen_block_size(monkeypatch):
+    rootset = roots_of(rm2_closed_form(4), ROOT_EPS)
+    whole = _screen(rootset)
+    monkeypatch.setattr("wenum.stabilizer._TRIPLES", 1)
+    assert list(_screen(rootset).items()) == list(whole.items())
 
 
 def test_closure():
@@ -592,9 +603,12 @@ def test_certify_trivial_gleason_inconclusive(monkeypatch):
     # symmetric root set: coinciding cross ratios, certificate impossible
     rep = certify_trivial(GLEASON, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.offending is not None
-    assert rep.eps == roots_of(GLEASON, ROOT_EPS).eps  # the accuracy scanned
+    assert rep.witness is not None and rep.offending is None
+    rs = roots_of(GLEASON, ROOT_EPS)
+    assert rep.eps == rs.eps  # the accuracy screened
     assert len(solves) == 1
+    found, offending = _scan_for_certificate(rs)
+    assert found is None and offending is not None
     compute_stabilizer(GLEASON, 2)
     assert len(solves) == 2
 
@@ -604,16 +618,72 @@ def test_certify_trivial_rm2_1_4_inconclusive():
     w = rm2_closed_form(4)
     rep = certify_trivial(w, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.witness is not None and rep.offending is None
     rs = roots_of(w, ROOT_EPS)
     assert rep.eps == rs.eps
     z = rs.centers()
-    t, s = rep.offending
+    found, (t, s) = _scan_for_certificate(rs)
+    assert found is None
     assert s not in {tuple(t[i] for i in sigma) for sigma in V4_PERMS}
     p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
     q_t = (z[t[0]] - z[t[3]]) * (z[t[1]] - z[t[2]])
     p_s = (z[s[0]] - z[s[2]]) * (z[s[1]] - z[s[3]])
     q_s = (z[s[0]] - z[s[3]]) * (z[s[1]] - z[s[2]])
     assert abs(p_t * q_s - q_t * p_s) <= 120 * rs.N**3 * rs.eps
+
+
+def test_certify_trivial_rm2_1_6_witness():
+    rep = certify_trivial(rm2_closed_form(6), 2)  # d = 64, order 4096
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.witness is not None and rep.offending is None
+    assert rep.witness != tuple(range(64))
+
+
+def induced_permutations(elements, centers):
+    """The root permutation of each element: the image of every center
+    matched to the nearest center."""
+    z = np.array(centers)
+    found = set()
+    for e in elements:
+        (a, b), (c, d) = e.matrix
+        images = (a * z + b) / (c * z + d)
+        found.add(tuple(int(k) for k in np.abs(images[:, None] - z).argmin(axis=1)))
+    return found
+
+
+def _catalog_enumerators():
+    """(name, W, q) for the catalog entries with at least five roots."""
+    out = []
+    for e in catalog():
+        w = e.expected or enumerate_weights(e.code)
+        q = e.code.q if e.code else 2
+        cls = classify(w, q)
+        if not cls.infinite_stabilizer and cls.distinct_roots >= 5:
+            out.append(pytest.param(w, q, id=e.name))
+    return out
+
+
+def test_rm2_1_6_dual_witness_in_group():
+    w_dual = macwilliams(rm2_closed_form(6), 2, 2**7)
+    group = compute_stabilizer(w_dual, 2)
+    assert group.size == 4096
+    rep = certify_trivial(w_dual, 2)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    centers = roots_of(w_dual, ROOT_EPS).centers()
+    assert rep.witness in induced_permutations(group.elements, centers)
+
+
+@pytest.mark.parametrize("w, q", _catalog_enumerators())
+def test_certificate_agrees_with_screen_and_group(w, q):
+    rep = certify_trivial(w, q)
+    rs = roots_of(w, ROOT_EPS)
+    group = compute_stabilizer(w, q)
+    if rep.verdict is Verdict.TRIVIAL_CERTIFIED:
+        assert list(_screen(rs)) == [tuple(range(len(rs)))]
+        assert group.size == w.n
+    else:
+        assert rep.witness in induced_permutations(group.elements, rs.centers())
+        assert rep.offending is None
 
 
 def test_agreement_trivial_vs_group():
