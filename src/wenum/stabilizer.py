@@ -39,23 +39,29 @@ permutation as witness, and nothing is scanned.  Otherwise the paper's
 witness decides: two critical 4-tuples of roots sharing their first
 three entries force the projective stabilizer to be trivial.  With
 cross-ratio(T) = P_T / Q_T, a tuple t is certified critical when for every
-competing ordered 4-tuple s outside its V4 orbit the cross-multiplied gap
-|P_t Q_s - Q_t P_s| exceeds 120 N^3 eps, which guarantees the true cross
-ratios differ.  Failure to certify is reported as inconclusive, never as
-"not trivial".  The scan compares t only with nearby tuples: the gap is
-|Q_t| |Q_s| |lambda_t - lambda_s|, so a competitor within the threshold
-has its cross ratio within 120 N^3 eps / (|Q_t| min|Q|) of lambda_t.  The
-tuples are sorted by a projection of lambda (which lengthens no distance),
-and t is compared with every tuple whose projection lies within that
-radius, widened by the relative slack 2^-40 in the radius and 2^-40
-|lambda_t| besides.  The rounding of the products, the quotient and the
-projection is a few units of 2^-53, so the slack covers it many times
-over and no competitor within the threshold is missed; each gap compared
-is the same elementwise expression as a full row, so the verdict, the
-certificate and the offending pair are those of comparing all pairs.  The
-certificate's gaps and the offending competitor come from one full row
-each.  Tuples are checked in blocks of whole 3-prefixes in lexicographic
-order, so an early certificate ends the scan early.
+V4 orbit other than its own the cross-multiplied gap |P_r Q_s - Q_r P_s|
+exceeds 120 N^3 eps, which guarantees the true cross ratios differ; here
+r and s are the orbits' representatives, the members that start with
+their smallest index.  This is sound because V4 keeps the cross ratio, so
+t and r share their true cross ratio, and the threshold bounds the
+computed gap of any ordered tuple, r included; so competitors are one
+row per orbit, a quarter of the ordered tuples.  Failure to certify is
+reported as inconclusive, never as "not trivial".  The scan compares r
+only with nearby representatives: the gap is |Q_r| |Q_s| |lambda_r -
+lambda_s|, so a competitor within the threshold has its cross ratio
+within 120 N^3 eps / (|Q_r| min|Q|) of lambda_r.  The representatives are
+sorted by a projection of lambda (which lengthens no distance), and r is
+compared with every one whose projection lies within that radius,
+widened by the relative slack 2^-40 in the radius and 2^-40 |lambda_r|
+besides.  The rounding of the products, the quotient and the projection
+is a few units of 2^-53, so the slack covers it many times over and no
+competitor within the threshold is missed; each gap compared is the same
+elementwise expression as a full row, so the verdict, the certificate
+and the offending pair are those of comparing all pairs of
+representatives.  The certificate's gaps and the offending competitor
+come from one full row each.  The ordered tuples are checked in blocks
+of whole 3-prefixes in lexicographic order, each measured at its
+representative, so an early certificate ends the scan early.
 
 Each verb solves for roots once, at ROOT_EPS: roots.find_roots certifies
 the centers of one double-precision iteration, with no higher working
@@ -144,7 +150,7 @@ class StabilizerElement:
 class CriticalTuple:
     indices: tuple
     cross_ratio: complex
-    gap: float  # smallest certified |a - b| margin over competing tuples
+    gap: float  # smallest |a - b| over other V4 orbits, at representatives
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ class StabilizerReport:
     bound: int | None = None  # n * max(2d, 60): Klein's cap, finite case
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
     eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
-    offending: tuple | None = None  # uncertifiable tuple pair (inconclusive)
+    offending: tuple | None = None  # uncertifiable tuple, competitor's representative
     witness: tuple | None = None  # verified non-identity permutation (inconclusive)
 
     @property
@@ -315,15 +321,25 @@ def _outside(triples, d):
     return (np.arange(d) != triples[:, :, None]).all(axis=1)
 
 
-def _tuples(d):
-    """The ordered 4-tuples of distinct indices below d, one per row, in
-    the order of permutations(range(d), 4): each triple of _triples(d)
-    followed by every index outside it, in increasing order."""
-    t = _triples(d)
-    out = np.empty((len(t), d - 3, 4), dtype=np.intp)
-    out[:, :, :3] = t[:, None]
-    out[:, :, 3] = _outside(t, d).nonzero()[1].reshape(len(t), d - 3)
+def _tuples(triples, d):
+    """The 4-tuples of distinct indices below d, one per row: each row of
+    triples followed by every index outside it, in increasing order.  On
+    _triples(d) these are all ordered 4-tuples, in the order of
+    permutations(range(d), 4)."""
+    out = np.empty((len(triples), d - 3, 4), dtype=np.intp)
+    out[:, :, :3] = triples[:, None]
+    out[:, :, 3] = _outside(triples, d).nonzero()[1].reshape(-1, d - 3)
     return out.reshape(-1, 4)
+
+
+def _reps(d):
+    """One ordered 4-tuple per V4 orbit, the member that starts with its
+    smallest index, in lexicographic order (so their _orbit_keys
+    increase): the triples (a, b, c) with a < b, a < c, each followed by
+    every index x > a outside it."""
+    t = _triples(d)
+    t = _tuples(t[(t[:, 0] < t[:, 1]) & (t[:, 0] < t[:, 2])], d)
+    return t[t[:, 3] > t[:, 0]]
 
 
 def _cross_parts(z, a, b, c, x):
@@ -350,13 +366,16 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     screened non-identity permutation whose map fixes W within VERIFY_TOL
     gives an Inconclusive verdict with that permutation as `witness`.
     Otherwise (also when the screen cannot decide) ordered 4-tuples are
-    scanned lexicographically; the first two certifiable tuples sharing a
+    scanned lexicographically, each against every other V4 orbit, both
+    measured at the orbit's member that starts with its smallest index
+    (cross ratios are V4-invariant, and the threshold bounds the computed
+    gap of every member); the first two certifiable tuples sharing a
     3-prefix prove the projective stabilizer trivial, so the full GL2
     stabilizer is the n scalar matrices zeta_n^t I.  When some needed
     comparison stays below the certified threshold the verdict is
-    Inconclusive, with the offending pair and the accuracy scanned (None
-    when the root solve failed), which is weaker than and distinct from
-    "not trivial".
+    Inconclusive, with the offending tuple, the representative of its
+    competitor's orbit and the accuracy scanned (None when the root
+    solve failed), which is weaker than and distinct from "not trivial".
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer or cls.distinct_roots < 5:
@@ -419,10 +438,10 @@ def _scan_for_certificate(rootset: RootSet):
     if eps >= 0.5:
         return None, None
     threshold = 120 * bigN**3 * eps
-    tuples = _tuples(d)
-    orbit = _orbit_keys(tuples, d)
+    reps = _reps(d)  # the competitors, one per V4 orbit
+    rep_keys = _orbit_keys(reps, d)
     z = np.array(centers)
-    p, q = _cross_parts(z, *tuples.T)
+    p, q = _cross_parts(z, *reps.T)
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()
@@ -433,64 +452,67 @@ def _scan_for_certificate(rootset: RootSet):
     keys = x[order]
 
     def full_row(r):
-        """Smallest |a - b| of row r against every tuple outside its V4
-        orbit, and the first competitor attaining it."""
+        """Smallest |a - b| of representative r against every other
+        representative, and the first one attaining it."""
         diffs = np.abs(p[r] * q - q[r] * p)
-        diffs[orbit == orbit[r]] = np.inf
+        diffs[r] = np.inf
         best = int(np.argmin(diffs))
         return float(diffs[best]), best
 
-    def uncertifiable(start, stop):
-        """Whether each row in [start, stop) has a competitor outside its
-        V4 orbit with |a - b| <= threshold; only the competitors whose
-        projection lies within the row's candidate radius are compared."""
-        rows = slice(start, stop)
+    def uncertifiable(rows):
+        """Whether each representative in rows has another representative
+        with |a - b| <= threshold; only those whose projection lies within
+        the row's candidate radius are compared."""
         radius = (
             threshold / (abs_q[rows] * q_min) + _SLACK * np.abs(lam[rows])
         ) * (1 + _SLACK)
         lo = np.searchsorted(keys, x[rows] - radius, "left")
         counts = np.searchsorted(keys, x[rows] + radius, "right") - lo
         edges = np.concatenate(([0], np.cumsum(counts)))
-        bad = np.zeros(stop - start, dtype=bool)
+        bad = np.zeros(len(rows), dtype=bool)
         i = 0
         while i < len(counts):  # pieces of at most _PAIRS pairs, or one row
             j = int(np.searchsorted(edges, edges[i] + _PAIRS, "right")) - 1
             j = max(j, i + 1)
-            t = np.repeat(np.arange(start + i, start + j), counts[i:j])
+            k = np.repeat(np.arange(i, j), counts[i:j])
+            t = rows[k]
             s = order[
                 np.repeat(lo[i:j] - edges[i:j], counts[i:j])
                 + np.arange(edges[i], edges[j])
             ]
             diffs = np.abs(p[t] * q[s] - q[t] * p[s])
-            bad[t[(diffs <= threshold) & (orbit[s] != orbit[t])] - start] = True
+            bad[k[(diffs <= threshold) & (s != t)]] = True
             i = j
         return bad
 
     width = d - 3  # tuples per 3-prefix, consecutive rows
-    step = _PREFIXES * width
+    triples = _triples(d)
     first_bad = None
-    for start in range(0, len(tuples), step):
-        bad = uncertifiable(start, min(start + step, len(tuples)))
+    for start in range(0, len(triples), _PREFIXES):
+        tuples = _tuples(triples[start : start + _PREFIXES], d)
+        rows = np.searchsorted(rep_keys, _orbit_keys(tuples, d))
+        bad = uncertifiable(rows)
         good = ~bad.reshape(-1, width)
         done = np.flatnonzero(good.sum(axis=1) >= 2)
         if len(done):
             k = done[0]
             certified = []
             for j in np.flatnonzero(good[k])[:2]:
-                r = start + k * width + j
+                r = k * width + j
                 t = tuple(int(i) for i in tuples[r])
                 certified.append(
                     CriticalTuple(
                         indices=t,
                         cross_ratio=cross_ratio(*(centers[i] for i in t)),
-                        gap=full_row(r)[0],
+                        gap=full_row(rows[r])[0],
                     )
                 )
             return tuple(certified), None
         if first_bad is None and bad.any():
-            first_bad = start + int(np.argmax(bad))
-    best = full_row(first_bad)[1]
-    return None, tuple(tuple(int(i) for i in tuples[r]) for r in (first_bad, best))
+            r = int(np.argmax(bad))
+            first_bad = tuple(int(i) for i in tuples[r]), rows[r]
+    t, r = first_bad
+    return None, (t, tuple(int(i) for i in reps[full_row(r)[1]]))
 
 
 # --- the first-order Reed-Muller enumerator ---------------------------------

@@ -1,5 +1,6 @@
-"""The bucketed certificate scan against the all-pairs scan it replaces."""
+"""The bucketed certificate scan against the all-pairs scans it replaces."""
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 
 from conftest import random_code, seeded
 from wenum.algebra import classify, macwilliams
+from wenum.catalog import get_entry
 from wenum.codes import LinearCode, WeightEnumerator, enumerate_weights
 from wenum.reedmuller import reed_muller
 from wenum.roots import roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
     _orbit_keys,
+    _reps,
     _scan_for_certificate,
+    _triples,
     _tuples,
     rm2_closed_form,
 )
@@ -21,10 +25,48 @@ from wenum.stabilizer import (
 V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
+def v4_orbit(t):
+    return {tuple(t[i] for i in sigma) for sigma in V4}
+
+
 def reference_scan(rootset):
     """Certificate and offending pair by comparing every ordered 4-tuple
-    with every other one: tuples from itertools, a dict index, one full
-    numpy row per tuple scanned.  Shares no code with the scan it checks."""
+    with every V4 orbit outside its own, both measured at the orbit's
+    member that starts with its smallest index: tuples from itertools, a
+    dict index, one full numpy row per tuple scanned.  Shares no code with
+    the scan it checks."""
+    centers = rootset.centers()
+    d = len(centers)
+    threshold = 120 * rootset.N**3 * rootset.eps
+    reps = [t for t in permutations(range(d), 4) if t[0] == min(t)]
+    where = {t: i for i, t in enumerate(reps)}
+    z = np.array(centers)
+    idx = np.array(reps)
+    p = (z[idx[:, 0]] - z[idx[:, 2]]) * (z[idx[:, 1]] - z[idx[:, 3]])
+    q = (z[idx[:, 0]] - z[idx[:, 3]]) * (z[idx[:, 1]] - z[idx[:, 2]])
+    first = None
+    for prefix in permutations(range(d), 3):
+        certified = []
+        for i4 in (i for i in range(d) if i not in prefix):
+            t = prefix + (i4,)
+            row = where[min(v4_orbit(t))]
+            diffs = np.abs(p[row] * q - q[row] * p)
+            diffs[row] = np.inf
+            best = int(np.argmin(diffs))
+            if diffs[best] > threshold:
+                z1, z2, z3, z4 = (centers[i] for i in t)
+                lam = ((z1 - z3) * (z2 - z4)) / ((z1 - z4) * (z2 - z3))
+                certified.append((t, lam, float(diffs[best])))
+                if len(certified) == 2:
+                    return tuple(certified), None
+            elif first is None:
+                first = (t, reps[best])
+    return None, first
+
+
+def members_scan(rootset):
+    """As reference_scan, but each tuple is measured at itself against
+    every ordered 4-tuple outside its V4 orbit."""
     centers = rootset.centers()
     d = len(centers)
     threshold = 120 * rootset.N**3 * rootset.eps
@@ -90,11 +132,21 @@ def test_scan_matches_all_pairs(w, q):
     if found is not None:
         found = tuple((c.indices, c.cross_ratio, c.gap) for c in found)
     assert (found, offending) == reference_scan(rootset)
+    # measured at every member, the verdict and tuples are the same
+    want, want_offending = members_scan(rootset)
+    assert (found is None) == (want is None)
+    if found is not None:
+        for (t, lam, gap), (want_t, want_lam, want_gap) in zip(found, want):
+            assert (t, lam) == (want_t, want_lam)
+            assert gap == pytest.approx(want_gap, rel=1e-12)
+    else:
+        assert offending[0] == want_offending[0]
+        assert offending[1] in v4_orbit(want_offending[1])
 
 
 def test_tuples_and_orbit_keys():
     for d in range(4, 8):
-        tuples = _tuples(d)
+        tuples = _tuples(_triples(d), d)
         assert [tuple(r) for r in tuples.tolist()] == list(permutations(range(d), 4))
         keys = _orbit_keys(tuples, d)
         for t, key in zip(tuples.tolist(), keys.tolist()):
@@ -103,3 +155,43 @@ def test_tuples_and_orbit_keys():
                 tuple(s) for s, k in zip(tuples.tolist(), keys.tolist()) if k == key
             }
             assert same == orbit
+
+
+def test_reps_one_per_orbit():
+    for d in range(4, 9):
+        reps = [tuple(r) for r in _reps(d).tolist()]
+        orbits = {frozenset(v4_orbit(t)) for t in permutations(range(d), 4)}
+        assert {frozenset(v4_orbit(t)) for t in reps} == orbits
+        assert len(reps) == len(orbits)
+        assert all(t[0] == min(t) for t in reps)
+        assert reps == sorted(reps)
+
+
+def test_scan_no_certificate_d32():
+    # rm2_1_5: a nontrivial group, so every tuple meets a competitor
+    rootset = roots_of(rm2_closed_form(5), ROOT_EPS)
+    assert len(rootset.roots) == 32
+    found, (t, s) = _scan_for_certificate(rootset)
+    assert found is None and t == (0, 1, 2, 3)
+    assert s[0] == min(s) and s not in v4_orbit(t)
+    z = rootset.centers()
+    p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
+    q_t = (z[t[0]] - z[t[3]]) * (z[t[1]] - z[t[2]])
+    p_s = (z[s[0]] - z[s[2]]) * (z[s[1]] - z[s[3]])
+    q_s = (z[s[0]] - z[s[3]]) * (z[s[1]] - z[s[2]])
+    assert abs(p_t * q_s - q_t * p_s) <= 120 * rootset.N**3 * rootset.eps
+
+
+def test_scan_memory_prm5_3_2():
+    # d = 31: one row per V4 orbit keeps the scan's arrays at 188,790 rows
+    w = enumerate_weights(get_entry("prm5_3_2").code)
+    rootset = roots_of(w, ROOT_EPS)
+    assert len(rootset.roots) == 31
+    tracemalloc.start()
+    try:
+        found, _ = _scan_for_certificate(rootset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert peak <= 40 * 2**20
