@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Split along the CLI exit-code contract: DomainError covers bad inputs and
-violated preconditions (exit 2), PrecisionError covers numeric outcomes
-that are honest failures rather than wrong answers (exit 3).
+DomainError covers bad inputs and violated preconditions; PrecisionError
+covers numeric outcomes that are honest failures rather than wrong
+answers.  A planned command-line interface maps them to exit 2 and 3.
 """
 
 

@@ -59,9 +59,10 @@ competitor within the threshold is missed; each gap compared is the same
 elementwise expression as a full row, so the verdict, the certificate
 and the offending pair are those of comparing all pairs of
 representatives.  The certificate's gaps and the offending competitor
-come from one full row each.  The ordered tuples are checked in blocks
-of whole 3-prefixes in lexicographic order, each measured at its
-representative, so an early certificate ends the scan early.
+come from one full row each.  An orbit table gives each ordered tuple
+its orbit's row; the tuples are walked in blocks of whole 3-prefixes in
+lexicographic order, each orbit is decided once, when first reached, and
+an early certificate ends the scan early.
 
 Each verb solves for roots once, at ROOT_EPS: roots.find_roots certifies
 the centers of one double-precision iteration, with no higher working
@@ -321,42 +322,24 @@ def _outside(triples, d):
     return (np.arange(d) != triples[:, :, None]).all(axis=1)
 
 
-def _tuples(triples, d):
-    """The 4-tuples of distinct indices below d, one per row: each row of
-    triples followed by every index outside it, in increasing order.  On
-    _triples(d) these are all ordered 4-tuples, in the order of
-    permutations(range(d), 4)."""
-    out = np.empty((len(triples), d - 3, 4), dtype=np.intp)
-    out[:, :, :3] = triples[:, None]
-    out[:, :, 3] = _outside(triples, d).nonzero()[1].reshape(-1, d - 3)
-    return out.reshape(-1, 4)
-
-
-def _reps(d):
-    """One ordered 4-tuple per V4 orbit, the member that starts with its
-    smallest index, in lexicographic order (so their _orbit_keys
-    increase): the triples (a, b, c) with a < b, a < c, each followed by
-    every index x > a outside it."""
-    t = _triples(d)
-    t = _tuples(t[(t[:, 0] < t[:, 1]) & (t[:, 0] < t[:, 2])], d)
-    return t[t[:, 3] > t[:, 0]]
+def _orbits(d):
+    """(reps, rep_of) for the V4 orbits of 4-tuples of distinct indices
+    below d: reps holds each orbit's member that starts with its smallest
+    index, in lexicographic order; rep_of[t] is the row of t's orbit in
+    reps, and -1 when t repeats an index."""
+    a, b, c, x = np.ogrid[:d, :d, :d, :d]
+    first = (a < b) & (a < c) & (a < x) & (b != c) & (b != x) & (c != x)
+    reps = np.argwhere(first).astype(np.min_scalar_type(d))
+    rep_of = np.full((d,) * 4, -1, dtype=np.int32)
+    for g in _V4:  # V4 moves each position to the front exactly once
+        rep_of[tuple(reps[:, g].T)] = np.arange(len(reps))
+    return reps, rep_of
 
 
 def _cross_parts(z, a, b, c, x):
     """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
     arrays that broadcast together."""
     return (z[a] - z[c]) * (z[b] - z[x]), (z[a] - z[x]) * (z[b] - z[c])
-
-
-def _orbit_keys(tuples, d):
-    """One integer per V4 orbit: the base-d digits of the orbit's member
-    that starts with its smallest index (V4 moves each position to the
-    front exactly once)."""
-    front = np.asarray(_V4)[np.argmin(tuples, axis=1)]
-    key = np.zeros(len(tuples), dtype=np.intp)
-    for column in np.take_along_axis(tuples, front, axis=1).T:
-        key = key * d + column
-    return key
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
@@ -366,16 +349,17 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     screened non-identity permutation whose map fixes W within VERIFY_TOL
     gives an Inconclusive verdict with that permutation as `witness`.
     Otherwise (also when the screen cannot decide) ordered 4-tuples are
-    scanned lexicographically, each against every other V4 orbit, both
-    measured at the orbit's member that starts with its smallest index
-    (cross ratios are V4-invariant, and the threshold bounds the computed
-    gap of every member); the first two certifiable tuples sharing a
-    3-prefix prove the projective stabilizer trivial, so the full GL2
-    stabilizer is the n scalar matrices zeta_n^t I.  When some needed
-    comparison stays below the certified threshold the verdict is
-    Inconclusive, with the offending tuple, the representative of its
-    competitor's orbit and the accuracy scanned (None when the root
-    solve failed), which is weaker than and distinct from "not trivial".
+    scanned lexicographically; an orbit table maps each to its V4 orbit,
+    decided once against every other orbit, both measured at the member
+    that starts with its smallest index (cross ratios are V4-invariant,
+    and the threshold bounds the computed gap of every member).  The
+    first two certifiable tuples sharing a 3-prefix prove the projective
+    stabilizer trivial, so the full GL2 stabilizer is the n scalar
+    matrices zeta_n^t I.  When some needed comparison stays below the
+    certified threshold the verdict is Inconclusive, with the offending
+    tuple, the representative of its competitor's orbit and the accuracy
+    scanned (None when the root solve failed), which is weaker than and
+    distinct from "not trivial".
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer or cls.distinct_roots < 5:
@@ -438,8 +422,7 @@ def _scan_for_certificate(rootset: RootSet):
     if eps >= 0.5:
         return None, None
     threshold = 120 * bigN**3 * eps
-    reps = _reps(d)  # the competitors, one per V4 orbit
-    rep_keys = _orbit_keys(reps, d)
+    reps, rep_of = _orbits(d)  # the competitors, one per V4 orbit
     z = np.array(centers)
     p, q = _cross_parts(z, *reps.T)
     lam = p / q
@@ -485,32 +468,34 @@ def _scan_for_certificate(rootset: RootSet):
             i = j
         return bad
 
-    width = d - 3  # tuples per 3-prefix, consecutive rows
     triples = _triples(d)
+    known = np.zeros(len(reps), dtype=np.int8)  # 1 uncertifiable, 2 critical
     first_bad = None
     for start in range(0, len(triples), _PREFIXES):
-        tuples = _tuples(triples[start : start + _PREFIXES], d)
-        rows = np.searchsorted(rep_keys, _orbit_keys(tuples, d))
-        bad = uncertifiable(rows)
-        good = ~bad.reshape(-1, width)
+        block = triples[start : start + _PREFIXES]
+        rows = rep_of[tuple(block.T)]  # prefix by x; -1 where x is in it
+        new = np.unique(rows[(rows >= 0) & (known[rows] == 0)])
+        known[new] = np.where(uncertifiable(new), 1, 2)
+        verdict = np.where(rows < 0, 0, known[rows])
+        good = verdict == 2
         done = np.flatnonzero(good.sum(axis=1) >= 2)
         if len(done):
             k = done[0]
             certified = []
             for j in np.flatnonzero(good[k])[:2]:
-                r = k * width + j
-                t = tuple(int(i) for i in tuples[r])
+                t = (*(int(i) for i in block[k]), int(j))
                 certified.append(
                     CriticalTuple(
                         indices=t,
                         cross_ratio=cross_ratio(*(centers[i] for i in t)),
-                        gap=full_row(rows[r])[0],
+                        gap=full_row(rows[k, j])[0],
                     )
                 )
             return tuple(certified), None
+        bad = verdict == 1
         if first_bad is None and bad.any():
-            r = int(np.argmax(bad))
-            first_bad = tuple(int(i) for i in tuples[r]), rows[r]
+            k, j = np.unravel_index(np.argmax(bad), bad.shape)
+            first_bad = (*(int(i) for i in block[k]), int(j)), rows[k, j]
     t, r = first_bad
     return None, (t, tuple(int(i) for i in reps[full_row(r)[1]]))
 

@@ -1,7 +1,7 @@
 """The bucketed certificate scan against the all-pairs scans it replaces."""
 
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -14,11 +14,8 @@ from wenum.reedmuller import reed_muller
 from wenum.roots import roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
-    _orbit_keys,
-    _reps,
+    _orbits,
     _scan_for_certificate,
-    _triples,
-    _tuples,
     rm2_closed_form,
 )
 
@@ -144,27 +141,20 @@ def test_scan_matches_all_pairs(w, q):
         assert offending[1] in v4_orbit(want_offending[1])
 
 
-def test_tuples_and_orbit_keys():
-    for d in range(4, 8):
-        tuples = _tuples(_triples(d), d)
-        assert [tuple(r) for r in tuples.tolist()] == list(permutations(range(d), 4))
-        keys = _orbit_keys(tuples, d)
-        for t, key in zip(tuples.tolist(), keys.tolist()):
-            orbit = {tuple(t[i] for i in sigma) for sigma in V4}
-            same = {
-                tuple(s) for s, k in zip(tuples.tolist(), keys.tolist()) if k == key
-            }
-            assert same == orbit
-
-
-def test_reps_one_per_orbit():
+def test_orbits():
     for d in range(4, 9):
-        reps = [tuple(r) for r in _reps(d).tolist()]
+        reps, rep_of = _orbits(d)
+        reps = [tuple(r) for r in reps.tolist()]
         orbits = {frozenset(v4_orbit(t)) for t in permutations(range(d), 4)}
         assert {frozenset(v4_orbit(t)) for t in reps} == orbits
         assert len(reps) == len(orbits)
         assert all(t[0] == min(t) for t in reps)
         assert reps == sorted(reps)
+        for t in product(range(d), repeat=4):
+            if len(set(t)) == 4:
+                assert reps[rep_of[t]] in v4_orbit(t)
+            else:
+                assert rep_of[t] == -1
 
 
 def test_scan_no_certificate_d32():
@@ -172,8 +162,7 @@ def test_scan_no_certificate_d32():
     rootset = roots_of(rm2_closed_form(5), ROOT_EPS)
     assert len(rootset.roots) == 32
     found, (t, s) = _scan_for_certificate(rootset)
-    assert found is None and t == (0, 1, 2, 3)
-    assert s[0] == min(s) and s not in v4_orbit(t)
+    assert found is None and (t, s) == ((0, 1, 2, 3), (28, 29, 30, 31))
     z = rootset.centers()
     p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
     q_t = (z[t[0]] - z[t[3]]) * (z[t[1]] - z[t[2]])

@@ -2,8 +2,10 @@
 
 import cmath
 import dataclasses
+import json
 import math
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from conftest import random_code, seeded
 from wenum.algebra import (
     classify,
     d_delta_matrix,
+    divisibility,
+    is_formally_self_dual,
     macwilliams,
     self_dual_matrix,
     substitute_linear,
@@ -48,6 +52,7 @@ from wenum.stabilizer import (
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 V4_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _rand_complex(rng, scale=2.0):
@@ -504,6 +509,39 @@ def test_macwilliams_dual_same_order(m, order):
         rep = compute_stabilizer(v, 2)
         assert rep.verdict is Verdict.FINITE_GROUP
         assert rep.size == order
+
+
+def _invariant_enumerators():
+    """(W, q, |C|): gleason (its own MacWilliams transform) and the
+    first-order binary Reed-Muller codes with m = 3, 4, 5 and their duals."""
+    out = [pytest.param(GLEASON, 2, 16, id="gleason")]
+    for m in (3, 4, 5):
+        w, size = rm2_closed_form(m), 2 ** (m + 1)
+        out.append(pytest.param(w, 2, size, id=f"rm2_1_{m}"))
+        dual, dual_size = macwilliams(w, 2, size), 2**w.n // size
+        out.append(pytest.param(dual, 2, dual_size, id=f"rm2_1_{m}_dual"))
+    return out
+
+
+@pytest.mark.parametrize("w, q, size", _invariant_enumerators())
+def test_paper_invariants_in_group(w, q, size):
+    # D_Delta fixes W when every weight is divisible by Delta > 1, and
+    # S_q fixes a formally self-dual W
+    els = compute_stabilizer(w, q).elements
+    delta = divisibility(w)
+    if delta > 1:
+        assert find_element(els, d_delta_matrix(delta).as_complex()) is not None
+    if is_formally_self_dual(w, q, size):
+        assert find_element(els, self_dual_matrix(q).as_complex()) is not None
+
+
+@pytest.mark.parametrize("name", ["rm4_2_2", "rm4_3_2", "rm5_2_2", "prm5_3_2"])
+def test_certified_trivial_targets_lack_invariants(name):
+    # either invariant would be a nonscalar element of a trivial stabilizer
+    ref = json.loads(REFERENCE.read_text())[name]
+    w = WeightEnumerator(ref["coeffs"])
+    assert divisibility(w) == 1
+    assert not is_formally_self_dual(w, ref["q"], ref["q"] ** ref["k"])
 
 
 def test_infinite_verdicts():
