@@ -1,18 +1,19 @@
 """Linear codes over GF(q): enumeration, weight enumerators, duals.
 
 Enumeration is the hot loop.  Messages are split into a prefix (the
-first t symbols) and a suffix (the last j symbols), and the q^t prefix
-and q^j suffix combinations of the generator rows are materialized once
-as two tables.  Every codeword is one prefix row p plus one suffix row
-s, and its weight is n minus its zero count.  Coordinate c of p + s is
-zero exactly when s_c = -p_c, so no codeword needs to be built to count
-its zeros: the suffix table is packed once into per-value bitmasks
-(bit c of mask v of row s is set when s_c = v), the negated prefix row
-into the same form, and the zero counts of a whole block of q^j
-codewords are the popcounts of the OR over v of the two masks' AND.
-Workers take contiguous parts of the prefix table, which is exactly a
-partition of the message space by its leading symbols; per-worker
-counts merge by addition.
+first t symbols) and a suffix (the last j symbols).  Every codeword is
+one prefix combination p of the generator rows plus one suffix
+combination s, and its weight is n minus its zero count.  Coordinate c
+of p + s is zero exactly when s_c = -p_c, so no codeword needs to be
+built to count its zeros.  Both halves are held as per-value bitmasks
+(bit c of mask v of combination s is set when s_c = v), built straight
+from the generator rows by doubling in packed form: each further row
+multiplies the number of combinations by q with word operations only,
+so no table of q^j combinations is built or packed.  The zero counts of
+a whole block of q^j codewords are the popcounts of the OR over v of
+the suffix masks ANDed with the masks of -p.  Workers take contiguous
+parts of the prefixes, which is exactly a partition of the message space
+by its leading symbols; per-worker counts merge by addition.
 """
 
 from __future__ import annotations
@@ -253,30 +254,63 @@ def dual(code: LinearCode) -> LinearCode:
 # --- enumeration ----------------------------------------------------------
 
 
-def _combination_table(field, rows):
-    """All GF(q)-combinations of the given generator rows, one per table row.
+def _pack(bits):
+    """Rows of n bools as ceil(n/64) uint64 words each: bit b of word w is
+    column 64*w + b, and bits past column n are clear."""
+    words = -(-bits.shape[-1] // 64)
+    packed = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    bytes_ = np.packbits(bits, axis=-1, bitorder="little")
+    packed[..., : bytes_.shape[-1]] = bytes_
+    return packed.view("<u8")
 
-    Row r holds the combination whose coefficients are the base-q digits
-    of r, the first generator row taking the leading digit.  No rows give
-    the single zero word.
+
+def _masks(field, rows):
+    """masks[v, w, r] has bit b set when coordinate 64*w + b of combination
+    r of the generator rows equals v.
+
+    Combination r takes the base-q digits of r as coefficients, the first
+    row taking the leading digit; no rows give the single zero word.  The
+    masks are built by doubling in packed form, last row first: given the
+    masks of the R combinations of the rows after g, combination a*R + r is
+    a*g plus combination r, whose coordinate c equals v exactly when
+    g_c = u and combination r has v - a*u at c, for some value u of g.  So
+    its mask of value v is the OR over the values u of g of the old mask of
+    v - a*u cut to the columns where g equals u.  Only words are touched:
+    no combination is built and nothing is packed but g itself.
     """
-    q = field.q
-    n = rows.shape[1]
-    table = np.zeros((1, n), dtype=np.uint8)
-    addk = field.add_table
-    mulk = field.mul_table
-    for row in rows:
-        scaled = mulk[np.arange(q, dtype=np.uint8)[:, None], row[None, :]]
-        table = addk[table[:, None, :], scaled[None, :, :]].reshape(-1, n)
-    return table
+    q, n = field.q, rows.shape[1]
+    words = -(-n // 64)
+    masks = np.zeros((q, words, 1), dtype=np.uint64)
+    masks[0, :, 0] = _pack(np.ones(n, dtype=bool))
+    subk, mulk = field.sub_table, field.mul_table
+    for g in rows[::-1]:
+        values = np.unique(g)
+        cols = _pack(g == values[:, None])[:, None, :, None]
+        old = masks
+        size = old.shape[2]
+        cut, shifted = np.empty_like(old), np.empty_like(old)
+        masks = np.empty((q, words, q, size), dtype=np.uint64)
+        for i, u in enumerate(values):
+            np.bitwise_and(old, cols[i], out=cut)
+            for a in range(q):
+                # value v of block a takes the cut mask of v - a*u; indices
+                # are field elements, so "clip" never clips and writes in place
+                into = masks[:, :, a] if i == 0 else shifted
+                np.take(cut, subk[:, mulk[a, u]], axis=0, out=into, mode="clip")
+                if i:
+                    masks[:, :, a] |= shifted
+        masks = masks.reshape(q, words, q * size)
+    return masks
 
 
 def _tables(code, budget):
-    """Budget check, then the prefix and suffix combination tables.
+    """Budget check, then the masks of the negated prefix combinations and
+    of the suffix combinations.
 
-    The suffix table takes the last j generator rows, with q^j the largest
-    power of q within _BLOCK_CAP; the prefix table takes the rest.  Every
-    message is one prefix row plus one suffix row.
+    The suffix takes the last j generator rows, with q^j the largest power
+    of q within _BLOCK_CAP; the prefix takes the rest.  Message i*q^j + r
+    is prefix combination i plus suffix combination r.  The mask of value
+    v of -p is the mask of value -v of p.
     """
     total = code.size
     if total > budget:
@@ -286,43 +320,26 @@ def _tables(code, budget):
     while j < k and q ** (j + 1) <= _BLOCK_CAP:
         j += 1
     return (
-        _combination_table(code.field, code.generator[: k - j]),
-        _combination_table(code.field, code.generator[k - j :]),
+        _masks(code.field, code.generator[: k - j])[code.field.neg_table],
+        _masks(code.field, code.generator[k - j :]),
     )
 
 
-def _bitmasks(q, values):
-    """masks[v, w, r] has bit b set when values[r, 64*w + b] == v.
+def _zero_counts(negated, masks):
+    """For each prefix p, the zero count of p + s for every suffix row s.
 
-    A row of n symbols takes ceil(n/64) uint64 words per value; bits past
-    column n stay clear in every mask.
-    """
-    rows, n = values.shape
-    words = -(-n // 64)
-    masks = np.empty((q, words, rows), dtype=np.uint64)
-    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
-    for v in range(q):
-        bits = np.packbits(values == v, axis=1, bitorder="little")
-        packed[:, : bits.shape[1]] = bits
-        masks[v] = packed.view("<u8").T
-    return masks
-
-
-def _zero_counts(field, prefixes, masks):
-    """For each prefix row p, the zero count of p + s for every suffix row s.
-
-    `masks` holds the suffix table as _bitmasks.  Coordinate c of p + s is
-    zero exactly when s_c = -p_c, so the zeros of p + s are the bits where
-    the suffix mask of value v meets the columns with -p_c = v, for some v.
-    Counts reach n, so they are summed over the words in the smallest
-    unsigned type that holds n.
+    `masks` holds the suffix combinations and `negated` the negated prefix
+    combinations, both as _masks.  Coordinate c of p + s is zero exactly
+    when s_c = -p_c, so the zeros of p + s are the bits where the suffix
+    mask of value v meets the mask of value v of -p, for some v.  Counts
+    reach n, so they are summed over the words in the smallest unsigned
+    type that holds 64 bits per word.
     """
     q, words, rows = masks.shape
-    count_type = np.min_scalar_type(prefixes.shape[1])
-    negated = _bitmasks(q, field.neg_table[prefixes])
+    count_type = np.min_scalar_type(64 * words)
     hits = np.empty(rows, dtype=np.uint64)
     meet = np.empty(rows, dtype=np.uint64)
-    for i in range(len(prefixes)):
+    for i in range(negated.shape[2]):
         zeros = np.zeros(rows, dtype=count_type)
         for w in range(words):
             np.bitwise_and(masks[0, w], negated[0, w, i], out=hits)
@@ -338,26 +355,28 @@ def enumerate_weights(
 ) -> WeightEnumerator:
     """Exact weight enumerator by full codeword enumeration.
 
-    Rejects enumerations with more than `budget` codewords.  Each prefix
-    row gives the zero counts of its block (itself plus every suffix
-    word) by bitmask popcounts, without building the codewords; a_i counts
-    the words with i zeros, so the histogram of zero counts is the
-    enumerator.  With workers > 1 the prefix table is split into
+    Rejects enumerations with more than `budget` codewords.  The prefix
+    and suffix combinations are built as per-value bitmasks by packed
+    doubling (_masks), and each prefix gives the zero counts of its block
+    (itself plus every suffix combination) by popcounts, without building
+    a codeword; a_i counts the words with i zeros, so the histogram of zero
+    counts is the enumerator.  With workers > 1 the prefixes are split into
     contiguous parts counted by a thread pool; a part is a set of leading
     message symbols, so counts merge by addition and the result is exact
     regardless of scheduling.
     """
     n = code.n
-    prefixes, table = _tables(code, budget)
-    masks = _bitmasks(code.q, table)
+    negated, masks = _tables(code, budget)
 
     def count(part):
         counts = np.zeros(n + 1, dtype=np.int64)
-        for zeros in _zero_counts(code.field, part, masks):
+        for zeros in _zero_counts(part, masks):
             counts += np.bincount(zeros, minlength=n + 1)
         return counts
 
-    parts = np.array_split(prefixes, max(1, min(workers, len(prefixes))))
+    parts = np.array_split(
+        negated, max(1, min(workers, negated.shape[2])), axis=2
+    )
     if len(parts) == 1:
         counts = count(parts[0])
     else:
@@ -371,20 +390,45 @@ def enumerate_weights(
     return WeightEnumerator(counts.tolist())
 
 
+def _combinations(field, rows, index):
+    """The combinations of the generator rows whose coefficients are the
+    base-q digits of each index, the first row taking the leading digit.
+
+    The rows are taken in groups of s, with q^s the largest power of q
+    within 256: the q^s combinations of a group are built once, and each
+    index then costs one table row and one addition per group.
+    """
+    q, n = field.q, rows.shape[1]
+    addk, mulk = field.add_table, field.mul_table
+    group = 1
+    while q ** (group + 1) <= 256:
+        group += 1
+    words = np.zeros((len(index), n), dtype=np.uint8)
+    for stop in range(len(rows), 0, -group):
+        table = np.zeros((1, n), dtype=np.uint8)
+        for row in rows[max(0, stop - group) : stop]:
+            table = addk[table[:, None], mulk[:, row]].reshape(-1, n)
+        index, digit = np.divmod(index, len(table))
+        words = table[digit] if stop == len(rows) else addk[words, table[digit]]
+    return words
+
+
 def codewords_of_weight(
     code: LinearCode, weight: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """All codewords of the given weight, one per row.
 
-    Zero counts pick the suffix rows first; only the returned words are
+    Zero counts pick the messages first; only the returned words are
     built.
     """
-    prefixes, table = _tables(code, budget)
-    addk = code.field.add_table
-    zeros = _zero_counts(code.field, prefixes, _bitmasks(code.q, table))
-    return np.concatenate([
-        addk[table[z == code.n - weight], p] for p, z in zip(prefixes, zeros)
+    negated, masks = _tables(code, budget)
+    size = masks.shape[2]
+    zeros = _zero_counts(negated, masks)
+    index = np.concatenate([
+        i * size + np.flatnonzero(z == code.n - weight)
+        for i, z in enumerate(zeros)
     ])
+    return _combinations(code.field, code.generator, index)
 
 
 def decompose_case_c(
@@ -405,8 +449,18 @@ def decompose_case_c(
         raise ClassificationError(
             "weight enumerator is not (x^2+(q-1))^(n/2)"
         )
+    # In reduced echelon form a codeword's pivot coordinates are its message
+    # symbols, so a weight-2 word has at most two nonzero symbols: up to a
+    # scalar it is a row r_i or some r_i + c*r_j with i < j and c != 0.
+    red, _ = rref(code.field, code.generator)
+    lo, hi = np.triu_indices(code.k, 1)
+    scales = np.arange(1, code.q, dtype=np.uint8)[:, None]
+    mixed = code.field.add_table[
+        red[lo, None], code.field.mul_table[scales, red[hi, None]]
+    ]
+    candidates = np.concatenate([red, mixed.reshape(-1, code.n)])
     reps = {}
-    for word in codewords_of_weight(code, 2, budget=budget):
+    for word in candidates[np.count_nonzero(candidates, axis=1) == 2]:
         support = tuple(int(i) for i in np.nonzero(word)[0])
         reps.setdefault(support, word)
     pairs = sorted(reps)

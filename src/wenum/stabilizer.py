@@ -327,12 +327,16 @@ def _orbits(d):
     below d: reps holds each orbit's member that starts with its smallest
     index, in lexicographic order; rep_of[t] is the row of t's orbit in
     reps, and -1 when t repeats an index."""
-    a, b, c, x = np.ogrid[:d, :d, :d, :d]
-    first = (a < b) & (a < c) & (a < x) & (b != c) & (b != x) & (c != x)
-    reps = np.argwhere(first).astype(np.min_scalar_type(d))
+    blocks = []
+    for a in range(d):  # a, then the triples of distinct indices above a
+        t = _triples(d - 1 - a) + a + 1
+        blocks.append(
+            np.column_stack([np.full(len(t), a), t]).astype(np.min_scalar_type(d))
+        )
+    reps = np.concatenate(blocks)
     rep_of = np.full((d,) * 4, -1, dtype=np.int32)
     for g in _V4:  # V4 moves each position to the front exactly once
-        rep_of[tuple(reps[:, g].T)] = np.arange(len(reps))
+        rep_of[tuple(reps[:, g].T)] = np.arange(len(reps), dtype=np.int32)
     return reps, rep_of
 
 

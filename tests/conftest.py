@@ -26,6 +26,18 @@ def oracle_weight_coeffs(code):
     return tuple(counts[code.n - i] for i in range(code.n + 1))
 
 
+def all_combinations(field, rows):
+    """Every GF(q)-combination of the rows, one per message in the order of
+    itertools.product (the first row takes the leading symbol), each built
+    with the field's add and mul tables."""
+    k = len(rows)
+    msgs = np.array(list(product(range(field.q), repeat=k)), dtype=np.uint8)
+    words = np.zeros((field.q**k, rows.shape[1]), dtype=np.uint8)
+    for m, row in zip(msgs.reshape(field.q**k, k).T, rows):
+        words = field.add_table[words, field.mul_table[m[:, None], row]]
+    return words
+
+
 def random_code(rng, q, n, k):
     """Random [n, k] code over GF(q), k >= 0 (rejection sampling for full
     rank)."""

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import monomial_transform, oracle_weight_coeffs, random_code, seeded
+from conftest import (
+    all_combinations,
+    monomial_transform,
+    oracle_weight_coeffs,
+    random_code,
+    seeded,
+)
 from wenum import codes
 from wenum.catalog import get_entry, verify_catalog
 from wenum.codes import (
@@ -94,38 +100,92 @@ def test_enumeration_totals():
         assert w.coeffs[-1] == 1
 
 
+def _serial_pool(monkeypatch, drop=0):
+    """Replace the enumeration's thread pool by one that counts the parts in
+    order, skipping the first `drop` of them; returns the list that collects
+    each counted part's histogram."""
+    counted = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            done = [fn(part) for part in list(parts)[drop:]]
+            counted.extend(done)
+            return iter(done)
+
+    monkeypatch.setattr("wenum.codes.ThreadPoolExecutor", Pool)
+    return counted
+
+
 def test_workers_agree_with_single_thread(monkeypatch):
     rng = seeded("workers")
     code = random_code(rng, 3, 10, 7)
     single = enumerate_weights(code)
-    parts = []
-    zero_counts = codes._zero_counts
-
-    def spy(field, prefixes, masks):
-        parts.append(len(prefixes))
-        return zero_counts(field, prefixes, masks)
-
-    monkeypatch.setattr("wenum.codes._zero_counts", spy)
+    counted = _serial_pool(monkeypatch)
     assert enumerate_weights(code, workers=4) == single
-    assert parts == [1]  # 3^7 words fit one suffix table
-    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 3)
-    for workers in (1, 3):
-        parts.clear()
-        assert enumerate_weights(code, workers=workers) == single
-        assert sorted(parts) == [3**6 // workers] * workers
+    assert counted == []  # 3^7 words fit one suffix table: one part, no pool
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 3)  # 3^6 prefixes
+    assert enumerate_weights(code, workers=1) == single
+    assert counted == []
+    assert enumerate_weights(code, workers=3) == single
+    assert [int(c.sum()) for c in counted] == [3**7 // 3] * 3
 
 
 def test_enumeration_coverage_checked(monkeypatch):
-    tables = codes._tables
-
-    def drop_a_prefix(code, budget):
-        prefixes, table = tables(code, budget)
-        return prefixes[1:], table
-
-    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 2)
-    monkeypatch.setattr("wenum.codes._tables", drop_a_prefix)
+    _serial_pool(monkeypatch, drop=1)
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 2)  # 4 prefixes, 4 parts
     with pytest.raises(RuntimeError, match="counted 6 codewords, expected 8"):
-        enumerate_weights(LinearCode(GF(2), np.eye(3, dtype=np.uint8)))
+        enumerate_weights(LinearCode(GF(2), np.eye(3, dtype=np.uint8)), workers=4)
+
+
+def _reference_masks(q, words):
+    """masks[v, w, r] from the built words: bit b of word w is the truth of
+    words[r, 64*w + b] == v, summed as powers of two."""
+    rows, n = words.shape
+    width = -(-n // 64)
+    padded = np.full((rows, 64 * width), q, dtype=np.int64)  # q matches no value
+    padded[:, :n] = words
+    powers = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    masks = np.empty((q, width, rows), dtype=np.uint64)
+    for v in range(q):
+        bits = (padded == v).reshape(rows, width, 64)
+        masks[v] = (bits * powers).sum(axis=2, dtype=np.uint64).T
+    return masks
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_masks_match_built_words(q):
+    field = GF(q)
+    rng = np.random.default_rng(q)
+    for n in (1, 63, 64, 65, 130):
+        for k in range(4):
+            rows = rng.integers(0, q, (k, n), dtype=np.uint8)
+            masks = codes._masks(field, rows)
+            assert masks.dtype == np.uint64
+            assert np.array_equal(masks, _reference_masks(q, all_combinations(field, rows)))
+            if n % 64:  # the bits past column n are clear
+                assert not (masks[:, -1] >> np.uint64(n % 64)).any()
+
+
+def test_larger_fields_match_oracle(monkeypatch):
+    rng = seeded("larger-fields")
+    for q in (7, 8, 9):
+        for _ in range(4):
+            n = rng.randrange(3, 9)
+            code = random_code(rng, q, n, rng.randrange(1, 4))
+            want = oracle_weight_coeffs(code)
+            assert enumerate_weights(code).coeffs == want
+            with monkeypatch.context() as m:
+                m.setattr("wenum.codes._BLOCK_CAP", q)
+                assert enumerate_weights(code).coeffs == want
 
 
 def test_rm4_3_2_matches_benchmark_reference():
@@ -239,9 +299,7 @@ def test_codewords_of_weight(monkeypatch):
     code = random_code(seeded("extremes"), 5, 5, 3)
 
     def built(weight):
-        # every codeword built by the add table, then filtered by weight
-        prefixes, table = codes._tables(code, codes.DEFAULT_BUDGET)
-        words = np.concatenate([code.field.add_table[table, p] for p in prefixes])
+        words = all_combinations(code.field, code.generator)
         return words[np.count_nonzero(words, axis=1) == weight]
 
     for cap in (codes._BLOCK_CAP, 5):
@@ -281,6 +339,17 @@ def test_decompose_random_monomial_transform():
             words = codewords_of_weight(t, 2)
             supports = {tuple(np.nonzero(w)[0]) for w in words}
             assert (i, j) in supports
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_decompose_supports_are_the_weight2_supports(q):
+    rng = seeded(f"case-c-supports-{q}")
+    pair = LinearCode(GF(q), [[1, 1]])
+    code = direct_sum(direct_sum(direct_sum(pair, pair), pair), pair)
+    for _ in range(3):
+        t = monomial_transform(rng, code)
+        supports = {tuple(map(int, np.nonzero(w)[0])) for w in codewords_of_weight(t, 2)}
+        assert decompose_case_c(t) == tuple(sorted(supports))
 
 
 def test_decompose_refuses_binary():

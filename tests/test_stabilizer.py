@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 from itertools import permutations, product
@@ -500,13 +501,20 @@ def test_order_above_klein_bound_raises(monkeypatch):
         compute_stabilizer(GLEASON, 2)  # order 192
 
 
+@functools.cache
+def _stabilizer(w, q):
+    """compute_stabilizer once per enumerator for this module: the 4096-element
+    group of the rm2_1_6 dual is checked by two tests."""
+    return compute_stabilizer(w, q)
+
+
 @pytest.mark.parametrize("m, order", [(3, 192), (4, 256), (5, 1024), (6, 4096)])
 def test_macwilliams_dual_same_order(m, order):
     # the stabilizers of W and of its MacWilliams transform are conjugate
     w = rm2_closed_form(m)
     w_dual = macwilliams(w, 2, 2 ** (m + 1))
     for v in (w, w_dual):
-        rep = compute_stabilizer(v, 2)
+        rep = _stabilizer(v, 2)
         assert rep.verdict is Verdict.FINITE_GROUP
         assert rep.size == order
 
@@ -703,7 +711,7 @@ def _catalog_enumerators():
 
 def test_rm2_1_6_dual_witness_in_group():
     w_dual = macwilliams(rm2_closed_form(6), 2, 2**7)
-    group = compute_stabilizer(w_dual, 2)
+    group = _stabilizer(w_dual, 2)
     assert group.size == 4096
     rep = certify_trivial(w_dual, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
