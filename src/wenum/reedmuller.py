@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .codes import LinearCode, rank
+from .codes import LinearCode, rref
 from .errors import DomainError
 from .fields import GF
 
@@ -93,11 +93,7 @@ def projective_reed_muller(q: int, r: int, m: int) -> LinearCode:
     points = projective_points(q, m)
     exponents = _monomials_homogeneous(m + 1, r)
     gen = _evaluate(field, exponents, points)
-    keep = []
-    kept_rank = 0
-    for i in range(gen.shape[0]):
-        cand = gen[keep + [i]]
-        if rank(field, cand) > kept_rank:
-            keep.append(i)
-            kept_rank += 1
+    # row i is independent of rows 0..i-1 exactly when column i of gen^T
+    # holds a pivot
+    _, keep = rref(field, gen.T)
     return LinearCode(field, gen[keep], n=n)

@@ -1,8 +1,12 @@
 """Certified complex roots of W(x, 1).
 
-Pipeline: exact Yun square-free decomposition over Q, the Aberth-Ehrlich
-iteration on the square-free part, then an a-posteriori certificate
-computed in exact integer arithmetic from the integer coefficients.
+Pipeline: exact Yun square-free decomposition W = c * prod f_m^m over Q;
+then, for each Yun factor f_m, the Aberth-Ehrlich iteration on f_m and an
+a-posteriori certificate computed in exact integer arithmetic from its
+integer coefficients, whose disks carry the multiplicity m.  The factors
+are coprime, so once the disks of all factors are pairwise disjoint each
+holds exactly one distinct root of W, and its multiplicity is known by
+construction.
 
 The iteration runs in numpy on the coefficients rounded to doubles and
 corrects all d approximations of a sweep at once, from a circle that
@@ -91,7 +95,11 @@ class Root:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Certified, pairwise-disjoint root disks of the square-free part."""
+    """Certified, pairwise-disjoint disks, one per distinct root of W.
+
+    Each disk carries the multiplicity of the Yun factor whose iteration
+    gave its center; the disks are sorted by (real, imag) of the center.
+    """
 
     roots: tuple
     eps: float  # max radius
@@ -300,95 +308,57 @@ def _aberth(poly, radius, tol):
     return z.tolist()
 
 
-def _assign_multiplicities(sf: SquareFreeData, centers, radii):
-    """Which Yun factor owns each certified disk.
-
-    With one factor this is immediate.  Otherwise each factor claims the
-    deg(f) disks with smallest exact |f(center)|, and the claim is certified
-    by checking that the factor's own inclusion radius at those centers fits
-    inside the already-disjoint global disk (so the disk's unique root is a
-    root of that factor).
-    """
-    if len(sf.factors) == 1:
-        m = sf.factors[0][1]
-        return [m] * len(centers)
-    mult = [0] * len(centers)
-    claimed = set()
-    e, pts = _dyadic(centers)
-    for f, m in sf.factors:
-        deg_f = polyx.degree(f)
-        # one common scale S^(2 deg f) keeps the order of the exact |f(z)|^2
-        scores = sorted((a * a + b * b, idx)
-                        for idx, (a, b) in enumerate(_scaled_values(f, e, pts)))
-        mine = [idx for _, idx in scores[:deg_f]]
-        if claimed & set(mine):
-            return None
-        sub_centers = [centers[i] for i in mine]
-        sub_radii = certified_radii(f, sub_centers)
-        for r_f, idx in zip(sub_radii, mine):
-            if r_f > radii[idx]:
-                return None
-        for idx in mine:
-            claimed.add(idx)
-            mult[idx] = m
-    if len(claimed) != len(centers):
-        return None
-    return mult
-
-
 def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
-    """Certified disks for the distinct roots of the square-free part.
+    """Certified disks for the distinct roots of W, one Yun factor at a time.
 
-    Centers from one Aberth iteration (`_aberth`), certified once.  Raises
-    PrecisionFailureError when a certified radius is above target_eps,
-    when the coefficients or the iteration leave the range of doubles, or
-    when the multiplicities cannot be certified; ClusterUnresolvedError
+    Each factor (f, m) gets centers from one Aberth iteration on f
+    (`_aberth`), certified once against f and tagged with m; the merged
+    disks are checked for disjointness once.  Raises PrecisionFailureError
+    when a certified radius is above target_eps, or when the coefficients
+    or the iteration leave the range of doubles; ClusterUnresolvedError
     when radii within target_eps give overlapping disks.
     """
     if target_eps <= 0:
         raise DomainError("target_eps must be positive")
-    poly = sf.squarefree
-    d = polyx.degree(poly)
-    if d < 1:
-        return RootSet(roots=(), eps=0.0, N=0.0)
-    try:
-        cauchy = _cauchy_bound(poly)
-        centers = _aberth(poly, min(cauchy, _fujiwara_bound(poly)),
-                          0.25 * target_eps / d)
-    except OverflowError as exc:
-        raise PrecisionFailureError(
-            "coefficients or iterates beyond the range of doubles"
-        ) from exc
-    centers.sort(key=lambda v: (v.real, v.imag))
-    radii = certified_radii(poly, centers)
-    radii_up = [_float_up(r) for r in radii]
-    if max(radii) > target_eps:
-        raise PrecisionFailureError(
-            f"certified radius {max(radii_up)} above eps={target_eps}"
-        )
-    if not _disks_disjoint(centers, radii_up):
+    disks = []
+    n_val = 0.0
+    for f, m in sf.factors:
+        d = polyx.degree(f)
+        try:
+            cauchy = _cauchy_bound(f)
+            centers = _aberth(f, min(cauchy, _fujiwara_bound(f)),
+                              0.25 * target_eps / d)
+        except OverflowError as exc:
+            raise PrecisionFailureError(
+                "coefficients or iterates beyond the range of doubles"
+            ) from exc
+        radii = certified_radii(f, centers)
+        radii_up = [_float_up(r) for r in radii]
+        if max(radii) > target_eps:
+            raise PrecisionFailureError(
+                f"certified radius {max(radii_up)} above eps={target_eps}"
+            )
+        e, pts = _dyadic(centers)
+        n_f = _float_up(max(
+            _sqrt_upper(Fraction(x * x + y * y, 1 << 2 * e)) + r
+            for (x, y), r in zip(pts, radii)
+        ))
+        # every certified disk of f must sit inside f's Cauchy bound
+        if n_f > cauchy + 2 * max(radii_up):
+            raise PrecisionFailureError(
+                "certified root bound exceeds the Cauchy bound"
+            )
+        n_val = max(n_val, n_f)
+        disks += [Root(center=z, radius=r, multiplicity=m)
+                  for z, r in zip(centers, radii_up)]
+    disks.sort(key=lambda r: (r.center.real, r.center.imag))
+    if not _disks_disjoint([r.center for r in disks],
+                           [r.radius for r in disks]):
         raise ClusterUnresolvedError(
             f"certified disks overlap at eps={target_eps}"
         )
-    mult = _assign_multiplicities(sf, centers, radii)
-    if mult is None:
-        raise PrecisionFailureError(
-            f"could not certify root multiplicities at eps={target_eps}"
-        )
-    eps = max(radii_up)
-    e, pts = _dyadic(centers)
-    n_val = _float_up(max(
-        _sqrt_upper(Fraction(x * x + y * y, 1 << 2 * e)) + r
-        for (x, y), r in zip(pts, radii)
-    ))
-    # every certified disk must sit inside the Cauchy bound
-    if n_val > cauchy + 2 * eps:
-        raise PrecisionFailureError(
-            "certified root bound exceeds the Cauchy bound"
-        )
-    roots = tuple(Root(center=zc, radius=r, multiplicity=m)
-                  for zc, r, m in zip(centers, radii_up, mult))
-    return RootSet(roots=roots, eps=eps, N=n_val)
+    eps = max((r.radius for r in disks), default=0.0)
+    return RootSet(roots=tuple(disks), eps=eps, N=n_val)
 
 
 def roots_of(w: WeightEnumerator, target_eps: float) -> RootSet:

@@ -64,10 +64,12 @@ its orbit's row; the tuples are walked in blocks of whole 3-prefixes in
 lexicographic order, each orbit is decided once, when first reached, and
 an early certificate ends the scan early.
 
-Each verb solves for roots once, at ROOT_EPS: roots.find_roots certifies
-the centers of one double-precision iteration, with no higher working
-precision to fall back on.  Roots too coarse to match an image uniquely
-raise PrecisionFailureError.
+Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
+roots.find_roots certifies, one Yun factor at a time, the centers of one
+double-precision iteration on that factor, with no higher working
+precision to fall back on, and tags each disk with the factor's
+multiplicity.  Roots too coarse to match an image uniquely raise
+PrecisionFailureError.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""The benchmark's tracer patches wenum functions by name, and its inputs
-call them with keywords; keep both there."""
+"""The benchmark's tracer patches wenum functions by name, its inputs call
+them with keywords, and its certify run counts each verb's roots_of span;
+keep all three there."""
 
 import ast
 import importlib
@@ -10,19 +11,19 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _traced():
+def _trace():
     spec = importlib.util.spec_from_file_location(
         "perfbench_trace", PERFBENCH / "trace.py"
     )
     trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace)
-    return trace.TRACED
+    return trace
 
 
 def test_traced_names_exist():
     missing = [
         f"wenum.{layer}.{name}"
-        for layer, names in _traced().items()
+        for layer, names in _trace().TRACED.items()
         for name in names
         if not hasattr(importlib.import_module(f"wenum.{layer}"), name)
     ]
@@ -30,7 +31,7 @@ def test_traced_names_exist():
 
 
 def test_benchmark_keywords_exist():
-    layer_of = {name: layer for layer, names in _traced().items() for name in names}
+    layer_of = {name: layer for layer, names in _trace().TRACED.items() for name in names}
     passed, missing = set(), []
     for path in sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -49,3 +50,21 @@ def test_benchmark_keywords_exist():
                     missing.append(f"{path.name}: {name}({kw.arg}=...)")
     assert ("enumerate_weights", "workers") in passed
     assert not missing
+
+
+def test_each_verb_solves_roots_once_under_its_own_span():
+    # the certify run counts root solves by the roots_of spans whose parent
+    # is a certify_trivial span, so both verbs call roots_of directly
+    from wenum.codes import WeightEnumerator
+
+    stabilizer = importlib.import_module("wenum.stabilizer")
+    gleason = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
+    for verb in ("certify_trivial", "compute_stabilizer"):
+        tracer = _trace().Tracer()
+        with tracer.patch():
+            getattr(stabilizer, verb)(gleason, 2)
+        spans = tracer.spans
+        top = [i for i, sp in enumerate(spans) if sp[3] < 0]
+        assert [spans[i][0] for i in top] == [f"stabilizer.{verb}"]
+        solves = [sp for sp in spans if sp[0] == "roots.roots_of"]
+        assert [sp[3] for sp in solves] == top

@@ -1,5 +1,7 @@
 """Reed-Muller constructors: dimensions, known enumerators, orderings."""
 
+import math
+
 import pytest
 
 from conftest import seeded
@@ -88,6 +90,44 @@ def test_prm_alternative_representatives_same_enumerator():
 
     other = LinearCode(f, gen)
     assert enumerate_weights(other) == enumerate_weights(code)
+
+
+def _rank_mod(rows, p):
+    """Rank over GF(p), p prime, by Gauss-Jordan elimination on lists."""
+    rows = [list(r) for r in rows]
+    found = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[found], rows[piv] = rows[piv], rows[found]
+        inv = pow(rows[found][c], -1, p)
+        for i in range(len(rows)):
+            if i != found and rows[i][c]:
+                t = rows[i][c] * inv % p
+                rows[i] = [(a - t * b) % p for a, b in zip(rows[i], rows[found])]
+        found += 1
+    return found
+
+
+@pytest.mark.parametrize("q, r, m", [(2, 3, 2), (3, 4, 2), (2, 2, 3), (5, 3, 2)])
+def test_prm_keeps_rows_independent_of_earlier_ones(q, r, m):
+    # PRM_2(3, 2): 10 monomials on 7 points, so rows must be dropped; the
+    # kept rows are those that raise the rank of the rows kept before them,
+    # in monomial order
+    from itertools import product
+
+    pts = projective_points(q, m)
+    rows = [[math.prod(x**e for x, e in zip(pt, ex)) % q for pt in pts]
+            for ex in product(range(r + 1), repeat=m + 1) if sum(ex) == r]
+    kept = []
+    for row in rows:
+        if _rank_mod(kept + [row], q) > len(kept):
+            kept.append(row)
+    if (q, r, m) == (2, 3, 2):
+        assert (len(rows), len(pts), len(kept)) == (10, 7, 7)
+    code = projective_reed_muller(q, r, m)
+    assert code.generator.tolist() == kept
 
 
 def test_parameter_validation():

@@ -9,16 +9,19 @@ import pytest
 
 from wenum import polyx
 from wenum.algebra import macwilliams
+from conftest import random_code, seeded
 from wenum.codes import (
     WeightEnumerator,
+    direct_sum,
     enumerate_weights,
     pair_sum_enumerator,
     zero_code_enumerator,
 )
-from wenum.errors import PrecisionFailureError
+from wenum.errors import ClusterUnresolvedError, PrecisionFailureError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import (
+    SquareFreeData,
     _disks_disjoint,
     _dyadic,
     _float_up,
@@ -27,7 +30,7 @@ from wenum.roots import (
     roots_of,
     square_free,
 )
-from wenum.stabilizer import Verdict, certify_trivial, rm2_closed_form
+from wenum.stabilizer import ROOT_EPS, Verdict, certify_trivial, rm2_closed_form
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -97,17 +100,35 @@ def test_multiplicities_multi_factor():
     got = sorted((round(z.real), round(z.imag * z.imag), r.multiplicity)
                  for r in rs.roots for z in [r.center])
     assert got == [(-2, 0, 2), (-1, 0, 1), (0, 3, 3), (0, 3, 3)]
-    # every radius is the Fraction oracle's rounded up, and no larger than
-    # the 4.94e-16 the Weierstrass iteration reached at its centers
-    sf = square_free(w)
-    centers = rs.centers()
-    want = reference_radii(sf.squarefree, centers)
-    assert [r.radius for r in rs.roots] == [_float_up(r) for r in want]
+    # every radius is the Fraction oracle's against the disk's own Yun
+    # factor, rounded up, and none is above 4.94e-16
+    for f, m in square_free(w).factors:
+        mine = [r for r in rs.roots if r.multiplicity == m]
+        want = reference_radii(f, [r.center for r in mine])
+        assert [r.radius for r in mine] == [_float_up(r) for r in want]
     assert rs.eps <= float.fromhex("0x1.1cd16c62d8c9dp-51")
     assert rs.N == 2.0
     for r in rs.roots:
         if r.multiplicity < 3:
             assert r.radius == 0.0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_direct_sum_doubles_multiplicities(q):
+    # W of a + a is W_a squared: the same distinct roots, each of twice
+    # the multiplicity, and multiplicities summing to n
+    rng = seeded(f"roots-sum-{q}")
+    for _ in range(3):
+        n = rng.randint(3, 7)
+        a = random_code(rng, q, n, rng.randint(1, n - 1))
+        single = roots_of(enumerate_weights(a), ROOT_EPS)
+        rs = roots_of(enumerate_weights(direct_sum(a, a)), ROOT_EPS)
+        assert sum(r.multiplicity for r in rs.roots) == 2 * n
+        assert len(rs) == len(single)
+        for r in rs.roots:
+            near = min(single.roots, key=lambda s: abs(s.center - r.center))
+            assert abs(near.center - r.center) <= near.radius + r.radius
+            assert r.multiplicity == 2 * near.multiplicity
 
 
 def _enumerator(code):
@@ -281,6 +302,18 @@ def test_exact_radius_formula_matches_module():
 def test_precision_failure_at_unreachable_eps():
     with pytest.raises(PrecisionFailureError):
         roots_of(WeightEnumerator((3, 0, 1)), 1e-40)
+
+
+def test_close_root_pair_is_unresolved():
+    # Mignotte-type x^8 - 2(100x - 1)^2: two real roots about 1.4e-10 apart
+    # near 1/100.  Radii within 1e-6 give overlapping disks; 1e-12 is below
+    # what the double centers can certify.
+    p = (-2, 400, -20000, 0, 0, 0, 0, 0, 1)
+    sf = SquareFreeData(p, ((p, 1),))
+    with pytest.raises(ClusterUnresolvedError):
+        find_roots(sf, 1e-6)
+    with pytest.raises(PrecisionFailureError):
+        find_roots(sf, 1e-12)
 
 
 def test_root_count_matches_squarefree_degree():
