@@ -284,7 +284,7 @@ def _masks(field, rows):
     masks[0, :, 0] = _pack(np.ones(n, dtype=bool))
     subk, mulk = field.sub_table, field.mul_table
     for g in rows[::-1]:
-        values = np.unique(g)
+        values = np.flatnonzero(np.bincount(g, minlength=q))
         cols = _pack(g == values[:, None])[:, None, :, None]
         old = masks
         size = old.shape[2]

@@ -58,19 +58,19 @@ _SWEEP_CAP = 1000
 
 @dataclass(frozen=True)
 class SquareFreeData:
-    """Square-free part of a weight enumerator with factor multiplicities.
+    """Square-free decomposition of a weight enumerator.
 
-    `squarefree` is the primitive integer polynomial whose roots are the
-    distinct roots of W; `factors` lists Yun factors (poly, multiplicity)
-    whose product with multiplicities rebuilds W up to a positive constant.
+    `factors` lists Yun factors (poly, multiplicity) whose product with
+    multiplicities rebuilds W up to a positive constant; the factors are
+    square-free and coprime, so their roots are the distinct roots of W.
     """
 
-    squarefree: tuple
     factors: tuple
 
     @property
     def degree(self) -> int:
-        return polyx.degree(self.squarefree)
+        """The number of distinct roots of W."""
+        return sum(polyx.degree(f) for f, _ in self.factors)
 
 
 def square_free(w: WeightEnumerator) -> SquareFreeData:
@@ -78,12 +78,7 @@ def square_free(w: WeightEnumerator) -> SquareFreeData:
     p = tuple(w.coeffs)
     if polyx.degree(p) < 0:
         raise DomainError("zero polynomial has no square-free part")
-    factors = polyx.yun_squarefree(p)
-    sf = (1,)
-    for f, _ in factors:
-        sf = polyx.mul(sf, f)
-    sf = polyx.primitive_int(sf) if factors else ()
-    return SquareFreeData(squarefree=sf, factors=tuple(factors))
+    return SquareFreeData(factors=tuple(polyx.yun_squarefree(p)))
 
 
 @dataclass(frozen=True)

@@ -14,22 +14,26 @@ permutation sigma exactly when [a, b, c, sigma(k)] = [0, 1, 2, k] for
 every k >= 3; sigma must also keep multiplicities.  Each equality is
 tested with the certificate's gap and threshold (below), which true-equal
 cross ratios always meet, so no stabilizing map is missed.  The image
-triples that keep multiplicities go in lexicographic blocks, each row
-(a, b, c) against every fourth root x at once (the scan's expression for
-the tuple (a, b, c, x)); only the triples under which root 3 matches are
-compared in full.  Each screened permutation gets its matrix M in closed
-form (the map sending the reference triple to (0, 1, inf), followed by
-the inverse of the one sending the image triple there) and is measured
-once: one substitution gives W(M) = lambda W, with lambda read at W's
-largest coefficient, and the relative coefficient residual of mu M,
-mu = lambda^(-1/n), which fixes W on the nose.  The n scalar twists
-zeta^k of mu M need no check of their own, since W has degree n and
-zeta^n = 1.  The group is the exact closure, over integer tuples, of
-the permutations whose residual is within VERIFY_TOL; a closure is a
-group by construction.  Every permutation of the closure must have been
-screened and rescaled, and n times the closure's order must stay within
-Klein's bound; otherwise PrecisionFailureError is raised.  A screened
-permutation outside the closure failed verification and is rejected.
+triples that keep multiplicities go in lexicographic blocks.  The gap of
+[a, b, c, x] against [0, 1, 2, k] is affine in z_x and vanishes only at
+the image of root k under the triple's map, so only the roots whose real
+part lies in a window around that image, wide enough for the threshold
+and every rounding, are compared (the scan's expression for the tuple
+(a, b, c, x)); root 3 is matched for every triple, and only the triples
+under which it matches are compared in full.  Each screened permutation
+gets its matrix M in closed form (the map sending the reference triple
+to (0, 1, inf), followed by the inverse of the one sending the image
+triple there) and is measured once: one substitution gives
+W(M) = lambda W, with lambda read at W's largest coefficient, and the
+relative coefficient residual of mu M, mu = lambda^(-1/n), which fixes W
+on the nose.  The n scalar twists zeta^k of mu M need no check of their
+own, since W has degree n and zeta^n = 1.  The group is the exact
+closure, over integer tuples, of the permutations whose residual is
+within VERIFY_TOL; a closure is a group by construction.  Every
+permutation of the closure must have been screened and rescaled, and n
+times the closure's order must stay within Klein's bound; otherwise
+PrecisionFailureError is raised.  A screened permutation outside the
+closure failed verification and is rejected.
 
 Triviality certificates: certify_trivial screens first.  Every
 stabilizing map passes the screen; when the map of a screened
@@ -92,7 +96,7 @@ _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
 _PAIRS = 1 << 18  # candidate pairs compared at once
-_TRIPLES = 256  # image triples compared at once by the permutation screen
+_TRIPLES = 4096  # image triples matched on root 3 at once by the screen
 
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> complex:
@@ -179,10 +183,37 @@ class StabilizerReport:
 def _screen(rootset: RootSet):
     """{root permutation: Moebius matrix} for every permutation whose
     cross ratios pass the certificate's test, in the lexicographic order of
-    its first three images.  The image triples that keep multiplicities go
-    in blocks of _TRIPLES, each against every fourth root at once; only the
-    triples under which root 3 matches are compared in full, and a root
-    that then matches two roots raises PrecisionFailureError.
+    its first three images; a root that matches two roots under a triple
+    matching every root raises PrecisionFailureError.
+
+    For reference root k >= 3 and image triple (a, b, c) the test's gap
+    P_k Q(a, b, c, x) - Q_k P(a, b, c, x) is affine in z_x: it is
+    alpha + beta z_x with beta = Q_k (z_a - z_c) - P_k (z_b - z_c) and
+    alpha = P_k z_a (z_b - z_c) - Q_k (z_a - z_c) z_b, so it vanishes only
+    at y = -alpha / beta, the image of root k under the triple's map, and
+    only roots near y can pass.  With M = max |z| and u = 2^-53, every
+    |P|, |Q| is at most (2M)^2; the computed gap is within
+    2^-50 (|P_k| + |Q_k|) (2M)^2 of the gap taken exactly on the doubles
+    z, P_k and Q_k (each difference and product adds at most u and
+    sqrt(5) u of relative error, 7.5 u in all), the computed alpha within
+    2^-50 (|P_k| + |Q_k|) 2M^2 and the computed beta within
+    2^-50 (|P_k| + |Q_k|) 2M.  A root x whose computed gap is within the
+    threshold T therefore has |alpha_fl + beta_fl z_x| at most
+    T + 2^-47 (|P_k| + |Q_k|) M^2, and alpha_fl + beta_fl z_x is exactly
+    beta_fl (z_x - y) for y = -alpha_fl / beta_fl: z_x lies within that
+    bound over |beta_fl| of y, so its real part does too.  The window
+    around the computed y is widened by the relative slack 2^-40 and by
+    2^-40 |y|, which covers the rounding of |gap|, M, the quotient, the
+    window and its ends many times over.  The roots whose real part lies
+    in it are found by bisection on the sorted real parts (RootSet's order
+    is not relied on); a row whose beta_fl is 0, or whose window is not
+    finite, gets every root.  Only these pairs are decided, each with the
+    same gap expression and threshold as comparing root k with every
+    root, so no match is missed and none is added.
+
+    Root 3 is matched for every image triple that keeps multiplicities,
+    in blocks of _TRIPLES; every root k >= 3 is then matched for the few
+    triples of the block under which root 3 matched some root.
     """
     if rootset.eps >= 0.5:
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
@@ -191,31 +222,54 @@ def _screen(rootset: RootSet):
     z = np.array(centers)
     mult = np.array([r.multiplicity for r in rootset.roots])
     threshold = 120 * rootset.N**3 * rootset.eps
+    rounding = 2.0**-47 * np.abs(z).max() ** 2  # times |P_k| + |Q_k|
+    by_real = np.argsort(z.real)
+    keys = z.real[by_real]
     triples = _triples(d)
     triples = triples[(mult[triples] == mult[:3]).all(axis=1)]
-    x = np.arange(d)
-    ref_p, ref_q = _cross_parts(z, 0, 1, 2, x[3:])  # rows (0, 1, 2, k)
+    ref_p, ref_q = _cross_parts(z, 0, 1, 2, np.arange(3, d))  # rows (0, 1, 2, k)
+
+    def hits(t, k):
+        """(i, x) for each root x that root 3 + k[i] matches under the
+        image triple t[i]."""
+        a, b, c = t.T
+        pk, qk = ref_p[k], ref_q[k]
+        ac, bc = z[a] - z[c], z[b] - z[c]
+        with np.errstate(all="ignore"):
+            beta = qk * ac - pk * bc
+            y = (qk * ac * z[b] - pk * z[a] * bc) / beta  # -alpha / beta
+            h = (threshold + rounding * (np.abs(pk) + np.abs(qk))) / np.abs(beta)
+            h = h * (1 + _SLACK) + _SLACK * np.abs(y)
+            lo = np.searchsorted(keys, y.real - h, "left")
+            hi = np.searchsorted(keys, y.real + h, "right")
+        wide = ~(np.isfinite(y) & np.isfinite(h))
+        lo[wide], hi[wide] = 0, d
+        counts = hi - lo
+        i = np.repeat(np.arange(len(t)), counts)
+        starts = np.cumsum(counts) - counts
+        x = by_real[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+        p, q = _cross_parts(z, a[i], b[i], c[i], x)
+        gap = pk[i] * q - qk[i] * p
+        keep = (np.abs(gap) <= threshold) & (x != a[i]) & (x != b[i]) & (x != c[i])
+        return i[keep], x[keep]
+
     perms = []
+    m = d - 3
     for start in range(0, len(triples), _TRIPLES):
         block = triples[start : start + _TRIPLES]
-        p, q = _cross_parts(z, *block.T[:, :, None], x)
-        outside = _outside(block, d)
-
-        def hits(rows, ks):
-            """hits[i, k, x]: root 3 + k matches root x under triple i."""
-            gap = ref_p[ks, None] * q[rows, None] - ref_q[ks, None] * p[rows, None]
-            return (np.abs(gap) <= threshold) & outside[rows, None]
-
-        # root 3 matches (vacuous at d = 3)
-        cand = np.flatnonzero(hits(slice(None), slice(1)).any(axis=2).all(axis=1))
-        found = hits(cand, slice(None))
-        counts = found.sum(axis=2)
+        if m:  # the triples under which root 3 matches some root
+            found = hits(block, np.zeros(len(block), dtype=int))[0]
+            block = block[np.flatnonzero(np.bincount(found, minlength=len(block)))]
+        rows, x = hits(np.repeat(block, m, axis=0), np.tile(np.arange(m), len(block)))
+        counts = np.bincount(rows, minlength=len(block) * m).reshape(len(block), m)
         full = (counts > 0).all(axis=1)
         if (counts[full] > 1).any():
             raise PrecisionFailureError(
                 f"a root matches {counts[full].max()} roots under one triple"
             )
-        for perm in np.hstack((block[cand[full]], found[full].argmax(axis=2))):
+        images = np.zeros(len(block) * m, dtype=int)
+        images[rows] = x
+        for perm in np.hstack((block, images.reshape(len(block), m)))[full]:
             if (mult[perm] == mult).all() and len(set(perm)) == d:
                 perms.append(tuple(int(i) for i in perm))
     ref = tuple(centers[:3])
@@ -314,14 +368,10 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 
 def _triples(d):
     """The ordered triples of distinct indices below d, one per row, in
-    the order of permutations(range(d), 3)."""
-    t = np.indices((d,) * 3).reshape(3, -1).T
+    the order of permutations(range(d), 3), in the narrowest unsigned
+    dtype that holds d."""
+    t = np.indices((d,) * 3, dtype=np.min_scalar_type(d)).reshape(3, -1).T
     return t[(t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])]
-
-
-def _outside(triples, d):
-    """outside[i, x]: index x is not in row i of triples."""
-    return (np.arange(d) != triples[:, :, None]).all(axis=1)
 
 
 def _orbits(d):
@@ -329,12 +379,11 @@ def _orbits(d):
     below d: reps holds each orbit's member that starts with its smallest
     index, in lexicographic order; rep_of[t] is the row of t's orbit in
     reps, and -1 when t repeats an index."""
+    dtype = np.min_scalar_type(d)
     blocks = []
     for a in range(d):  # a, then the triples of distinct indices above a
-        t = _triples(d - 1 - a) + a + 1
-        blocks.append(
-            np.column_stack([np.full(len(t), a), t]).astype(np.min_scalar_type(d))
-        )
+        t = _triples(d - 1 - a).astype(dtype) + a + 1
+        blocks.append(np.column_stack([np.full(len(t), a, dtype), t]))
     reps = np.concatenate(blocks)
     rep_of = np.full((d,) * 4, -1, dtype=np.int32)
     for g in _V4:  # V4 moves each position to the front exactly once
@@ -480,7 +529,8 @@ def _scan_for_certificate(rootset: RootSet):
     for start in range(0, len(triples), _PREFIXES):
         block = triples[start : start + _PREFIXES]
         rows = rep_of[tuple(block.T)]  # prefix by x; -1 where x is in it
-        new = np.unique(rows[(rows >= 0) & (known[rows] == 0)])
+        new = np.sort(rows[(rows >= 0) & (known[rows] == 0)])
+        new = new[np.diff(new, prepend=-1) != 0]
         known[new] = np.where(uncertifiable(new), 1, 2)
         verdict = np.where(rows < 0, 0, known[rows])
         good = verdict == 2

@@ -1,4 +1,5 @@
-"""The package imports without its test-only dependencies."""
+"""The package imports without its test-only dependencies, and its verbs
+load no numpy module they do not need."""
 
 import os
 import pkgutil
@@ -9,18 +10,41 @@ from pathlib import Path
 import wenum
 
 
-def test_no_module_imports_mpmath():
-    names = [m.name for m in pkgutil.iter_modules(wenum.__path__, "wenum.")]
-    assert "wenum.roots" in names
+def _run(code):
+    """Standard output of `code` run in a fresh interpreter on this wenum."""
     src = str(Path(wenum.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_no_module_imports_mpmath():
+    names = [m.name for m in pkgutil.iter_modules(wenum.__path__, "wenum.")]
+    assert "wenum.roots" in names
     code = (
         "import importlib, sys\n"
         f"for name in {names!r}:\n"
         "    importlib.import_module(name)\n"
         "print('mpmath' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert _run(code) == "False"
+
+
+def test_verbs_do_not_import_numpy_ma():
+    # numpy.ma comes in with the first np.unique call and costs about
+    # 1.3 MB of resident memory
+    code = (
+        "import sys\n"
+        "from wenum.catalog import get_entry\n"
+        "from wenum.codes import LinearCode, decompose_case_c, enumerate_weights\n"
+        "from wenum.fields import GF\n"
+        "from wenum.stabilizer import certify_trivial, compute_stabilizer\n"
+        "w = enumerate_weights(get_entry('rm4_2_2').code)\n"
+        "decompose_case_c(LinearCode(GF(3), [[1, 1, 0, 0], [0, 0, 1, 2]]))\n"
+        "compute_stabilizer(w, 4)\n"
+        "certify_trivial(w, 4)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run(code) == "False"

@@ -35,23 +35,32 @@ from wenum.stabilizer import ROOT_EPS, Verdict, certify_trivial, rm2_closed_form
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
 
+def squarefree_part(sf):
+    """The primitive product of the Yun factors, whose roots are the
+    distinct roots of W."""
+    out = (1,)
+    for f, _ in sf.factors:
+        out = polyx.mul(out, f)
+    return polyx.primitive_int(out)
+
+
 def test_square_free_repeated_pair():
     sf = square_free(pair_sum_enumerator(4, 4))  # (x^2+3)^2
-    assert sf.squarefree == (3, 0, 1)
+    assert sf.degree == 2
     assert sf.factors == (((3, 0, 1), 2),)
 
 
 def test_square_free_gleason_is_squarefree():
     sf = square_free(GLEASON)
-    assert sf.squarefree == GLEASON.coeffs
+    assert sf.degree == 8
     assert sf.factors == ((GLEASON.coeffs, 1),)
-    d = polyx.monic_gcd(sf.squarefree, polyx.derivative(sf.squarefree))
+    d = polyx.monic_gcd(GLEASON.coeffs, polyx.derivative(GLEASON.coeffs))
     assert polyx.degree(d) == 0
 
 
 def test_square_free_x_cubed():
     sf = square_free(zero_code_enumerator(3))
-    assert sf.squarefree == (0, 1)
+    assert sf.degree == 1
     assert sf.factors == (((0, 1), 3),)
 
 
@@ -152,14 +161,15 @@ def test_rm4_2_2_certified_disks():
             assert sep > roots[i].radius + roots[j].radius
     # Vieta: sum and product of the (simple) roots against the coefficients
     d = sf.degree
-    lead = sf.squarefree[-1]
+    poly = squarefree_part(sf)
+    lead = poly[-1]
     total = sum(rs.centers())
-    want = -sf.squarefree[-2] / lead
+    want = -poly[-2] / lead
     assert abs(total - want) <= d * rs.eps + 1e-9
     prod = 1
     for z in rs.centers():
         prod *= z
-    want = (-1) ** d * sf.squarefree[0] / lead
+    want = (-1) ** d * poly[0] / lead
     assert abs(prod - want) <= d * rs.N ** (d - 1) * rs.eps + 1e-6 * abs(want)
 
 
@@ -176,7 +186,7 @@ def test_certified_containment_independent_check():
     w = GLEASON
     sf = square_free(w)
     rs = find_roots(sf, 1e-12)
-    poly = sf.squarefree
+    poly = squarefree_part(sf)
     d = len(poly) - 1
     with mpmath.workdps(120):
         for j, root in enumerate(rs.roots):
@@ -262,13 +272,13 @@ def test_certified_radii_match_oracle_on_factors():
     for f, _ in sf.factors:
         mine = sorted(centers, key=lambda z: abs(horner(f, z)))[: len(f) - 1]
         assert certified_radii(f, mine) == reference_radii(f, mine)
-    assert certified_radii(sf.squarefree, centers) == reference_radii(
-        sf.squarefree, centers
-    )
+    poly = squarefree_part(sf)
+    assert certified_radii(poly, centers) == reference_radii(poly, centers)
     sf = square_free(enumerate_weights(projective_reed_muller(5, 3, 2)))
     rs = find_roots(sf, 1e-12)
-    want = reference_radii(sf.squarefree, rs.centers())
-    assert certified_radii(sf.squarefree, rs.centers()) == want
+    poly = squarefree_part(sf)
+    want = reference_radii(poly, rs.centers())
+    assert certified_radii(poly, rs.centers()) == want
     # the stored double radius is the exact one rounded up, never down
     assert all(0 <= Fraction(r.radius) - w <= Fraction(r.radius) * 2.0**-52
                for r, w in zip(rs.roots, want))
@@ -309,7 +319,7 @@ def test_close_root_pair_is_unresolved():
     # near 1/100.  Radii within 1e-6 give overlapping disks; 1e-12 is below
     # what the double centers can certify.
     p = (-2, 400, -20000, 0, 0, 0, 0, 0, 1)
-    sf = SquareFreeData(p, ((p, 1),))
+    sf = SquareFreeData(((p, 1),))
     with pytest.raises(ClusterUnresolvedError):
         find_roots(sf, 1e-6)
     with pytest.raises(PrecisionFailureError):
@@ -398,7 +408,7 @@ def test_real_roots_on_the_real_axis(code):
     # no imaginary part of 1e-34 left on a real root to widen the common
     # power of two of the exact certificate
     assert _dyadic(centers)[0] <= 64
-    assert sum(z.imag == 0 for z in centers) == sturm_real_roots(sf.squarefree)
+    assert sum(z.imag == 0 for z in centers) == sturm_real_roots(squarefree_part(sf))
 
 
 def test_imaginary_roots_on_the_imaginary_axis():

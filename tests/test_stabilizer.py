@@ -336,27 +336,86 @@ def test_screen_ambiguous_image_raises():
 def reference_screen(rootset):
     """{root permutation: Moebius matrix} by brute force: every ordered
     image triple from itertools, the map from the null space of its 3 x 4
-    linear system, each image matched to the nearest center."""
+    linear system (one stacked SVD per block of triples), each image
+    matched to the nearest center."""
     z = np.array(rootset.centers())
-    mult = [r.multiplicity for r in rootset.roots]
+    mult = np.array([r.multiplicity for r in rootset.roots])
     d = len(z)
+    triples = list(permutations(range(d), 3))
     found = {}
-    for triple in permutations(range(d), 3):
-        w = z[list(triple)]
+    for start in range(0, len(triples), 1024):
+        w = z[np.array(triples[start : start + 1024])]
+        ref = np.broadcast_to(z[:3], w.shape)
         # a z + b - c z w - d w = 0 at the three reference roots
-        system = np.array([[z[i], 1, -z[i] * w[i], -w[i]] for i in range(3)])
-        a, b, c, e = np.linalg.svd(system)[2][-1].conj()
+        system = np.stack([ref, np.ones_like(w), -ref * w, -w], axis=2)
+        a, b, c, e = np.linalg.svd(system)[2][:, -1].conj().T[:, :, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             images = (a * z + b) / (c * z + e)
-        dist = np.abs(images[:, None] - z[None, :])
-        perm = tuple(int(m) for m in np.argmin(dist, axis=1))
-        if (
-            all(dist[k, m] <= 1e-6 * (1 + abs(z[m])) for k, m in enumerate(perm))
-            and sorted(perm) == list(range(d))
-            and all(mult[m] == mult[k] for k, m in enumerate(perm))
-        ):
-            found[perm] = np.array([a, b, c, e])
+        dist = np.abs(images[:, :, None] - z)
+        perm = np.argmin(dist, axis=2)
+        near = np.take_along_axis(dist, perm[:, :, None], axis=2)[:, :, 0]
+        ok = (
+            (near <= 1e-6 * (1 + np.abs(z[perm]))).all(axis=1)
+            & (np.sort(perm, axis=1) == np.arange(d)).all(axis=1)
+            & (mult[perm] == mult).all(axis=1)
+        )
+        for i in np.flatnonzero(ok):
+            found[tuple(int(m) for m in perm[i])] = np.array(
+                [a[i, 0], b[i, 0], c[i, 0], e[i, 0]]
+            )
     return found
+
+
+def broadcast_screen(rootset):
+    """The permutation screen as it was before the screen solved for each
+    image root: every image triple that keeps multiplicities against
+    every fourth root at once, with the same gap and threshold."""
+    if rootset.eps >= 0.5:
+        raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
+    centers = rootset.centers()
+    d = len(centers)
+    z = np.array(centers)
+    mult = np.array([r.multiplicity for r in rootset.roots])
+    threshold = 120 * rootset.N**3 * rootset.eps
+    triples = np.array(list(permutations(range(d), 3)), dtype=int).reshape(-1, 3)
+    triples = triples[(mult[triples] == mult[:3]).all(axis=1)]
+    x = np.arange(d)
+
+    def cross_parts(a, b, c, x):
+        return (z[a] - z[c]) * (z[b] - z[x]), (z[a] - z[x]) * (z[b] - z[c])
+
+    ref_p, ref_q = cross_parts(0, 1, 2, x[3:])
+    perms = []
+    for start in range(0, len(triples), 256):
+        block = triples[start : start + 256]
+        p, q = cross_parts(*block.T[:, :, None], x)
+        outside = (x != block[:, :, None]).all(axis=1)
+
+        def hits(rows, ks):
+            gap = ref_p[ks, None] * q[rows, None] - ref_q[ks, None] * p[rows, None]
+            return (np.abs(gap) <= threshold) & outside[rows, None]
+
+        cand = np.flatnonzero(hits(slice(None), slice(1)).any(axis=2).all(axis=1))
+        found = hits(cand, slice(None))
+        counts = found.sum(axis=2)
+        full = (counts > 0).all(axis=1)
+        if (counts[full] > 1).any():
+            raise PrecisionFailureError(
+                f"a root matches {counts[full].max()} roots under one triple"
+            )
+        for perm in np.hstack((block[cand[full]], found[full].argmax(axis=2))):
+            if (mult[perm] == mult).all() and len(set(perm)) == d:
+                perms.append(tuple(int(i) for i in perm))
+    ref = tuple(centers[:3])
+    return {p: solve_moebius(ref, tuple(centers[i] for i in p[:3])) for p in perms}
+
+
+def screen_or_error(screen, rootset):
+    """screen(rootset), or PrecisionFailureError when it raises that."""
+    try:
+        return screen(rootset)
+    except PrecisionFailureError:
+        return PrecisionFailureError
 
 
 def test_screen_keeps_multiplicities():
@@ -418,6 +477,58 @@ def test_screen_block_size(monkeypatch):
     whole = _screen(rootset)
     monkeypatch.setattr("wenum.stabilizer._TRIPLES", 1)
     assert list(_screen(rootset).items()) == list(whole.items())
+
+
+def test_screen_on_unsorted_roots():
+    # the screen bisects on real parts it sorts itself, not on the order
+    # of the RootSet, which callers may build in any order
+    rootset = roots_of(rm2_closed_form(4), ROOT_EPS)
+    order = np.random.default_rng(7).permutation(len(rootset))
+    shuffled = dataclasses.replace(
+        rootset, roots=tuple(rootset.roots[i] for i in order)
+    )
+    got = _screen(shuffled)
+    assert len(got) == 16  # order 256 over n = 16 scalar twists
+    assert list(got.items()) == list(broadcast_screen(shuffled).items())
+
+
+def test_screen_at_a_pole():
+    # z -> 1/(z - 3) sends the reference roots 0, 1, 2 to -1/3, -1/2, -1
+    # and root 3 to infinity: for the image triple (4, 5, 6) the gap does
+    # not depend on the fourth root (beta = 0), so the row gets every root
+    z = (0, 1, 2, 3, -1 / 3, -1 / 2, -1)
+    rs = RootSet(
+        roots=tuple(Root(complex(v), 1e-15, 1) for v in z), eps=1e-15, N=3.1
+    )
+    got = _screen(rs)
+    assert (0, 1, 2, 3, 4, 5, 6) in got
+    assert list(got.items()) == list(broadcast_screen(rs).items())
+
+
+def test_screen_on_jittered_polygons():
+    # wide disks make many cross ratios ambiguous: both screens return the
+    # same dict or both raise
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(4, 9))
+        jitter = rng.normal(scale=1e-3, size=(d, 2)) @ [1, 1j]
+        z = np.exp(2j * np.pi * np.arange(d) / d) + jitter
+        eps = float(10.0 ** rng.uniform(-6, -1.5))
+        rs = RootSet(
+            roots=tuple(Root(complex(v), eps, 1) for v in z),
+            eps=eps,
+            N=float(np.abs(z).max()) + eps,
+        )
+        got = screen_or_error(_screen, rs)
+        want = screen_or_error(broadcast_screen, rs)
+        if got is PrecisionFailureError or want is PrecisionFailureError:
+            assert got is want
+            outcomes.add("raised")
+        else:
+            assert list(got.items()) == list(want.items())
+            outcomes.add("nontrivial" if len(got) > 1 else "identity")
+    assert outcomes == {"raised", "nontrivial", "identity"}
 
 
 def test_closure():
