@@ -3,7 +3,15 @@
 Polynomials are tuples of coefficients in ascending order (index i holds
 the x^i coefficient), with no trailing zeros.  Coefficients are ints or
 fractions.Fraction; all operations are exact.  Degrees stay small here
-(weight enumerators have degree = code length), so plain Euclid is fine.
+(weight enumerators have degree = code length), so the gcd is plain
+Euclid over Q, after one early exit for integer inputs: their images
+modulo the prime _P go through Euclid over GF(_P) first, and a nonzero
+constant gcd there proves them coprime over Q.  The exit is one-sided
+and sound: let g be the primitive integer gcd of p and q.  By Gauss's
+lemma g divides p and q in Z[x], so lc(g) divides lc(p); when _P does
+not divide lc(p), g modulo _P keeps its degree and divides both images,
+so deg gcd over Q <= deg gcd over GF(_P).  A nonconstant gcd modulo _P
+proves nothing, and Euclid over Q decides.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 Poly = tuple
+_P = 2**61 - 1  # a Mersenne prime
 
 
 def normalize(coeffs) -> Poly:
@@ -79,8 +88,28 @@ def derivative(p: Poly) -> Poly:
     return normalize(i * p[i] for i in range(1, len(p)))
 
 
+def _coprime_mod_p(p: Poly, q: Poly) -> bool:
+    """Whether integer p and q have a nonzero constant gcd modulo _P, and
+    _P does not divide lc(p): then they are coprime over Q."""
+    if not p or p[-1] % _P == 0:
+        return False
+    a, b = [c % _P for c in p], list(normalize(c % _P for c in q))
+    while b:
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):  # a -= c x^shift b, which clears lc(a)
+            c, shift = a[-1] * inv % _P, len(a) - len(b)
+            a[shift:-1] = [(u - c * v) % _P for u, v in zip(a[shift:-1], b)]
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def monic_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd over Q (1-tuple for coprime inputs, () only if both zero)."""
+    if all(type(c) is int for c in p + q) and _coprime_mod_p(p, q):
+        return (Fraction(1),)
     a, b = p, q
     while b:
         _, r = divmod_exact(a, b)

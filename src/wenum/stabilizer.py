@@ -63,10 +63,10 @@ competitor within the threshold is missed; each gap compared is the same
 elementwise expression as a full row, so the verdict, the certificate
 and the offending pair are those of comparing all pairs of
 representatives.  The certificate's gaps and the offending competitor
-come from one full row each.  An orbit table gives each ordered tuple
-its orbit's row; the tuples are walked in blocks of whole 3-prefixes in
-lexicographic order, each orbit is decided once, when first reached, and
-an early certificate ends the scan early.
+come from one full row each.  The tuples are walked in blocks of whole
+3-prefixes in lexicographic order; each tuple's orbit row is computed
+in closed form from its entries (_orbit_rows), each orbit is decided
+once, when first reached, and an early certificate ends the scan early.
 
 Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
@@ -92,7 +92,6 @@ from .roots import RootSet, roots_of
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 ROOT_EPS = 1e-12  # root accuracy requested by both verbs
-_V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
 _PAIRS = 1 << 18  # candidate pairs compared at once
@@ -220,6 +219,7 @@ def _screen(rootset: RootSet):
     centers = rootset.centers()
     d = len(centers)
     z = np.array(centers)
+    diff = z[:, None] - z
     mult = np.array([r.multiplicity for r in rootset.roots])
     threshold = 120 * rootset.N**3 * rootset.eps
     rounding = 2.0**-47 * np.abs(z).max() ** 2  # times |P_k| + |Q_k|
@@ -227,14 +227,14 @@ def _screen(rootset: RootSet):
     keys = z.real[by_real]
     triples = _triples(d)
     triples = triples[(mult[triples] == mult[:3]).all(axis=1)]
-    ref_p, ref_q = _cross_parts(z, 0, 1, 2, np.arange(3, d))  # rows (0, 1, 2, k)
+    ref_p, ref_q = _cross_parts(diff, 0, 1, 2, np.arange(3, d))  # rows (0, 1, 2, k)
 
     def hits(t, k):
         """(i, x) for each root x that root 3 + k[i] matches under the
         image triple t[i]."""
         a, b, c = t.T
         pk, qk = ref_p[k], ref_q[k]
-        ac, bc = z[a] - z[c], z[b] - z[c]
+        ac, bc = diff[a, c], diff[b, c]
         with np.errstate(all="ignore"):
             beta = qk * ac - pk * bc
             y = (qk * ac * z[b] - pk * z[a] * bc) / beta  # -alpha / beta
@@ -248,7 +248,7 @@ def _screen(rootset: RootSet):
         i = np.repeat(np.arange(len(t)), counts)
         starts = np.cumsum(counts) - counts
         x = by_real[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
-        p, q = _cross_parts(z, a[i], b[i], c[i], x)
+        p, q = _cross_parts(diff, a[i], b[i], c[i], x)
         gap = pk[i] * q - qk[i] * p
         keep = (np.abs(gap) <= threshold) & (x != a[i]) & (x != b[i]) & (x != c[i])
         return i[keep], x[keep]
@@ -374,27 +374,57 @@ def _triples(d):
     return t[(t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])]
 
 
-def _orbits(d):
-    """(reps, rep_of) for the V4 orbits of 4-tuples of distinct indices
-    below d: reps holds each orbit's member that starts with its smallest
-    index, in lexicographic order; rep_of[t] is the row of t's orbit in
-    reps, and -1 when t repeats an index."""
+def _reps(d):
+    """Each V4 orbit's member that starts with its smallest index, for the
+    4-tuples of distinct indices below d, in lexicographic order: the
+    members starting with a are a and the triples of distinct indices
+    above a."""
     dtype = np.min_scalar_type(d)
     blocks = []
-    for a in range(d):  # a, then the triples of distinct indices above a
+    for a in range(d):
         t = _triples(d - 1 - a).astype(dtype) + a + 1
         blocks.append(np.column_stack([np.full(len(t), a, dtype), t]))
-    reps = np.concatenate(blocks)
-    rep_of = np.full((d,) * 4, -1, dtype=np.int32)
-    for g in _V4:  # V4 moves each position to the front exactly once
-        rep_of[tuple(reps[:, g].T)] = np.arange(len(reps), dtype=np.int32)
-    return reps, rep_of
+    return np.concatenate(blocks)
 
 
-def _cross_parts(z, a, b, c, x):
+def _orbit_rows(d, u0, u1, u2, u3):
+    """The row in _reps(d) of the V4 orbit of each 4-tuple (u0, u1, u2, u3),
+    for index arrays that broadcast together, and -1 for a tuple that
+    repeats an index.
+
+    V4 moves position j to j xor g, so two swaps bring the smallest index
+    a to the front: of the pairs (u0, u1) and (u2, u3) when it lies in
+    the second, then of the entries within each pair when it is second
+    in its pair.  That gives the orbit's representative (a, b, c, x).
+    The representatives starting below a number the sum over a' < a of
+    P(d - 1 - a'), P(m) = m (m - 1) (m - 2) being the count of ordered
+    triples of m indices, which is S(d - 1) - S(d - 1 - a) for
+    S(n) = (n + 1) n (n - 1) (n - 2) / 4.  Then (b, c, x) has its
+    lexicographic rank among the ordered triples of the m = d - 1 - a
+    indices above a: with i, j, k their offsets above a, j drops one
+    place when it lies above i, and k one for each of i, j below it.
+    """
+    u0, u1, u2, u3 = (np.asarray(v, dtype=np.int64) for v in (u0, u1, u2, u3))
+    swap = np.minimum(u2, u3) < np.minimum(u0, u1)
+    u0, u1, u2, u3 = (
+        np.where(swap, v, w) for v, w in ((u2, u0), (u3, u1), (u0, u2), (u1, u3))
+    )
+    swap = u1 < u0
+    a, b, c, x = (
+        np.where(swap, v, w) for v, w in ((u1, u0), (u0, u1), (u3, u2), (u2, u3))
+    )
+    m = d - 1 - a
+    i, j, k = b - a - 1, c - a - 1, x - a - 1
+    rank = (i * (m - 1) + j - (j > i)) * (m - 2) + k - (k > i) - (k > j)
+    start = (d * (d - 1) * (d - 2) * (d - 3) - (m + 1) * m * (m - 1) * (m - 2)) // 4
+    distinct = (a < b) & (a < c) & (a < x) & (b != c) & (b != x) & (c != x)
+    return np.where(distinct, start + rank, -1)
+
+
+def _cross_parts(diff, a, b, c, x):
     """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
-    arrays that broadcast together."""
-    return (z[a] - z[c]) * (z[b] - z[x]), (z[a] - z[x]) * (z[b] - z[c])
+    arrays that broadcast together, from diff[i, j] = z_i - z_j."""
+    return diff[a, c] * diff[b, x], diff[a, x] * diff[b, c]
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
@@ -404,8 +434,8 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     screened non-identity permutation whose map fixes W within VERIFY_TOL
     gives an Inconclusive verdict with that permutation as `witness`.
     Otherwise (also when the screen cannot decide) ordered 4-tuples are
-    scanned lexicographically; an orbit table maps each to its V4 orbit,
-    decided once against every other orbit, both measured at the member
+    scanned lexicographically; each is mapped to its V4 orbit, decided
+    once against every other orbit, both measured at the member
     that starts with its smallest index (cross ratios are V4-invariant,
     and the threshold bounds the computed gap of every member).  The
     first two certifiable tuples sharing a 3-prefix prove the projective
@@ -477,9 +507,9 @@ def _scan_for_certificate(rootset: RootSet):
     if eps >= 0.5:
         return None, None
     threshold = 120 * bigN**3 * eps
-    reps, rep_of = _orbits(d)  # the competitors, one per V4 orbit
+    reps = _reps(d)  # the competitors, one per V4 orbit
     z = np.array(centers)
-    p, q = _cross_parts(z, *reps.T)
+    p, q = _cross_parts(z[:, None] - z, *reps.T.astype(np.intp))
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()
@@ -528,7 +558,8 @@ def _scan_for_certificate(rootset: RootSet):
     first_bad = None
     for start in range(0, len(triples), _PREFIXES):
         block = triples[start : start + _PREFIXES]
-        rows = rep_of[tuple(block.T)]  # prefix by x; -1 where x is in it
+        # prefix by x; -1 where x is in the prefix
+        rows = _orbit_rows(d, *block.T[:, :, None], np.arange(d))
         new = np.sort(rows[(rows >= 0) & (known[rows] == 0)])
         new = new[np.diff(new, prepend=-1) != 0]
         known[new] = np.where(uncertifiable(new), 1, 2)

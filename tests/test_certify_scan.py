@@ -14,7 +14,8 @@ from wenum.reedmuller import reed_muller
 from wenum.roots import roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
-    _orbits,
+    _orbit_rows,
+    _reps,
     _scan_for_certificate,
     rm2_closed_form,
 )
@@ -142,27 +143,42 @@ def test_scan_matches_all_pairs(w, q):
 
 
 def test_tuples_and_orbit_keys():
-    # rep_of gives every ordered 4-tuple the row of its V4 orbit, and
-    # every tuple with a repeated index -1
+    # _orbit_rows gives every ordered 4-tuple the row of its V4 orbit in
+    # _reps, and every tuple with a repeated index -1
     for d in range(4, 9):
-        reps, rep_of = _orbits(d)
-        reps = [tuple(r) for r in reps.tolist()]
-        for t in product(range(d), repeat=4):
+        reps = [tuple(r) for r in _reps(d).tolist()]
+        tuples = list(product(range(d), repeat=4))
+        rows = _orbit_rows(d, *np.array(tuples).T).tolist()
+        for t, row in zip(tuples, rows):
             if len(set(t)) == 4:
-                assert reps[rep_of[t]] in v4_orbit(t)
+                assert reps[row] in v4_orbit(t)
             else:
-                assert rep_of[t] == -1
+                assert row == -1
 
 
 def test_reps_one_per_orbit():
     for d in range(4, 9):
-        reps, _ = _orbits(d)
-        reps = [tuple(r) for r in reps.tolist()]
+        reps = [tuple(r) for r in _reps(d).tolist()]
         orbits = {frozenset(v4_orbit(t)) for t in permutations(range(d), 4)}
         assert {frozenset(v4_orbit(t)) for t in reps} == orbits
         assert len(reps) == len(orbits)
         assert all(t[0] == min(t) for t in reps)
         assert reps == sorted(reps)
+
+
+def rep_of_table(d):
+    """The d^4 table the closed-form rows replace: each representative's
+    row scattered to the four members of its orbit, -1 elsewhere."""
+    reps = _reps(d)
+    rep_of = np.full((d,) * 4, -1, dtype=np.int32)
+    for g in V4:
+        rep_of[tuple(reps[:, g].T)] = np.arange(len(reps), dtype=np.int32)
+    return rep_of
+
+
+@pytest.mark.parametrize("d", [9, 31])
+def test_orbit_rows_match_table(d):
+    assert (_orbit_rows(d, *np.indices((d,) * 4)) == rep_of_table(d)).all()
 
 
 def test_scan_no_certificate_d32():

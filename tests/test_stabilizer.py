@@ -505,6 +505,22 @@ def test_screen_at_a_pole():
     assert list(got.items()) == list(broadcast_screen(rs).items())
 
 
+def test_screen_image_at_infinity():
+    # z -> 2 / (z + 1) sends the reference roots -3, -2, 1 to -1, -2, 1 and
+    # root 3, at -1, to infinity: for the image triple (3, 1, 2) beta is 0
+    # and the gap is the constant alpha = -12, within the threshold of
+    # these wide disks (13.0), so root 3 matches root 0.  -alpha / beta is
+    # +inf, whose window holds no root, so the row must get every root.
+    z = (-3, -2, 1, -1)
+    eps = 0.004
+    rs = RootSet(
+        roots=tuple(Root(complex(v), eps, 1) for v in z), eps=eps, N=3 + eps
+    )
+    got = _screen(rs)
+    assert (3, 1, 2, 0) in got
+    assert list(got.items()) == list(broadcast_screen(rs).items())
+
+
 def test_screen_on_jittered_polygons():
     # wide disks make many cross ratios ambiguous: both screens return the
     # same dict or both raise
