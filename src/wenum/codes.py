@@ -11,9 +11,13 @@ from the generator rows by doubling in packed form: each further row
 multiplies the number of combinations by q with word operations only,
 so no table of q^j combinations is built or packed.  The zero counts of
 a whole block of q^j codewords are the popcounts of the OR over v of
-the suffix masks ANDed with the masks of -p.  Workers take contiguous
-parts of the prefixes, which is exactly a partition of the message space
-by its leading symbols; per-worker counts merge by addition.
+the suffix masks ANDed with the masks of -p.  The suffix span S is
+closed under scaling, so for a nonzero scalar a the block of a*p is
+a*(block of p): the same weights.  Enumeration therefore counts prefix 0
+once and one prefix per scalar class, the prefixes whose leading nonzero
+coefficient is 1, and weights the latter by q - 1.  Workers take
+contiguous parts of those representatives; per-worker counts merge by
+addition.
 """
 
 from __future__ import annotations
@@ -331,23 +335,38 @@ def _zero_counts(negated, masks):
     `masks` holds the suffix combinations and `negated` the negated prefix
     combinations, both as _masks.  Coordinate c of p + s is zero exactly
     when s_c = -p_c, so the zeros of p + s are the bits where the suffix
-    mask of value v meets the mask of value v of -p, for some v.  Counts
-    reach n, so they are summed over the words in the smallest unsigned
-    type that holds 64 bits per word.
+    mask of value v meets the mask of value v of -p, for some v.  Only the
+    values that -p takes in a word are visited (each word has one at
+    least), so a word costs one pass per such value, not q.  Counts reach
+    n, so they are summed over the words in the smallest unsigned type
+    that holds 64 bits per word.
     """
-    q, words, rows = masks.shape
+    _, words, rows = masks.shape
     count_type = np.min_scalar_type(64 * words)
     hits = np.empty(rows, dtype=np.uint64)
     meet = np.empty(rows, dtype=np.uint64)
     for i in range(negated.shape[2]):
         zeros = np.zeros(rows, dtype=count_type)
         for w in range(words):
-            np.bitwise_and(masks[0, w], negated[0, w, i], out=hits)
-            for v in range(1, q):
+            first, *rest = np.flatnonzero(negated[:, w, i])
+            np.bitwise_and(masks[first, w], negated[first, w, i], out=hits)
+            for v in rest:
                 np.bitwise_and(masks[v, w], negated[v, w, i], out=meet)
                 hits |= meet
             zeros += np.bitwise_count(hits)
         yield zeros
+
+
+def _scalar_classes(q, size):
+    """One prefix index per scalar class of the nonzero prefixes: those
+    whose leading nonzero base-q digit is 1, the ranges [q^s, 2*q^s) below
+    `size`.  Scaling by the q - 1 nonzero scalars takes each to the whole
+    of its class, so these are (size - 1) / (q - 1) indices."""
+    ranges, start = [np.arange(0)], 1
+    while start < size:
+        ranges.append(np.arange(start, 2 * start))
+        start *= q
+    return np.concatenate(ranges)
 
 
 def enumerate_weights(
@@ -360,10 +379,14 @@ def enumerate_weights(
     doubling (_masks), and each prefix gives the zero counts of its block
     (itself plus every suffix combination) by popcounts, without building
     a codeword; a_i counts the words with i zeros, so the histogram of zero
-    counts is the enumerator.  With workers > 1 the prefixes are split into
-    contiguous parts counted by a thread pool; a part is a set of leading
-    message symbols, so counts merge by addition and the result is exact
-    regardless of scheduling.
+    counts is the enumerator.  The suffix combinations form a subspace S,
+    so for a nonzero scalar a the block of a*p is {a*p + s} = a*(block of
+    p), and scaling keeps every weight: the q - 1 prefixes of a scalar
+    class have one histogram.  Prefix 0 is counted once and one prefix per
+    class (_scalar_classes) q - 1 times.  With workers > 1 those
+    representatives are split into contiguous parts counted by a thread
+    pool, and counts merge by addition, so the result is exact regardless
+    of scheduling.  The total is checked against q^k.
     """
     n = code.n
     negated, masks = _tables(code, budget)
@@ -374,14 +397,14 @@ def enumerate_weights(
             counts += np.bincount(zeros, minlength=n + 1)
         return counts
 
-    parts = np.array_split(
-        negated, max(1, min(workers, negated.shape[2])), axis=2
-    )
+    reps = negated[:, :, _scalar_classes(code.q, negated.shape[2])]
+    parts = np.array_split(reps, max(1, min(workers, reps.shape[2])), axis=2)
     if len(parts) == 1:
-        counts = count(parts[0])
+        scaled = count(parts[0])
     else:
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            counts = sum(pool.map(count, parts))
+            scaled = sum(pool.map(count, parts))
+    counts = count(negated[:, :, :1]) + (code.q - 1) * scaled
     if counts.sum() != code.size:
         raise RuntimeError(
             f"enumeration counted {int(counts.sum())} codewords, "

@@ -136,7 +136,10 @@ def test_workers_agree_with_single_thread(monkeypatch):
     assert enumerate_weights(code, workers=1) == single
     assert counted == []
     assert enumerate_weights(code, workers=3) == single
-    assert [int(c.sum()) for c in counted] == [3**7 // 3] * 3
+    # the pool splits the (3^6 - 1)/2 = 364 class representatives, 122 +
+    # 121 + 121, of 3 words each; prefix 0 is counted outside it
+    assert [int(c.sum()) for c in counted] == [366, 363, 363]
+    assert sum(int(c.sum()) for c in counted) == (3**7 - 3) // 2
 
 
 def test_enumeration_coverage_checked(monkeypatch):
@@ -186,6 +189,57 @@ def test_larger_fields_match_oracle(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr("wenum.codes._BLOCK_CAP", q)
                 assert enumerate_weights(code).coeffs == want
+
+
+@pytest.mark.parametrize("q, n, k, caps", [
+    (16, 10, 3, (codes._BLOCK_CAP, 16, 256)),  # 1, 256 and 16 prefixes
+    (16, 70, 2, (16,)),  # two mask words
+    # a word takes at most 4 of the 256 values; at the default cap the
+    # suffix masks of 256^2 combinations would take 128 MiB
+    (256, 4, 2, (256,)),
+])
+def test_large_fields_skip_absent_values(q, n, k, caps, monkeypatch):
+    code = random_code(seeded(f"large-fields-{q}-{n}"), q, n, k)
+    want = oracle_weight_coeffs(code)
+    for cap in caps:
+        monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
+        assert enumerate_weights(code).coeffs == want
+
+
+def _scaled_index(field, index, a, t):
+    """The prefix index of a*p, for p the prefix with the given index and
+    t base-q digits."""
+    q, out = field.q, 0
+    for s in reversed(range(t)):
+        out = out * q + int(field.mul_table[a, index // q**s % q])
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_scalar_multiples_share_a_histogram(q, monkeypatch):
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", q)  # one suffix row
+    field = GF(q)
+    rng = seeded(f"scalar-classes-{q}")
+    for k in (1, 2, 3):
+        code = random_code(rng, q, rng.randrange(k, 9), k)
+        negated, masks = codes._tables(code, codes.DEFAULT_BUDGET)
+        t = k - 1
+        assert negated.shape[2] == q**t
+        hists = [
+            np.bincount(zeros, minlength=code.n + 1)
+            for zeros in codes._zero_counts(negated, masks)
+        ]
+        classes = set()  # each class by its smallest index
+        for p in range(q**t):
+            scaled = {_scaled_index(field, p, a, t) for a in range(1, q)}
+            for ap in scaled:
+                assert np.array_equal(hists[ap], hists[p])
+            classes.add(min(scaled))
+        reps = codes._scalar_classes(q, q**t)
+        assert len(reps) == (q**t - 1) // (q - 1)
+        hit = [min(_scaled_index(field, int(p), a, t) for a in range(1, q))
+               for p in [0, *reps]]
+        assert sorted(hit) == sorted(classes)  # every class exactly once
 
 
 def test_rm4_3_2_matches_benchmark_reference():

@@ -144,15 +144,17 @@ def mat_inv(m):
 
 def _near_cells(m, h, tol):
     """Keys of the grid cells (side h, per real coordinate) holding every
-    matrix within entrywise distance tol of m."""
+    matrix within entrywise distance tol of m.  Cell k spans
+    [(k - 1/2)h, (k + 1/2)h), so exact entries such as 0 and 1 sit at a
+    centre and only a coordinate within tol of an edge adds a neighbour."""
     options = []
     for v in (complex(x) for row in m for x in row):
         for x in (v.real, v.imag):
-            k = math.floor(x / h)
+            k = round(x / h)
             near = [k]
-            if x - k * h <= tol:
+            if x - (k - 0.5) * h <= tol:
                 near.append(k - 1)
-            if (k + 1) * h - x <= tol:
+            if (k + 0.5) * h - x <= tol:
                 near.append(k + 1)
             options.append(near)
     return product(*options)
