@@ -199,17 +199,19 @@ class LinearCode:
 
     def __init__(self, field: FiniteField, generator, n: int | None = None):
         self.field = field
-        gen = np.array(generator, dtype=np.uint8)
+        gen = np.asarray(generator)
+        if gen.size and (gen.dtype.kind not in "biu" or gen.min() < 0
+                         or gen.max() >= field.q):
+            raise DomainError(
+                f"generator entries must be integers in [0, {field.q})"
+            )
+        gen = gen.astype(np.uint8)
         if gen.size == 0:
             if n is None:
                 raise DomainError("zero code needs an explicit length")
             gen = gen.reshape(0, n)
         if gen.ndim != 2:
             raise DomainError("generator must be a 2-d matrix")
-        if gen.size and gen.max() >= field.q:
-            raise DomainError(
-                f"generator entry {int(gen.max())} outside GF({field.q})"
-            )
         if n is not None and gen.shape[1] != n:
             raise DomainError("generator width disagrees with stated length")
         k = gen.shape[0]

@@ -25,35 +25,21 @@ from .fields import GF
 MAX_LENGTH = 1 << 20
 
 
-def _monomials_bounded(m, r, cap):
-    """Exponent tuples e in [0, cap]^m with sum(e) <= r, lexicographic."""
-    out = []
-    for e in product(range(min(r, cap) + 1), repeat=m):
-        if sum(e) <= r:
-            out.append(e)
-    return out
-
-
-def _monomials_homogeneous(nvars, r):
-    """Exponent tuples e in [0, r]^nvars with sum(e) == r, lexicographic."""
-    out = []
-    for e in product(range(r + 1), repeat=nvars):
-        if sum(e) == r:
-            out.append(e)
-    return out
+def _monomials(nvars, r, cap):
+    """Exponent tuples e in [0, cap]^nvars with sum(e) <= r, lexicographic."""
+    return [e for e in product(range(min(r, cap) + 1), repeat=nvars) if sum(e) <= r]
 
 
 def _evaluate(field, exponents, points):
-    rows = np.zeros((len(exponents), len(points)), dtype=np.uint8)
-    powk = field.pow
-    mulk = field.mul
-    for i, e in enumerate(exponents):
-        for j, v in enumerate(points):
-            acc = 1
-            for coord, exp in zip(v, e):
-                if exp:
-                    acc = mulk(acc, powk(coord, exp))
-            rows[i, j] = acc
+    """Rows of prod_c point[c]^exponent[c], with x^0 = 1 also at x = 0."""
+    exponents = np.array(exponents, dtype=np.intp)
+    points = np.array(points, dtype=np.intp)
+    powers = np.ones((exponents.max() + 1, field.q), dtype=np.uint8)
+    for k in range(1, len(powers)):
+        powers[k] = field.mul_table[powers[k - 1], np.arange(field.q)]
+    rows = np.ones((len(exponents), len(points)), dtype=np.uint8)
+    for c in range(exponents.shape[1]):
+        rows = field.mul_table[rows, powers[exponents[:, c, None], points[:, c]]]
     return rows
 
 
@@ -66,7 +52,7 @@ def reed_muller(q: int, r: int, m: int) -> LinearCode:
     if n > MAX_LENGTH:
         raise DomainError(f"RM_{q}({r},{m}) length {n} exceeds cap {MAX_LENGTH}")
     points = list(product(range(q), repeat=m))
-    exponents = _monomials_bounded(m, r, q - 1)
+    exponents = _monomials(m, r, q - 1)
     gen = _evaluate(field, exponents, points)
     return LinearCode(field, gen, n=n)
 
@@ -91,7 +77,7 @@ def projective_reed_muller(q: int, r: int, m: int) -> LinearCode:
             f"PRM_{q}({r},{m}) length {n} exceeds cap {MAX_LENGTH}"
         )
     points = projective_points(q, m)
-    exponents = _monomials_homogeneous(m + 1, r)
+    exponents = [e for e in _monomials(m + 1, r, r) if sum(e) == r]
     gen = _evaluate(field, exponents, points)
     # row i is independent of rows 0..i-1 exactly when column i of gen^T
     # holds a pivot

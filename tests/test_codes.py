@@ -429,6 +429,17 @@ def test_generator_entries_validated():
         LinearCode(GF(4), [[1, 5]])
 
 
+@pytest.mark.parametrize("q, gen", [
+    (3, [[1.5, 1]]),  # a uint8 cast would read [[1, 1]]
+    (3, [[-1, 1]]),  # a uint8 cast would overflow
+    (3, [[300, 1]]),
+    (256, np.array([[-1, 1]], dtype=np.int64)),  # a uint8 cast would read 255
+], ids=["fraction", "negative", "above-uint8", "int64-negative"])
+def test_generator_entries_checked_before_the_cast(q, gen):
+    with pytest.raises(DomainError):
+        LinearCode(GF(q), gen)
+
+
 def test_weight_enumerator_display():
     w = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
     assert w.poly_string() == "x^8 + 14*x^4*y^4 + y^8"

@@ -130,6 +130,47 @@ def test_prm_keeps_rows_independent_of_earlier_ones(q, r, m):
     assert code.generator.tolist() == kept
 
 
+def _evaluations(f, exponents, points):
+    """Rows of monomial values at the points, by repeated scalar f.mul."""
+    rows = []
+    for ex in exponents:
+        row = []
+        for pt in points:
+            acc = 1
+            for x, k in zip(pt, ex):
+                for _ in range(k):
+                    acc = f.mul(acc, x)
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("q, r, m", [(4, 2, 2), (4, 3, 2), (8, 2, 2), (9, 2, 2), (16, 3, 2)])
+def test_rm_matches_scalar_evaluation(q, r, m):
+    from itertools import product
+
+    exponents = [ex for ex in product(range(min(r, q - 1) + 1), repeat=m) if sum(ex) <= r]
+    points = list(product(range(q), repeat=m))
+    code = reed_muller(q, r, m)
+    assert code.generator.tolist() == _evaluations(GF(q), exponents, points)
+    # x^0 = 1 also at x = 0: the constant row is 1 at the origin
+    assert (exponents[0], points[0], code.generator[0, 0]) == ((0,) * m, (0,) * m, 1)
+
+
+def test_prm_matches_scalar_evaluation():
+    # degree 3 < q: no homogeneous cubic vanishes on P^3(GF(4)), so every
+    # row is kept
+    from itertools import product
+
+    q, r, m = 4, 3, 3
+    exponents = [ex for ex in product(range(r + 1), repeat=m + 1) if sum(ex) == r]
+    points = projective_points(q, m)
+    code = projective_reed_muller(q, r, m)
+    assert code.generator.tolist() == _evaluations(GF(q), exponents, points)
+    # x0^0 * x1^0 * x2^0 * x3^3 at (0, 0, 0, 1)
+    assert (exponents[0], points[0], code.generator[0, 0]) == ((0, 0, 0, 3), (0, 0, 0, 1), 1)
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         reed_muller(2, -1, 3)
