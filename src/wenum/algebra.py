@@ -1,20 +1,19 @@
 """Algebra of weight enumerators: MacWilliams transform, divisibility,
 formal self-duality, and the at-most-two-distinct-roots classification.
 
-Everything here is exact integer/rational arithmetic.  The three special
-shapes (x^n, (x+(q-1))^n, (x^2+(q-1))^(n/2)) are recognized by direct
-coefficient comparison against binomial expansions, and the distinct-root
-count of the general case comes from the degree of gcd(W, W') over Q.
-Floating point lives only in the roots/stabilizer modules.
+Everything here is exact integer/rational arithmetic.  The distinct-root
+count comes from the degree of gcd(W, W') over Q; an enumerator with at
+most two distinct roots is matched by direct coefficient comparison
+against the binomial expansions of its two shapes, x^b (x+(q-1))^(n-b)
+and (x^2+(q-1))^(n/2).  Floating point lives only in the roots/stabilizer
+modules.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import polyx
 from .codes import (
@@ -103,8 +102,7 @@ def is_formally_self_dual(w: WeightEnumerator, q: int, code_size: int) -> bool:
 
 
 class Shape(Enum):
-    ZERO_CODE = "ZeroCode"
-    FULL_SPACE = "FullSpace"
+    COORDINATE_SUBSPACE = "CoordinateSubspace"
     PAIR_SUM = "PairSum"
     THREE_PLUS_ROOTS = "ThreePlusRoots"
 
@@ -130,80 +128,39 @@ def distinct_root_count(w: WeightEnumerator) -> int:
 
 
 def classify(w: WeightEnumerator, q: int) -> ClassificationResult:
-    """Sort a code enumerator into the two-roots shapes or ThreePlusRoots.
+    """Sort a code enumerator into the two two-root shapes or ThreePlusRoots.
 
-    The first three shapes force an infinite stabilizer; otherwise the
-    stabilizer is finite.  Its image in PGL2(C) acts faithfully on the d
-    distinct roots, so by Klein it is C_k or D_k with k <= d (a rotation
-    moves all but its two fixed points in orbits of size k), or A4, S4 or
-    A5 of order <= 60; with the n scalar matrices the order is at most
-    n * max(2d, 60).
+    It implements this statement: the enumerator of a linear code over
+    GF(q) has at most two distinct roots exactly when it is a
+    coordinate-subspace enumerator x^b (x + (q-1)y)^a, a + b = n (the code
+    GF(q)^a + 0^b up to monomial equivalence; the zero code is a = 0 and
+    the full space b = 0), or (x^2 + (q-1)y^2)^(n/2).  Codes with zero
+    coordinates are included; the paper's abstract (PAPER.md) does not say
+    whether the paper excludes them.  For either shape the maps that fix
+    both roots and W form a torus, so the stabilizer is infinite; at most
+    two distinct roots and neither shape raises NotACodeEnumeratorError.
+
+    With d >= 3 distinct roots the stabilizer is finite.  Its image in
+    PGL2(C) acts faithfully on the d roots, so by Klein it is C_k or D_k
+    with k <= d (a rotation moves all but its two fixed points in orbits
+    of size k), or A4, S4 or A5 of order <= 60; with the n scalar
+    matrices the order is at most n * max(2d, 60).
     """
     if w.coeffs[-1] != 1:
         raise NotACodeEnumeratorError("a_n != 1: not derived from a code")
     n = w.n
-    if w == zero_code_enumerator(n):
-        return ClassificationResult(Shape.ZERO_CODE, n, q)
-    if w == full_space_enumerator(n, q):
-        return ClassificationResult(Shape.FULL_SPACE, n, q)
+    d = distinct_root_count(w)
+    if d >= 3:
+        return ClassificationResult(
+            Shape.THREE_PLUS_ROOTS, n, q,
+            distinct_roots=d,
+            stabilizer_bound=n * max(2 * d, 60),
+        )
+    b = next(i for i, c in enumerate(w.coeffs) if c)  # the power of x
+    if w == zero_code_enumerator(b) * full_space_enumerator(n - b, q):
+        return ClassificationResult(Shape.COORDINATE_SUBSPACE, n, q)
     if n % 2 == 0 and w == pair_sum_enumerator(n, q):
         return ClassificationResult(Shape.PAIR_SUM, n, q)
-    d = distinct_root_count(w)
-    if d < 3:
-        # a genuine code enumerator with <= 2 distinct roots must match one
-        # of the shapes above for its own q
-        raise NotACodeEnumeratorError(
-            f"{d} distinct roots but no admissible two-root shape for q={q}"
-        )
-    return ClassificationResult(
-        Shape.THREE_PLUS_ROOTS, n, q,
-        distinct_roots=d,
-        stabilizer_bound=n * max(2 * d, 60),
-    )
-
-
-@dataclass(frozen=True)
-class InvariantMatrix:
-    """2x2 invariant with exact symbolic content.
-
-    `rational` holds the entries before scaling, as Fractions; the actual
-    matrix is scale * rational with the (1,1) entry multiplied by a
-    primitive zeta_order-th root of unity when zeta_order > 1, and
-    scale = q^(-1/2) when inv_sqrt_q is set.
-    """
-
-    label: str
-    rational: tuple
-    zeta_order: int = 1
-    inv_sqrt_q: int | None = None
-
-    def as_complex(self):
-        m = [[complex(Fraction(v)) for v in row] for row in self.rational]
-        if self.zeta_order > 1:
-            m[1][1] *= cmath.exp(2j * cmath.pi / self.zeta_order)
-        if self.inv_sqrt_q is not None:
-            s = 1.0 / math.sqrt(self.inv_sqrt_q)
-            m = [[s * v for v in row] for row in m]
-        return ((m[0][0], m[0][1]), (m[1][0], m[1][1]))
-
-
-def d_delta_matrix(delta: int) -> InvariantMatrix:
-    """diag(1, zeta_Delta), the divisibility invariant."""
-    if delta < 1:
-        raise DomainError("Delta must be >= 1")
-    return InvariantMatrix(
-        label=f"D_{delta}",
-        rational=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        zeta_order=delta,
-    )
-
-
-def self_dual_matrix(q: int) -> InvariantMatrix:
-    """q^(-1/2) [[1, q-1], [1, -1]], the formal self-duality invariant."""
-    if q < 2:
-        raise DomainError("q must be >= 2")
-    return InvariantMatrix(
-        label=f"S_{q}",
-        rational=((Fraction(1), Fraction(q - 1)), (Fraction(1), Fraction(-1))),
-        inv_sqrt_q=q,
+    raise NotACodeEnumeratorError(
+        f"{d} distinct roots but no admissible two-root shape for q={q}"
     )

@@ -41,10 +41,6 @@ class DegenerateInputError(DomainError):
     """Geometrically degenerate input (coincident points, singular triples)."""
 
 
-class HypothesisViolationError(DomainError):
-    """Input violates the hypotheses of a certified error bound."""
-
-
 class PrecisionError(WenumError):
     """Numeric procedure could not certify its result."""
 

@@ -55,10 +55,6 @@ def mul(p: Poly, q: Poly) -> Poly:
     return normalize(out)
 
 
-def scale(p: Poly, c) -> Poly:
-    return normalize(a * c for a in p)
-
-
 def divmod_exact(p: Poly, q: Poly):
     """Quotient and remainder over Q.  q must be nonzero."""
     if not q:

@@ -1,10 +1,10 @@
 """The GL2(C) stabilizer of a homogeneous weight enumerator.
 
 Finite/infinite dichotomy: the stabilizer is infinite exactly when the
-enumerator has at most two distinct roots (the three classified shapes);
-otherwise it is finite, and by Klein's classification of the finite
-subgroups of PGL2(C) (C_k and D_k with k <= d, A4, S4, A5) its order is
-at most n * max(2d, 60).
+enumerator has at most two distinct roots (the coordinate-subspace and
+pair-sum shapes of algebra.classify); otherwise it is finite, and by
+Klein's classification of the finite subgroups of PGL2(C) (C_k and D_k
+with k <= d, A4, S4, A5) its order is at most n * max(2d, 60).
 
 Finite case: PGL2(C) acts simply 3-transitively, so every stabilizing
 Moebius map is determined by the images (a, b, c) of the reference roots
@@ -350,7 +350,7 @@ def _finite_group(w, rootset, cls):
 def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Full stabilizer of the homogeneous enumerator.
 
-    Infinite verdict for the three two-root shapes; otherwise the verified
+    Infinite verdict for the two two-root shapes; otherwise the verified
     finite element list from one root solve at ROOT_EPS.  Raises
     PrecisionFailureError when those roots cannot tell candidate images
     apart.
@@ -585,17 +585,3 @@ def _scan_for_certificate(rootset: RootSet):
             first_bad = (*(int(i) for i in block[k]), int(j)), rows[k, j]
     t, r = first_bad
     return None, (t, tuple(int(i) for i in reps[full_row(r)[1]]))
-
-
-# --- the first-order Reed-Muller enumerator ---------------------------------
-
-
-def rm2_closed_form(m: int) -> WeightEnumerator:
-    """x^(2^m) + 2(2^m - 1) x^(2^(m-1)) y^(2^(m-1)) + y^(2^m), the weight
-    enumerator of the evaluation code of affine-linear binary forms."""
-    n = 2**m
-    cs = [0] * (n + 1)
-    cs[0] = 1
-    cs[n] = 1
-    cs[n // 2] = 2 * (2**m - 1)
-    return WeightEnumerator(cs)

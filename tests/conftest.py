@@ -1,5 +1,8 @@
-"""Shared test helpers: independent oracles and random code generation."""
+"""Shared test helpers: independent oracles, random code generation and
+the paper's invariant matrices D_Delta and S_q."""
 
+import cmath
+import math
 import random
 from itertools import product
 
@@ -68,3 +71,14 @@ def monomial_transform(rng, code):
 
 def seeded(name):
     return random.Random(f"wenum:{name}")
+
+
+def d_delta_matrix(delta):
+    """diag(1, zeta_Delta), the divisibility invariant."""
+    return ((1, 0), (0, cmath.exp(2j * cmath.pi / delta)))
+
+
+def self_dual_matrix(q):
+    """q^(-1/2) [[1, q-1], [1, -1]], the formal self-duality invariant."""
+    s = 1.0 / math.sqrt(q)
+    return ((s, s * (q - 1)), (s, -s))

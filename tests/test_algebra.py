@@ -1,22 +1,24 @@
 """MacWilliams transform, divisibility, FSD, and shape classification."""
 
+from itertools import combinations, product
+
+import numpy as np
 import pytest
 
-from conftest import random_code, seeded
+from conftest import d_delta_matrix, random_code, seeded, self_dual_matrix
 from wenum.algebra import (
     Shape,
     classify,
-    d_delta_matrix,
     distinct_root_count,
     divisibility,
     is_formally_self_dual,
     macwilliams,
-    self_dual_matrix,
     substitute_linear,
 )
 from wenum.codes import (
     LinearCode,
     WeightEnumerator,
+    decompose_case_c,
     direct_sum,
     dual,
     enumerate_weights,
@@ -24,7 +26,7 @@ from wenum.codes import (
     pair_sum_enumerator,
     zero_code_enumerator,
 )
-from wenum.errors import NotACodeEnumeratorError
+from wenum.errors import ClassificationError, NotACodeEnumeratorError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
 
@@ -125,8 +127,12 @@ def test_fsd_x2_code():
 
 
 def test_classify_shapes():
-    assert classify(zero_code_enumerator(5), 3).shape is Shape.ZERO_CODE
-    assert classify(full_space_enumerator(3, 5), 5).shape is Shape.FULL_SPACE
+    coordinate = Shape.COORDINATE_SUBSPACE
+    assert classify(zero_code_enumerator(5), 3).shape is coordinate
+    assert classify(full_space_enumerator(3, 5), 5).shape is coordinate
+    # GF(5)^2 + 0^3: x^3 (x + 4y)^2
+    w = zero_code_enumerator(3) * full_space_enumerator(2, 5)
+    assert classify(w, 5).shape is coordinate
     assert classify(pair_sum_enumerator(4, 4), 4).shape is Shape.PAIR_SUM
     res = classify(GLEASON, 2)
     assert res.shape is Shape.THREE_PLUS_ROOTS
@@ -142,9 +148,45 @@ def test_classify_rejects_non_enumerator():
         classify(WeightEnumerator((4, 4, 1)), 5)  # (x+2)^2 over GF(5)
 
 
-def test_classify_pair_sum_implies_decomposition():
-    from wenum.codes import decompose_case_c
+def _rref_generators(q, n):
+    """Every generator matrix over GF(q) of length n in reduced row-echelon
+    form, k = 0..n: one per subspace of GF(q)^n."""
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, n) if j not in pivots]
+            for values in product(range(q), repeat=len(free)):
+                gen = np.zeros((k, n), dtype=np.uint8)
+                gen[list(range(k)), list(pivots)] = 1
+                for (i, j), v in zip(free, values):
+                    gen[i, j] = v
+                yield gen
 
+
+@pytest.mark.parametrize("q, subspaces", [(3, 248), (4, 582), (5, 1194)])
+def test_classify_every_small_subspace(q, subspaces):
+    # the stabilizer is infinite exactly for the coordinate subspaces (every
+    # RREF row has weight 1; the zero code and the full space included) and
+    # for the codes that decompose_case_c splits into weight-2 blocks
+    count = 0
+    for n in range(1, 5):
+        for gen in _rref_generators(q, n):
+            code = LinearCode(GF(q), gen, n)
+            try:
+                decompose_case_c(code)
+                pairs = True
+            except ClassificationError:
+                pairs = False
+            if (np.count_nonzero(gen, axis=1) == 1).all():
+                want = Shape.COORDINATE_SUBSPACE
+            else:
+                want = Shape.PAIR_SUM if pairs else Shape.THREE_PLUS_ROOTS
+            assert classify(enumerate_weights(code), q).shape is want, gen
+            count += 1
+    assert count == subspaces  # 2024 for the three fields
+
+
+def test_classify_pair_sum_implies_decomposition():
     rng = seeded("gp")
     f5 = GF(5)
     pair = LinearCode(f5, [[1, 1]])
@@ -185,9 +227,9 @@ def test_substitute_linear_exact_identity():
 
 
 def test_invariant_matrices():
-    d4 = d_delta_matrix(4).as_complex()
+    d4 = d_delta_matrix(4)
     assert d4[0][0] == 1 and abs(d4[1][1] - 1j) < 1e-15
-    s2 = self_dual_matrix(2).as_complex()
+    s2 = self_dual_matrix(2)
     assert abs(s2[0][0] - 2**-0.5) < 1e-15
     assert abs(s2[1][1] + 2**-0.5) < 1e-15
     # both stabilize the Gleason polynomial

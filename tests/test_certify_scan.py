@@ -8,17 +8,11 @@ import pytest
 
 from conftest import random_code, seeded
 from wenum.algebra import classify, macwilliams
-from wenum.catalog import get_entry
+from wenum.catalog import get_entry, rm2_closed_form
 from wenum.codes import LinearCode, WeightEnumerator, enumerate_weights
 from wenum.reedmuller import reed_muller
 from wenum.roots import roots_of
-from wenum.stabilizer import (
-    ROOT_EPS,
-    _orbit_rows,
-    _reps,
-    _scan_for_certificate,
-    rm2_closed_form,
-)
+from wenum.stabilizer import ROOT_EPS, _orbit_rows, _reps, _scan_for_certificate
 
 V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 

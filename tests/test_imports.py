@@ -48,3 +48,10 @@ def test_verbs_do_not_import_numpy_ma():
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _run(code) == "False"
+
+
+def test_catalog_does_not_import_the_stabilizer():
+    # the catalog's fixtures are codes and closed forms; building them
+    # needs no stabilizer machinery
+    code = "import sys\nimport wenum.catalog\nprint('wenum.stabilizer' in sys.modules)\n"
+    assert _run(code) == "False"

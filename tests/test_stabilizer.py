@@ -11,30 +11,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_code, seeded
+from conftest import d_delta_matrix, random_code, seeded, self_dual_matrix
 from wenum.algebra import (
     classify,
-    d_delta_matrix,
     divisibility,
     is_formally_self_dual,
     macwilliams,
-    self_dual_matrix,
     substitute_linear,
 )
-from wenum.catalog import catalog
+from wenum.catalog import catalog, rm2_closed_form
 from wenum.codes import (
+    LinearCode,
     WeightEnumerator,
     enumerate_weights,
     full_space_enumerator,
     pair_sum_enumerator,
     zero_code_enumerator,
 )
-from wenum.errors import (
-    DegenerateInputError,
-    DomainError,
-    HypothesisViolationError,
-    PrecisionFailureError,
-)
+from wenum.errors import DegenerateInputError, DomainError, PrecisionFailureError
+from wenum.fields import GF
 from wenum.reedmuller import reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
@@ -47,7 +42,6 @@ from wenum.stabilizer import (
     certify_trivial,
     compute_stabilizer,
     cross_ratio,
-    rm2_closed_form,
     solve_moebius,
 )
 
@@ -83,6 +77,10 @@ def find_element(elements, matrix, tol=DEDUP_TOL):
         if matrix_distance(el.matrix, matrix) <= tol:
             return i
     return None
+
+
+class HypothesisViolationError(DomainError):
+    """Input violates the hypotheses of a certified error bound."""
 
 
 def certify_distinct_cross_ratios(x, eps: float, N: float) -> bool:
@@ -275,8 +273,8 @@ def test_gleason_group():
     els = rep.elements
     assert all(e.residual <= 1e-8 for e in els)
     # contains D_4 and S_2
-    d4 = d_delta_matrix(4).as_complex()
-    s2 = self_dual_matrix(2).as_complex()
+    d4 = d_delta_matrix(4)
+    s2 = self_dual_matrix(2)
     assert find_element(els, d4) is not None
     assert find_element(els, s2) is not None
     # group axioms under numeric matching
@@ -667,9 +665,9 @@ def test_paper_invariants_in_group(w, q, size):
     els = compute_stabilizer(w, q).elements
     delta = divisibility(w)
     if delta > 1:
-        assert find_element(els, d_delta_matrix(delta).as_complex()) is not None
+        assert find_element(els, d_delta_matrix(delta)) is not None
     if is_formally_self_dual(w, q, size):
-        assert find_element(els, self_dual_matrix(q).as_complex()) is not None
+        assert find_element(els, self_dual_matrix(q)) is not None
 
 
 @pytest.mark.parametrize("name", ["rm4_2_2", "rm4_3_2", "rm5_2_2", "prm5_3_2"])
@@ -689,6 +687,15 @@ def test_infinite_verdicts():
             pair_sum_enumerator(8, q),
         ):
             assert compute_stabilizer(w, q).verdict is Verdict.INFINITE
+
+
+def test_coordinate_subspace_is_infinite():
+    # GF(5) + 0 has W = x (x + 4y): two distinct roots, a zero coordinate
+    w = enumerate_weights(LinearCode(GF(5), [[1, 0]]))
+    assert w.coeffs == (0, 4, 1)
+    assert compute_stabilizer(w, 5).verdict is Verdict.INFINITE
+    with pytest.raises(DomainError, match=">= 5 distinct roots"):
+        certify_trivial(w, 5)
 
 
 def test_trivial_stabilizer_rm4_2_2():
@@ -901,7 +908,7 @@ def test_rm2_dual_invariant_nonscalar():
     el = rm2_dual_invariant_matrix(3)
     (a, b), (c, d) = el.matrix
     assert abs(b) > 0.1  # genuinely off-diagonal
-    for other in (d_delta_matrix(4).as_complex(), self_dual_matrix(2).as_complex()):
+    for other in (d_delta_matrix(4), self_dual_matrix(2)):
         assert matrix_distance(phase_normalize(el.matrix), phase_normalize(other)) > 0.1
 
 
