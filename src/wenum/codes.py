@@ -1,9 +1,15 @@
 """Linear codes over GF(q): enumeration, weight enumerators, duals.
 
-Enumeration is the hot loop.  Messages are split into a prefix (the
-first t symbols) and a suffix (the last j symbols).  Every codeword is
-one prefix combination p of the generator rows plus one suffix
-combination s, and its weight is n minus its zero count.  Coordinate c
+Enumeration is the hot loop, so it runs on the smaller side: an [n, k]
+code with 2k > n has a dual of only q^(n-k) words, and the MacWilliams
+transform of the dual's enumerator (algebra.macwilliams, exact integer
+arithmetic) is the code's.  `budget` therefore bounds q^min(k, n-k), the
+words actually counted.
+
+Messages of the counted code are split into a prefix (the first t
+symbols) and a suffix (the last j symbols).  Every codeword is one
+prefix combination p of the generator rows plus one suffix combination
+s, and its weight is n minus its zero count.  Coordinate c
 of p + s is zero exactly when s_c = -p_c, so no codeword needs to be
 built to count its zeros.  Both halves are held as per-value bitmasks
 (bit c of mask v of combination s is set when s_c = v), built straight
@@ -136,7 +142,12 @@ def pair_sum_enumerator(n: int, q: int) -> WeightEnumerator:
 
 
 def rref(field: FiniteField, mat: np.ndarray):
-    """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns)."""
+    """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
+
+    Each pivot clears its column in every other row with one table lookup
+    over the whole matrix: row i loses m[i, c] times the pivot row, and a
+    zero multiple leaves it as it is.
+    """
     m = np.array(mat, dtype=np.uint8, copy=True)
     rows, cols = m.shape if m.ndim == 2 else (0, 0)
     mulk = field.mul_table
@@ -146,20 +157,16 @@ def rref(field: FiniteField, mat: np.ndarray):
     for c in range(cols):
         if r == rows:
             break
-        pr = None
-        for i in range(r, rows):
-            if m[i, c]:
-                pr = i
-                break
-        if pr is None:
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
             continue
+        pr = r + below[0]
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        inv = field.inv(int(m[r, c]))
-        m[r] = mulk[inv, m[r]]
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = subk[m[i], mulk[int(m[i, c]), m[r]]]
+        m[r] = mulk[field.inv(int(m[r, c])), m[r]]
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m = subk[m, mulk[factors[:, None], m[r]]]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -177,13 +184,10 @@ def nullspace(field: FiniteField, mat: np.ndarray, n: int) -> np.ndarray:
     if mat.size == 0:
         return np.eye(n, dtype=np.uint8)
     red, pivots = rref(field, mat)
-    free = [c for c in range(n) if c not in pivots]
+    free = np.setdiff1d(np.arange(n), pivots)
     basis = np.zeros((len(free), n), dtype=np.uint8)
-    neg = field.neg_table
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for r, c in enumerate(pivots):
-            basis[row, c] = neg[red[r, f]]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.neg_table[red[: len(pivots)][:, free]].T
     return basis
 
 
@@ -371,24 +375,21 @@ def _scalar_classes(q, size):
     return np.concatenate(ranges)
 
 
-def enumerate_weights(
-    code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> WeightEnumerator:
-    """Exact weight enumerator by full codeword enumeration.
+def _count_weights(code, budget, workers):
+    """Weight enumerator of `code` by counting every codeword.
 
-    Rejects enumerations with more than `budget` codewords.  The prefix
-    and suffix combinations are built as per-value bitmasks by packed
-    doubling (_masks), and each prefix gives the zero counts of its block
-    (itself plus every suffix combination) by popcounts, without building
-    a codeword; a_i counts the words with i zeros, so the histogram of zero
-    counts is the enumerator.  The suffix combinations form a subspace S,
-    so for a nonzero scalar a the block of a*p is {a*p + s} = a*(block of
-    p), and scaling keeps every weight: the q - 1 prefixes of a scalar
-    class have one histogram.  Prefix 0 is counted once and one prefix per
-    class (_scalar_classes) q - 1 times.  With workers > 1 those
-    representatives are split into contiguous parts counted by a thread
-    pool, and counts merge by addition, so the result is exact regardless
-    of scheduling.  The total is checked against q^k.
+    The prefix and suffix combinations are built as per-value bitmasks by
+    packed doubling (_masks), and each prefix gives the zero counts of its
+    block (itself plus every suffix combination) by popcounts, without
+    building a codeword; a_i counts the words with i zeros, so the
+    histogram of zero counts is the enumerator.  The suffix combinations
+    form a subspace S, so for a nonzero scalar a the block of a*p is
+    {a*p + s} = a*(block of p), and scaling keeps every weight: the q - 1
+    prefixes of a scalar class have one histogram.  Prefix 0 is counted
+    once and one prefix per class (_scalar_classes) q - 1 times.  With
+    workers > 1 those representatives are split into contiguous parts
+    counted by a thread pool, and counts merge by addition, so the result
+    is exact regardless of scheduling.  The total is checked against q^k.
     """
     n = code.n
     negated, masks = _tables(code, budget)
@@ -413,6 +414,33 @@ def enumerate_weights(
             f"expected {code.size}"
         )
     return WeightEnumerator(counts.tolist())
+
+
+def enumerate_weights(
+    code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
+) -> WeightEnumerator:
+    """Exact weight enumerator, by counting the smaller of C and its dual.
+
+    With 2k <= n the q^k words of C are counted (_count_weights).  With
+    2k > n the q^(n-k) words of the dual are counted instead and W_C is
+    their exact MacWilliams transform, which raises unless every
+    coefficient divides.  Either way `budget` bounds the words counted,
+    q^min(k, n-k), and `workers` splits that count.  The count is checked
+    against the size of the side counted, and a transformed enumerator to
+    hold q^k words, exactly one of weight 0.
+    """
+    if 2 * code.k <= code.n:
+        return _count_weights(code, budget, workers)
+    from .algebra import macwilliams  # algebra imports this module
+
+    side = dual(code)
+    w = macwilliams(_count_weights(side, budget, workers), code.q, side.size)
+    if sum(w.coeffs) != code.size or w.coeffs[-1] != 1:
+        raise RuntimeError(
+            f"MacWilliams transform gives {sum(w.coeffs)} codewords, "
+            f"{w.coeffs[-1]} of weight 0; expected {code.size}, one"
+        )
+    return w
 
 
 def _combinations(field, rows, index):

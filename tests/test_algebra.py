@@ -5,7 +5,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import d_delta_matrix, random_code, seeded, self_dual_matrix
+from conftest import (
+    d_delta_matrix,
+    oracle_weight_coeffs,
+    random_code,
+    seeded,
+    self_dual_matrix,
+)
 from wenum.algebra import (
     Shape,
     classify,
@@ -46,16 +52,19 @@ def test_macwilliams_of_zero_code():
 
 
 def test_macwilliams_matches_dual_enumeration():
+    # enumerate_weights transforms the smaller side, so both sides are
+    # counted by the naive oracle instead
     rng = seeded("macwilliams")
     for q in (2, 3, 4, 5):
         for _ in range(4):
             n = rng.randrange(4, 10)
             k = rng.randrange(1, n)
-            if max(k, n - k) > 9:
+            if q ** max(k, n - k) > 1000:
                 continue
             code = random_code(rng, q, n, k)
-            w = enumerate_weights(code)
-            assert macwilliams(w, q, code.size) == enumerate_weights(dual(code))
+            w = WeightEnumerator(oracle_weight_coeffs(code))
+            want = WeightEnumerator(oracle_weight_coeffs(dual(code)))
+            assert macwilliams(w, q, code.size) == want
 
 
 def test_macwilliams_involution_prm():

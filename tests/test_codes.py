@@ -14,6 +14,7 @@ from conftest import (
     seeded,
 )
 from wenum import codes
+from wenum.algebra import macwilliams
 from wenum.catalog import catalog, get_entry, rm2_closed_form
 from wenum.codes import (
     LinearCode,
@@ -126,7 +127,7 @@ def _serial_pool(monkeypatch, drop=0):
 
 def test_workers_agree_with_single_thread(monkeypatch):
     rng = seeded("workers")
-    code = random_code(rng, 3, 10, 7)
+    code = random_code(rng, 3, 14, 7)  # 2k <= n: C itself is counted
     single = enumerate_weights(code)
     counted = _serial_pool(monkeypatch)
     assert enumerate_weights(code, workers=4) == single
@@ -144,8 +145,20 @@ def test_workers_agree_with_single_thread(monkeypatch):
 def test_enumeration_coverage_checked(monkeypatch):
     _serial_pool(monkeypatch, drop=1)
     monkeypatch.setattr("wenum.codes._BLOCK_CAP", 2)  # 4 prefixes, 4 parts
+    eye = np.eye(3, dtype=np.uint8)
     with pytest.raises(RuntimeError, match="counted 6 codewords, expected 8"):
-        enumerate_weights(LinearCode(GF(2), np.eye(3, dtype=np.uint8)), workers=4)
+        enumerate_weights(LinearCode(GF(2), np.hstack([eye, eye])), workers=4)
+
+
+def test_transformed_coverage_checked(monkeypatch):
+    code = LinearCode(GF(2), [[1, 1, 0], [0, 1, 1]])  # 2k > n: the dual is counted
+
+    def doubled(side, budget, workers):  # divisible, but two zero words
+        return WeightEnumerator([2 * c for c in oracle_weight_coeffs(side)])
+
+    monkeypatch.setattr("wenum.codes._count_weights", doubled)
+    with pytest.raises(RuntimeError, match="gives 8 codewords, 2 of weight 0"):
+        enumerate_weights(code)
 
 
 def _reference_masks(q, words):
@@ -242,7 +255,8 @@ def test_scalar_multiples_share_a_histogram(q, monkeypatch):
 
 
 def test_rm4_3_2_matches_benchmark_reference():
-    # 4^10 words: 16 prefixes at the default block cap
+    # k = 10 > n - k = 6: enumerate_weights counts the 4^6 dual words in one
+    # suffix table; codewords_of_weight walks the 4^10 words, 16 prefixes
     ref = json.loads(REFERENCE.read_text())["rm4_3_2"]
     code = get_entry("rm4_3_2").code
     assert (code.q, code.n, code.k) == (ref["q"], ref["n"], ref["k"])
@@ -258,10 +272,44 @@ def test_rm4_3_2_matches_benchmark_reference():
 
 
 def test_budget_rejected():
-    code = LinearCode(GF(2), np.eye(12, dtype=np.uint8))
+    eye = np.eye(12, dtype=np.uint8)
+    code = LinearCode(GF(2), np.hstack([eye, eye]))  # [24, 12]: C is counted
     with pytest.raises(EnumerationBudgetError) as err:
         enumerate_weights(code, budget=1000)
     assert "4096" in str(err.value)
+
+
+# q^k at most 1000 for the naive oracle; k = n, k = n - 1 and n - k = 2
+BIG_SIDE = {2: 9, 3: 6, 4: 4, 5: 4, 8: 3, 9: 3}
+
+
+@pytest.mark.parametrize("q", sorted(BIG_SIDE))
+def test_big_side_matches_oracle(q, monkeypatch):
+    k = BIG_SIDE[q]
+    rng = seeded(f"big-side-{q}")
+    for n in (k, k + 1, k + 2):
+        code = random_code(rng, q, n, k)
+        want = oracle_weight_coeffs(code)
+        for cap in (codes._BLOCK_CAP, q):  # q: the dual's words split by prefix
+            monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
+            for workers in (1, 3):
+                assert enumerate_weights(code, workers=workers).coeffs == want
+
+
+def test_budget_bounds_the_counted_side():
+    code = random_code(seeded("budget-side"), 2, 12, 9)  # 2^9 > budget >= 2^3
+    assert enumerate_weights(code, budget=2**3).coeffs == oracle_weight_coeffs(code)
+    with pytest.raises(EnumerationBudgetError) as err:
+        enumerate_weights(code, budget=2**3 - 1)
+    assert err.value.count == 2**3
+
+
+def test_rm5_4_2_at_default_budget():
+    code = reed_muller(5, 4, 2)  # [25, 15]; its dual is RM_5(3, 2)
+    assert code.size > codes.DEFAULT_BUDGET
+    w = enumerate_weights(code)
+    assert sum(w.coeffs) == 5**15
+    assert w == macwilliams(enumerate_weights(reed_muller(5, 3, 2)), 5, 5**10)
 
 
 def test_monomial_invariance():
@@ -309,6 +357,52 @@ def test_catalog_matches_stated_enumerators():
     assert stated
     for e in stated:
         assert enumerate_weights(e.code) == e.expected, e.name
+
+
+def _scalar_rref(field, mat):
+    """Reduced row-echelon form by scalar field operations, one row at a
+    time.  Returns (rows as lists, pivot columns)."""
+    m = [[int(x) for x in row] for row in mat]
+    pivots, r = [], 0
+    for c in range(mat.shape[1]):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                a = m[i][c]
+                m[i] = [field.sub(x, field.mul(a, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_rref_matches_scalar_reference(q):
+    field = GF(q)
+    rng = np.random.default_rng(100 + q)
+    mats = [np.zeros((0, 5), dtype=np.uint8), np.zeros((3, 4), dtype=np.uint8)]
+    for rows, cols in ((3, 7), (6, 6), (8, 5)):
+        drawn = rng.integers(0, q, (rows, cols), dtype=np.uint8)
+        deficient = drawn.copy()  # last row a combination of the first two
+        deficient[-1] = field.add_table[
+            field.mul_table[rng.integers(1, q), drawn[0]],
+            field.mul_table[rng.integers(0, q), drawn[1]],
+        ]
+        holes = drawn.copy()
+        holes[:, rng.choice(cols, 2, replace=False)] = 0  # zero columns
+        mats += [drawn, deficient, holes]
+    ranks = set()
+    for mat in mats:
+        red, pivots = codes.rref(field, mat)
+        want, want_pivots = _scalar_rref(field, mat)
+        assert red.dtype == np.uint8 and red.shape == mat.shape
+        assert red.tolist() == want and pivots == want_pivots
+        ranks.add(len(pivots) == min(mat.shape))
+    assert ranks == {True, False}  # full-rank and rank-deficient cases both ran
 
 
 def test_dual_of_full_space_is_zero():
