@@ -68,8 +68,8 @@ class WeightEnumerator:
         return len(self.coeffs) - 1
 
     def weight_count(self, w: int) -> int:
-        """Number of codewords of weight w."""
-        return self.coeffs[self.n - w]
+        """Number of codewords of weight w; 0 outside 0..n."""
+        return self.coeffs[self.n - w] if 0 <= w <= self.n else 0
 
     def evaluate(self, x, y=1):
         """Homogeneous evaluation sum a_i x^i y^(n-i)."""

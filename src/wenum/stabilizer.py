@@ -27,7 +27,9 @@ triple there) and is measured once: one substitution gives
 W(M) = lambda W, with lambda read at W's largest coefficient, and the
 relative coefficient residual of mu M, mu = lambda^(-1/n), which fixes W
 on the nose.  The n scalar twists zeta^k of mu M need no check of their
-own, since W has degree n and zeta^n = 1.  The group is the exact
+own, since W has degree n and zeta^n = 1; the report stores mu M alone,
+one per root permutation, and derives the twists when they are asked
+for (StabilizerReport.elements).  The group is the exact
 closure, over integer tuples, of the permutations whose residual is
 within VERIFY_TOL; a closure is a group by construction.  Every
 permutation of the closure must have been screened and rescaled, and n
@@ -146,7 +148,7 @@ class StabilizerElement:
     within `residual` (relative to max |a_i|), as measured once for its
     root permutation and shared by the n scalar twists.  An element
     accepted through closure under verified ones may carry a residual
-    above VERIFY_TOL."""
+    above VERIFY_TOL.  INFINITE and INCONCLUSIVE reports hold none (size 0)."""
 
     matrix: tuple
     residual: float
@@ -161,11 +163,14 @@ class CriticalTuple:
 
 @dataclass(frozen=True)
 class StabilizerReport:
+    """`projective` holds mu M for each root permutation of the group, in
+    screen order (the identity alone when TRIVIAL_CERTIFIED); `size` and
+    `elements` count and list its n scalar twists, with n read from
+    `classification`.  size is 0 for INFINITE and INCONCLUSIVE."""
+
     verdict: Verdict
     classification: ClassificationResult
-    degree: int
-    elements: tuple = ()
-    bound: int | None = None  # n * max(2d, 60): Klein's cap, finite case
+    projective: tuple = ()  # StabilizerElements, one per root permutation
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
     eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
     offending: tuple | None = None  # uncertifiable tuple, competitor's representative
@@ -173,7 +178,22 @@ class StabilizerReport:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.classification.n * len(self.projective)
+
+    @property
+    def elements(self) -> tuple:
+        """zeta^k mu M for each projective element mu M, then k = 0..n-1,
+        with zeta = exp(2 pi i / n); built anew on each access."""
+        n = self.classification.n
+        zeta = cmath.exp(2j * cmath.pi / n)
+        return tuple(
+            StabilizerElement(
+                matrix=tuple(tuple(zeta**k * v for v in row) for row in e.matrix),
+                residual=e.residual,
+            )
+            for e in self.projective
+            for k in range(n)
+        )
 
 
 # --- finite-group computation ------------------------------------------------
@@ -278,8 +298,8 @@ def _screen(rootset: RootSet):
 
 def _fixing(w: WeightEnumerator, mat):
     """mu M, with mu = lambda^(-1/n) for W(M) = lambda W read at W's
-    largest coefficient, and its relative coefficient residual; None when
-    lambda is zero or not finite."""
+    largest coefficient, as a StabilizerElement with its relative
+    coefficient residual; None when lambda is zero or not finite."""
     (a, b), (c, d) = mat
     got = substitute_linear(w.coeffs, a, b, c, d)
     top = max(w.coeffs)
@@ -288,7 +308,7 @@ def _fixing(w: WeightEnumerator, mat):
         return None
     mu = cmath.exp(-cmath.log(lam) / w.n)
     residual = max(abs(g / lam - v) for g, v in zip(got, w.coeffs)) / top
-    return ((mu * a, mu * b), (mu * c, mu * d)), residual
+    return StabilizerElement(((mu * a, mu * b), (mu * c, mu * d)), residual)
 
 
 def _closure(gens, d, limit=math.inf):
@@ -313,7 +333,7 @@ def _closure(gens, d, limit=math.inf):
 def _finite_group(w, rootset, cls):
     d = len(rootset.roots)
     fixing = {perm: _fixing(w, mat) for perm, mat in _screen(rootset).items()}
-    verified = [p for p, f in fixing.items() if f and f[1] <= VERIFY_TOL]
+    verified = [p for p, f in fixing.items() if f and f.residual <= VERIFY_TOL]
     # a group larger than the screened set cannot lie inside it
     group = _closure(verified, d, limit=len(fixing))
     unmeasured = sum(fixing.get(p) is None for p in group)
@@ -322,44 +342,30 @@ def _finite_group(w, rootset, cls):
             f"{unmeasured} root permutations generated by the verified ones "
             f"were not screened or not rescaled"
         )
-    n = w.n
-    if n * len(group) > cls.stabilizer_bound:
-        raise PrecisionFailureError(
-            f"group order {n * len(group)} above Klein's bound "
-            f"{cls.stabilizer_bound}"
-        )
-    zeta = cmath.exp(2j * cmath.pi / n)
-    elements = tuple(
-        StabilizerElement(
-            matrix=tuple(tuple(zeta**k * v for v in row) for row in mat),
-            residual=residual,
-        )
-        for mat, residual in (f for p, f in fixing.items() if p in group)
-        for k in range(n)
-    )
-    return StabilizerReport(
+    report = StabilizerReport(
         verdict=Verdict.FINITE_GROUP,
         classification=cls,
-        degree=n,
-        elements=elements,
-        bound=cls.stabilizer_bound,
+        projective=tuple(f for p, f in fixing.items() if p in group),
         eps=rootset.eps,
     )
+    if report.size > cls.stabilizer_bound:
+        raise PrecisionFailureError(
+            f"group order {report.size} above Klein's bound {cls.stabilizer_bound}"
+        )
+    return report
 
 
 def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Full stabilizer of the homogeneous enumerator.
 
     Infinite verdict for the two two-root shapes; otherwise the verified
-    finite element list from one root solve at ROOT_EPS.  Raises
+    finite group from one root solve at ROOT_EPS.  Raises
     PrecisionFailureError when those roots cannot tell candidate images
     apart.
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer:
-        return StabilizerReport(
-            verdict=Verdict.INFINITE, classification=cls, degree=w.n
-        )
+        return StabilizerReport(verdict=Verdict.INFINITE, classification=cls)
     return _finite_group(w, roots_of(w, ROOT_EPS), cls)
 
 
@@ -456,9 +462,7 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
         rootset = roots_of(w, ROOT_EPS)
     except PrecisionFailureError:
         # accuracy exhausted; report what we know, never "not trivial"
-        return StabilizerReport(
-            verdict=Verdict.INCONCLUSIVE, classification=cls, degree=w.n
-        )
+        return StabilizerReport(verdict=Verdict.INCONCLUSIVE, classification=cls)
     try:
         screened = _screen(rootset)
     except PrecisionFailureError:
@@ -466,11 +470,10 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     identity = tuple(range(len(rootset.roots)))
     for perm, mat in screened.items():
         fixing = _fixing(w, mat) if perm != identity else None
-        if fixing and fixing[1] <= VERIFY_TOL:
+        if fixing and fixing.residual <= VERIFY_TOL:
             return StabilizerReport(
                 verdict=Verdict.INCONCLUSIVE,
                 classification=cls,
-                degree=w.n,
                 eps=rootset.eps,
                 witness=perm,
             )
@@ -479,22 +482,13 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
         return StabilizerReport(
             verdict=Verdict.INCONCLUSIVE,
             classification=cls,
-            degree=w.n,
             offending=offending,
             eps=rootset.eps,
         )
-    n = w.n
-    zeta = cmath.exp(2j * cmath.pi / n)
-    elements = tuple(
-        StabilizerElement(matrix=((zeta**t, 0j), (0j, zeta**t)), residual=0.0)
-        for t in range(n)
-    )
     return StabilizerReport(
         verdict=Verdict.TRIVIAL_CERTIFIED,
         classification=cls,
-        degree=n,
-        elements=elements,
-        bound=cls.stabilizer_bound,
+        projective=(StabilizerElement(((1 + 0j, 0j), (0j, 1 + 0j)), 0.0),),
         certificate=found,
         eps=rootset.eps,
     )

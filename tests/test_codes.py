@@ -49,6 +49,15 @@ def test_pair_over_gf3():
     assert enumerate_weights(c).coeffs == (2, 0, 1)  # x^2 + 2
 
 
+def test_weight_count_outside_the_length():
+    w = WeightEnumerator((1, 0, 3))  # n = 2: one word of weight 2, three of 0
+    assert [w.weight_count(i) for i in range(-2, 6)] == [0, 0, 3, 0, 1, 0, 0, 0]
+    c = LinearCode(GF(3), [[1, 1]])
+    w = enumerate_weights(c)
+    for weight in (-1, 3, 4):
+        assert w.weight_count(weight) == len(codewords_of_weight(c, weight)) == 0
+
+
 def test_random_codes_match_oracle(monkeypatch):
     rng = seeded("oracle")
     for q in (2, 3, 4, 5):

@@ -280,7 +280,7 @@ def test_gleason_group():
     # group axioms under numeric matching
     ident = ((1, 0), (0, 1))
     assert find_element(els, ident) is not None
-    assert len(els) <= 8 * max(2 * 8, 60) == rep.bound  # n * max(2d, 60)
+    assert len(els) <= 8 * max(2 * 8, 60) == rep.classification.stabilizer_bound
     sample = els[:: max(1, len(els) // 12)]
     for e1 in sample:
         assert find_element(els, mat_inv(e1.matrix)) is not None
@@ -296,10 +296,45 @@ def test_scalar_twist_structure():
     n = GLEASON.n
     assert rep.size % n == 0
     zeta = cmath.exp(2j * cmath.pi / n)
-    for e in rep.elements[:: max(1, rep.size // 10)]:
+    els = rep.elements
+    for e in els[:: max(1, rep.size // 10)]:
         (a, b), (c, d) = e.matrix
         twisted = ((zeta * a, zeta * b), (zeta * c, zeta * d))
-        assert find_element(rep.elements, twisted) is not None
+        assert find_element(els, twisted) is not None
+
+
+@pytest.mark.parametrize("make, verdict, stored", [
+    pytest.param(lambda: compute_stabilizer(pair_sum_enumerator(8, 3), 3),
+                 Verdict.INFINITE, 0, id="infinite"),
+    pytest.param(lambda: compute_stabilizer(GLEASON, 2),
+                 Verdict.FINITE_GROUP, 24, id="finite-gleason"),
+    pytest.param(lambda: certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4),
+                 Verdict.TRIVIAL_CERTIFIED, 1, id="trivial-rm4_2_2"),
+    pytest.param(lambda: certify_trivial(GLEASON, 2),
+                 Verdict.INCONCLUSIVE, 0, id="witness-gleason"),
+])
+def test_report_stores_one_matrix_per_permutation(make, verdict, stored):
+    rep = make()
+    assert rep.verdict is verdict
+    fields = {f.name for f in dataclasses.fields(rep)}
+    assert not fields & {"degree", "bound", "elements"}
+    n = rep.classification.n
+    assert len(rep.projective) == stored
+    assert rep.size == n * len(rep.projective)
+    if verdict is Verdict.TRIVIAL_CERTIFIED:
+        assert rep.projective[0].matrix == ((1, 0), (0, 1))
+    # elements: the n twists of each projective element, permutation-major
+    els = rep.elements
+    assert len(els) == rep.size
+    for i, e in enumerate(rep.projective):
+        assert els[i * n] == e
+        scale = max(abs(v) for row in e.matrix for v in row)
+        for k in range(n):
+            got = els[i * n + k]
+            twist = cmath.rect(1, 2 * math.pi * k / n)
+            want = tuple(tuple(twist * v for v in row) for row in e.matrix)
+            assert got.residual == e.residual
+            assert matrix_distance(got.matrix, want) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
@@ -656,6 +691,13 @@ def _invariant_enumerators():
         dual, dual_size = macwilliams(w, 2, size), 2**w.n // size
         out.append(pytest.param(dual, 2, dual_size, id=f"rm2_1_{m}_dual"))
     return out
+
+
+def test_rm2_1_6_dual_stores_64_matrices():
+    w_dual = macwilliams(rm2_closed_form(6), 2, 2**7)
+    rep = _stabilizer(w_dual, 2)
+    assert len(rep.projective) == 64
+    assert rep.size == 4096
 
 
 @pytest.mark.parametrize("w, q, size", _invariant_enumerators())
