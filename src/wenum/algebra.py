@@ -25,28 +25,28 @@ from .codes import (
 from .errors import DomainError, NotACodeEnumeratorError
 
 
+def _times_linear(coeffs, u, v):
+    """Coefficients of (u*x + v*y) * H for H homogeneous with `coeffs`."""
+    return [v * h + u * g for g, h in zip([0, *coeffs], [*coeffs, 0])]
+
+
 def substitute_linear(coeffs, a, b, c, d):
     """Coefficients of W(a*x + b*y, c*x + d*y) for W given by `coeffs`.
 
-    Ring-generic binomial convolution: exact over ints/fractions, numeric
-    over complex.  Index i of the result holds the x^i y^(n-i) coefficient.
+    Homogeneous Horner in X = a*x + b*y and Y = c*x + d*y: T_n = w_n and
+    T_k = w_k Y^(n-k) + X T_(k+1), so W(X, Y) = T_0, with Y^(n-k) kept from
+    the step before.  Each step is O(n) ring operations, O(n^2) in all.
+    Ring-generic: exact over ints/fractions, numeric over complex.  Index i
+    of the result holds the x^i y^(n-i) coefficient.
     """
     n = len(coeffs) - 1
-    out = [0] * (n + 1)
-    for i, w in enumerate(coeffs):
-        if not w:
-            continue
-        # (a x + b y)^i as a coefficient list over s = x-degree
-        first = [math.comb(i, s) * a**s * b ** (i - s) for s in range(i + 1)]
-        second = [
-            math.comb(n - i, t) * c**t * d ** (n - i - t) for t in range(n - i + 1)
-        ]
-        for s, fs in enumerate(first):
-            if not fs:
-                continue
-            for t, sc in enumerate(second):
-                out[s + t] += w * fs * sc
-    return out
+    total, power = [coeffs[n]], [1]
+    for w in reversed(coeffs[:n]):
+        power = _times_linear(power, c, d)
+        total = _times_linear(total, a, b)
+        if w:
+            total = [t + w * p for t, p in zip(total, power)]
+    return total
 
 
 def macwilliams(w: WeightEnumerator, q: int, code_size: int) -> WeightEnumerator:

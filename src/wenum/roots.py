@@ -30,8 +30,10 @@ and if the disks are pairwise disjoint each one contains exactly one
 root.  Every double center is a dyadic rational, so all of them are
 written over one common power of two with Gaussian-integer numerators;
 p(z_j) and the differences z_j - z_k are then exact integers at a known
-scale, each squared radius is one exact fraction, and its square root is
-rounded outward.  A reported disk is a proof, not an estimate.
+scale, and each squared radius is a quotient of two exact integers.  One
+integer division and one integer square root round its root once, up,
+to the next double (`_sqrt_up`); no Fraction is used.  A reported disk
+is a proof, not an estimate.
 
 Certified radii cannot fall below the rounding of the double centers
 (about d * ulp(max |z|)); a finer target raises PrecisionFailureError.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -99,6 +100,7 @@ class RootSet:
     roots: tuple
     eps: float  # max radius
     N: float  # upper bound on the modulus of every true root
+    sweeps: tuple = ()  # Aberth sweeps of each Yun factor, in factor order
 
     def centers(self):
         return [r.center for r in self.roots]
@@ -110,24 +112,27 @@ class RootSet:
 # --- exact certification helpers -------------------------------------------
 
 
-def _sqrt_upper(fr: Fraction) -> Fraction:
-    """An upper bound on sqrt(fr) as a fraction (exact outward rounding)."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    if fr == 0:
-        return Fraction(0)
-    num, den = fr.numerator, fr.denominator
-    s = math.isqrt(num * den)
-    if s * s < num * den:
-        s += 1
-    return Fraction(s, den)
+def _sqrt_up(num: int, den: int) -> float:
+    """The smallest double >= sqrt(num / den), for integers num, den >= 0;
+    inf when den is 0 or the root is beyond the doubles.
 
-
-def _float_up(fr: Fraction) -> float:
-    x = float(fr)
-    while Fraction(x) < fr:
-        x = math.nextafter(x, math.inf)
-    return x
+    m = floor(num 4^k / den) has about 120 bits and s = isqrt(m) about 60,
+    so sqrt(num / den) is s 2^-k when the division and the root are exact
+    and lies strictly between s 2^-k and (s + 1) 2^-k otherwise, where no
+    double lies.  That integer is rounded up to 53 bits (fewer below the
+    normal range) and scaled by ldexp, exactly.
+    """
+    if not den:
+        return math.inf
+    if not num:
+        return 0.0
+    k = (120 - num.bit_length() + den.bit_length()) // 2
+    m, rem = divmod(num << 2 * k, den) if k >= 0 else divmod(num, den << -2 * k)
+    s = math.isqrt(m)
+    s += rem != 0 or s * s != m
+    drop = max(s.bit_length() - 53, k - 1074)
+    top, exp = -(-s >> drop), drop - k
+    return math.ldexp(top, exp) if top.bit_length() + exp <= 1024 else math.inf
 
 
 def _dyadic(centers):
@@ -166,13 +171,15 @@ def _scaled_values(poly, e, points):
 
 
 def certified_radii(poly, centers):
-    """Exact per-center inclusion radii (as Fractions) for `poly`.
+    """Per-center inclusion radii for `poly`, each the smallest double >=
+    the exact radius; inf where two centers coincide.
 
     poly must have integer coefficients; centers are complex doubles.  All
     centers are written over one power of two S = 2**e with Gaussian-integer
     numerators (`_dyadic`), so |S^d p(z_j)|^2 and every |S (z_j - z_k)|^2
     are integers and each squared radius
-    d^2 |p(z_j)|^2 / (lc^2 prod_k |z_j - z_k|^2) is one exact fraction.
+    d^2 |p(z_j)|^2 / (lc^2 prod_k |z_j - z_k|^2) is a quotient of two exact
+    integers.
     """
     d = polyx.degree(poly)
     lc = poly[-1]
@@ -187,9 +194,7 @@ def certified_radii(poly, centers):
             if k != j:
                 den2 *= (x - u) * (x - u) + (y - v) * (y - v)
         num2 = d * d * (are * are + aim * aim)
-        radii.append(_sqrt_upper(
-            Fraction(num2 << max(shift, 0), den2 << max(-shift, 0))
-        ))
+        radii.append(_sqrt_up(num2 << max(shift, 0), den2 << max(-shift, 0)))
     return radii
 
 
@@ -220,7 +225,7 @@ def _cauchy_bound(poly) -> float:
     d = polyx.degree(poly)
     lc = abs(poly[-1])
     top = max(abs(c) for c in poly[:-1]) if d else 0
-    return 1.0 + _float_up(Fraction(top, lc))
+    return 1.0 + _sqrt_up(top * top, lc * lc)
 
 
 def _fujiwara_bound(poly) -> float:
@@ -263,7 +268,8 @@ def _snap_real(z):
 
 
 def _aberth(poly, radius, tol):
-    """Centers for the d roots of poly, as a list of complex doubles.
+    """Centers for the d roots of poly, as a list of complex doubles, and
+    the number of sweeps in doubles.
 
     Aberth sweeps in doubles from the circle of the given radius, until
     the largest correction is at most tol or no sweep in a 40-sweep window
@@ -277,7 +283,7 @@ def _aberth(poly, radius, tol):
     best = math.inf
     since_best = 0
     with np.errstate(all="ignore"):
-        for _ in range(_SWEEP_CAP):
+        for sweeps in range(1, _SWEEP_CAP + 1):
             w = _aberth_step(z, np.polyval(coeffs, z), np.polyval(dcoeffs, z))
             z = z - w
             corr_max = np.abs(w).max()
@@ -300,7 +306,7 @@ def _aberth(poly, radius, tol):
     if not np.isfinite(z).all():
         raise PrecisionFailureError("Aberth iteration diverged")
     _snap_real(z)
-    return z.tolist()
+    return z.tolist(), sweeps
 
 
 def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
@@ -315,37 +321,40 @@ def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
     """
     if target_eps <= 0:
         raise DomainError("target_eps must be positive")
-    disks = []
+    disks, sweeps = [], []
     n_val = 0.0
     for f, m in sf.factors:
         d = polyx.degree(f)
         try:
             cauchy = _cauchy_bound(f)
-            centers = _aberth(f, min(cauchy, _fujiwara_bound(f)),
-                              0.25 * target_eps / d)
+            centers, count = _aberth(f, min(cauchy, _fujiwara_bound(f)),
+                                     0.25 * target_eps / d)
         except OverflowError as exc:
             raise PrecisionFailureError(
                 "coefficients or iterates beyond the range of doubles"
             ) from exc
         radii = certified_radii(f, centers)
-        radii_up = [_float_up(r) for r in radii]
         if max(radii) > target_eps:
             raise PrecisionFailureError(
-                f"certified radius {max(radii_up)} above eps={target_eps}"
+                f"certified radius {max(radii)} above eps={target_eps}"
             )
-        e, pts = _dyadic(centers)
-        n_f = _float_up(max(
-            _sqrt_upper(Fraction(x * x + y * y, 1 << 2 * e)) + r
-            for (x, y), r in zip(pts, radii)
-        ))
+        # max_j |z_j| + r_j <= top / 2^(e+64), each |S z_j| rounded up at 2^-64
+        e, pts = _dyadic([*centers, *map(complex, radii)])
+        top = 0
+        for (x, y), (r, _) in zip(pts, pts[d:]):
+            a2 = (x * x + y * y) << 128
+            s = math.isqrt(a2)
+            top = max(top, s + (s * s < a2) + (r << 64))
+        n_f = _sqrt_up(top * top, 1 << 2 * (e + 64))
         # every certified disk of f must sit inside f's Cauchy bound
-        if n_f > cauchy + 2 * max(radii_up):
+        if n_f > cauchy + 2 * max(radii):
             raise PrecisionFailureError(
                 "certified root bound exceeds the Cauchy bound"
             )
         n_val = max(n_val, n_f)
         disks += [Root(center=z, radius=r, multiplicity=m)
-                  for z, r in zip(centers, radii_up)]
+                  for z, r in zip(centers, radii)]
+        sweeps.append(count)
     disks.sort(key=lambda r: (r.center.real, r.center.imag))
     if not _disks_disjoint([r.center for r in disks],
                            [r.radius for r in disks]):
@@ -353,7 +362,7 @@ def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
             f"certified disks overlap at eps={target_eps}"
         )
     eps = max((r.radius for r in disks), default=0.0)
-    return RootSet(roots=tuple(disks), eps=eps, N=n_val)
+    return RootSet(roots=tuple(disks), eps=eps, N=n_val, sweeps=tuple(sweeps))
 
 
 def roots_of(w: WeightEnumerator, target_eps: float) -> RootSet:

@@ -1,7 +1,11 @@
 """MacWilliams transform, divisibility, FSD, and shape classification."""
 
+import hashlib
+import math
+from fractions import Fraction
 from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from wenum.algebra import (
     macwilliams,
     substitute_linear,
 )
+from wenum.catalog import catalog, rm2_closed_form
 from wenum.codes import (
     LinearCode,
     WeightEnumerator,
@@ -35,6 +40,8 @@ from wenum.codes import (
 from wenum.errors import ClassificationError, NotACodeEnumeratorError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
+from wenum.roots import roots_of
+from wenum.stabilizer import ROOT_EPS, _screen
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -233,6 +240,109 @@ def test_distinct_root_count_exact():
 def test_substitute_linear_exact_identity():
     coeffs = (3, 1, 4, 1, 5)
     assert substitute_linear(coeffs, 1, 0, 0, 1) == list(coeffs)
+
+
+def naive_substitute(coeffs, a, b, c, d):
+    """W(a x + b y, c x + d y): each monomial X^i Y^(n-i) multiplied out one
+    linear factor at a time, as a dict {x-degree: coefficient}."""
+    n = len(coeffs) - 1
+    out = [0] * (n + 1)
+    for i, w in enumerate(coeffs):
+        terms = {0: w}
+        for u, v in [(a, b)] * i + [(c, d)] * (n - i):
+            grown = {}
+            for s, t in terms.items():
+                grown[s + 1] = grown.get(s + 1, 0) + u * t
+                grown[s] = grown.get(s, 0) + v * t
+            terms = grown
+        for s, t in terms.items():
+            out[s] += t
+    return out
+
+
+def test_substitute_linear_matches_naive_expansion():
+    rng = seeded("substitute-naive")
+
+    def entry(exact):
+        v = rng.choice((0, rng.randint(-7, -1), rng.randint(1, 7)))
+        return Fraction(v, rng.randint(1, 5)) if exact else v
+
+    assert substitute_linear((5,), 2, -1, 0, 3) == [5]
+    for trial in range(200):
+        fractions = trial % 2 == 1
+        n = rng.randint(0, 14)
+        coeffs = [entry(fractions) * rng.randint(0, 10**6) for _ in range(n + 1)]
+        mat = [entry(fractions) for _ in range(4)]
+        got = substitute_linear(coeffs, *mat)
+        assert got == naive_substitute(coeffs, *mat)
+        assert len(got) == n + 1
+
+
+def mp_substitute(coeffs, a, b, c, d):
+    """The binomial expansion of W(a x + b y, c x + d y), in the arithmetic
+    of a, b, c, d."""
+    n = len(coeffs) - 1
+    pa, pb, pc, pd = ([v**k for k in range(n + 1)] for v in (a, b, c, d))
+    out = [0] * (n + 1)
+    for i, w in enumerate(coeffs):
+        if not w:
+            continue
+        second = [math.comb(n - i, t) * pc[t] * pd[n - i - t] for t in range(n - i + 1)]
+        for s in range(i + 1):
+            first = w * math.comb(i, s) * pa[s] * pb[i - s]
+            for t, v in enumerate(second):
+                out[s + t] += first * v
+    return out
+
+
+@pytest.mark.parametrize("w", [
+    lambda: enumerate_weights(projective_reed_muller(5, 3, 2)),
+    lambda: macwilliams(rm2_closed_form(5), 2, 2**6),
+    lambda: rm2_closed_form(5),
+], ids=["prm5_3_2", "rm2_1_5_dual", "rm2_1_5"])
+def test_substitute_linear_complex_matches_mpmath(w):
+    # every screened matrix; the error of each coefficient is measured
+    # against the same expansion with |w|, |a|, |b|, |c|, |d|, the scale of
+    # a running error bound (the matrices are not normalized, so W(M) can
+    # be far larger than W)
+    w = w()
+    mats = _screen(roots_of(w, ROOT_EPS))
+    assert mats
+    with mpmath.workdps(50):
+        for mat in mats.values():
+            entries = [v for row in mat for v in row]
+            want = mp_substitute(w.coeffs, *map(mpmath.mpc, entries))
+            scale = mp_substitute(w.coeffs, *map(abs, entries))
+            got = substitute_linear(w.coeffs, *entries)
+            for g, v, e in zip(got, want, scale, strict=True):
+                assert abs(g - v) <= 1e-13 * e
+
+
+def krawtchouk_dual(w, q, size):
+    """B_j = sum_i A_i K_j(i) / |C|, K_j(i) = sum_s (-1)^s (q-1)^(j-s)
+    C(i, s) C(n-i, j-s), with A_i the coefficient of x^(n-i) y^i."""
+    n = w.n
+    a = w.coeffs[::-1]
+    b = [sum(a[i] * sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s)
+                        * math.comb(n - i, j - s) for s in range(j + 1))
+             for i in range(n + 1)) for j in range(n + 1)]
+    assert all(v % size == 0 for v in b)
+    return tuple(v // size for v in b[::-1])
+
+
+def test_macwilliams_on_catalog_codes():
+    # Krawtchouk's formula per code, and a digest of every transform
+    # recorded with the binomial double loop this module used before Horner
+    rows = []
+    for e in catalog():
+        if e.code is not None:
+            w = enumerate_weights(e.code)
+            got = macwilliams(w, e.code.q, e.code.size).coeffs
+            assert got == krawtchouk_dual(w, e.code.q, e.code.size)
+            rows.append((e.name, got))
+    assert len(rows) == 11
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "2785e5c64932e5dbdd25c8ef70e2781efb7d376fe08abda7e1794ba2fd4fb6b6")
 
 
 def test_invariant_matrices():

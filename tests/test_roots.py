@@ -24,8 +24,9 @@ from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import (
     SquareFreeData,
     _disks_disjoint,
+    _SWEEP_CAP,
     _dyadic,
-    _float_up,
+    _sqrt_up,
     certified_radii,
     find_roots,
     roots_of,
@@ -201,19 +202,27 @@ def test_certified_containment_independent_check():
             assert bound <= root.radius * (1 + 1e-12) + 1e-300
 
 
-def _sqrt_up(fr):
+def _fraction_sqrt_up(fr):
     s = math.isqrt(fr.numerator * fr.denominator)
     if s * s < fr.numerator * fr.denominator:
         s += 1
     return Fraction(s, fr.denominator)
 
 
-def reference_radii(poly, centers):
-    """d * |p(z_j)| / (|lc| * prod_k |z_j - z_k|), term by term in Fractions,
-    its square root rounded up over the reduced denominator."""
+def _float_up(fr):
+    """The smallest double >= the fraction fr."""
+    x = float(fr)
+    while Fraction(x) < fr:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def exact_squared_radii(poly, centers):
+    """(d * |p(z_j)| / (|lc| * prod_k |z_j - z_k|))^2, term by term in
+    Fractions."""
     d = len(poly) - 1
     exact = [(Fraction(z.real), Fraction(z.imag)) for z in centers]
-    radii = []
+    out = []
     for j, (re, im) in enumerate(exact):
         pre, pim = Fraction(0), Fraction(0)
         for c in reversed(poly):
@@ -222,8 +231,25 @@ def reference_radii(poly, centers):
         for k, (re2, im2) in enumerate(exact):
             if k != j:
                 r2 /= (re - re2) ** 2 + (im - im2) ** 2
-        radii.append(_sqrt_up(r2))
-    return radii
+        out.append(r2)
+    return out
+
+
+def reference_radii(poly, centers):
+    """The exact radii, each square root rounded up over the reduced
+    denominator of the squared radius."""
+    return [_fraction_sqrt_up(r2) for r2 in exact_squared_radii(poly, centers)]
+
+
+def assert_smallest_double_above(radii, poly, centers):
+    """Each radius is a double, at least the exact radius, its predecessor
+    is below it, and it is the old reference rounded up."""
+    for r, r2, old in zip(radii, exact_squared_radii(poly, centers),
+                          reference_radii(poly, centers), strict=True):
+        assert isinstance(r, float)
+        assert Fraction(r) ** 2 >= r2
+        assert Fraction(math.nextafter(r, 0)) ** 2 < r2 or r == 0 == r2
+        assert r == _float_up(old)
 
 
 def _random_centers(rng, m, scales):
@@ -239,11 +265,11 @@ def test_certified_radii_match_fraction_oracle(d, tiny):
     poly = tuple(rng.randint(-10**6, 10**6) for _ in range(d)) + (rng.randint(1, 99),)
     # binary exponents from about -665 (1e-200) or -66 (1e-20) to +20
     centers = _random_centers(rng, d, (tiny, 1e-3, 1.0, 1e6))
-    assert certified_radii(poly, centers) == reference_radii(poly, centers)
+    assert_smallest_double_above(certified_radii(poly, centers), poly, centers)
     # zero and negative real and imaginary parts
     centers = [0j, -2.5 + 0j, 3j, -1e-200j, -7.25 - 1e6j][:d]
     centers += _random_centers(rng, d - len(centers), (1e-3, 1.0))
-    assert certified_radii(poly, centers) == reference_radii(poly, centers)
+    assert_smallest_double_above(certified_radii(poly, centers), poly, centers)
 
 
 def test_certified_radii_count_differs_from_degree():
@@ -251,7 +277,7 @@ def test_certified_radii_count_differs_from_degree():
     poly = (5, -3, 0, 2, 7, 1)
     for m in (2, 3, 8):
         centers = _random_centers(rng, m, (1e-5, 1.0, 1e3))
-        assert certified_radii(poly, centers) == reference_radii(poly, centers)
+        assert_smallest_double_above(certified_radii(poly, centers), poly, centers)
 
 
 def test_certified_radii_match_oracle_on_factors():
@@ -272,14 +298,14 @@ def test_certified_radii_match_oracle_on_factors():
 
     for f, _ in sf.factors:
         mine = sorted(centers, key=lambda z: abs(horner(f, z)))[: len(f) - 1]
-        assert certified_radii(f, mine) == reference_radii(f, mine)
+        assert_smallest_double_above(certified_radii(f, mine), f, mine)
     poly = squarefree_part(sf)
-    assert certified_radii(poly, centers) == reference_radii(poly, centers)
+    assert_smallest_double_above(certified_radii(poly, centers), poly, centers)
     sf = square_free(enumerate_weights(projective_reed_muller(5, 3, 2)))
     rs = find_roots(sf, 1e-12)
     poly = squarefree_part(sf)
     want = reference_radii(poly, rs.centers())
-    assert certified_radii(poly, rs.centers()) == want
+    assert_smallest_double_above(certified_radii(poly, rs.centers()), poly, rs.centers())
     # the stored double radius is the exact one rounded up, never down
     assert all(0 <= Fraction(r.radius) - w <= Fraction(r.radius) * 2.0**-52
                for r, w in zip(rs.roots, want))
@@ -306,8 +332,70 @@ def test_exact_radius_formula_matches_module():
     centers = [-1.7320508075688772j, 1.7320508075688772j]
     radii = certified_radii(poly, centers)
     for r in radii:
-        assert isinstance(r, Fraction)
-        assert r < Fraction(1, 10**12)
+        assert isinstance(r, float)
+        assert r < 1e-12
+
+
+def test_sqrt_up_is_the_smallest_double_above():
+    rng = random.Random(7)
+    cases = [(0, 1), (4, 1), (2, 1), (1, 2), (9, 4), (1, 1 << 2100), (3, 1 << 2100),
+             (1, 1 << 2200), (1, 1 << 2148), (5, 1 << 2148),
+             (int(1.7976931348623157e308) ** 2, 1)]
+    cases += [(rng.getrandbits(rng.randint(1, 3000)) + 1,
+               rng.getrandbits(rng.randint(1, 3000)) + 1) for _ in range(400)]
+    cases += [(v * v, 1) for v in (3, 2**53 + 1, 10**40)]
+    # exact divisions whose root lies just above a double
+    cases += [(v * v + 1, 1) for v in (2**50, 2**59, 3 * 2**40)]
+    for num, den in cases:
+        r = _sqrt_up(num, den)
+        if math.isinf(r):
+            assert Fraction(num, den) > Fraction(1.7976931348623157e308) ** 2
+            continue
+        assert Fraction(r) ** 2 >= Fraction(num, den)
+        assert Fraction(math.nextafter(r, 0)) ** 2 < Fraction(num, den) or r == 0 == num
+    assert _sqrt_up(4, 1) == 2.0 and _sqrt_up(1, 1 << 2100) == 2.0**-1050
+    assert _sqrt_up(1, 1 << 2200) == _sqrt_up(1, 1 << 2148) == math.ulp(0.0)
+    assert _sqrt_up(1 << 2100, 1) == math.inf
+    assert _sqrt_up(1, 0) == math.inf
+
+
+def _centers_from(monkeypatch, centers):
+    """find_roots takes `centers` as the iteration's output for every factor."""
+    monkeypatch.setattr("wenum.roots._aberth", lambda poly, radius, tol: (centers, 1))
+
+
+def test_coinciding_centers_give_infinite_radius(monkeypatch):
+    poly = (1, 0, 1)
+    assert certified_radii(poly, [1j, 1j]) == [math.inf, math.inf]
+    assert certified_radii(poly, [1j, 1j, 2j]) == [math.inf, math.inf, 6.0]
+    _centers_from(monkeypatch, [1j, 1j])
+    with pytest.raises(PrecisionFailureError, match="above eps"):
+        find_roots(SquareFreeData(((poly, 1),)), 1e-12)
+
+
+def test_radius_beyond_doubles_is_infinite(monkeypatch):
+    # x^5 + 1 at five centers near 1e300, 1e290 apart: |p(z)| ~ 1e1500
+    # against differences ~ 1e1160, so each exact radius is ~ 1e339
+    poly = (1, 0, 0, 0, 0, 1)
+    centers = [complex(1e300 + k * 1e290) for k in range(5)]
+    assert all(r2 > Fraction(1.7976931348623157e308) ** 2
+               for r2 in exact_squared_radii(poly, centers))
+    assert certified_radii(poly, centers) == [math.inf] * 5
+    _centers_from(monkeypatch, centers)
+    with pytest.raises(PrecisionFailureError, match="above eps"):
+        find_roots(SquareFreeData(((poly, 1),)), 1e-12)
+
+
+def test_sweeps_per_factor():
+    prm = enumerate_weights(projective_reed_muller(5, 3, 2))
+    for w in (GLEASON, prm):
+        rs = roots_of(w, ROOT_EPS)
+        assert len(rs.sweeps) == len(square_free(w).factors) == 1
+        assert 1 <= rs.sweeps[0] <= _SWEEP_CAP
+    w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
+    rs = roots_of(w, 1e-10)
+    assert len(rs.sweeps) == 3
+    assert all(1 <= s <= _SWEEP_CAP for s in rs.sweeps)
 
 
 def test_precision_failure_at_unreachable_eps():
