@@ -111,7 +111,6 @@ class Shape(Enum):
 class ClassificationResult:
     shape: Shape
     n: int
-    q: int
     distinct_roots: int | None = None  # ThreePlusRoots only
     stabilizer_bound: int | None = None  # n * max(2d, 60): Klein's finite cap
 
@@ -152,15 +151,15 @@ def classify(w: WeightEnumerator, q: int) -> ClassificationResult:
     d = distinct_root_count(w)
     if d >= 3:
         return ClassificationResult(
-            Shape.THREE_PLUS_ROOTS, n, q,
+            Shape.THREE_PLUS_ROOTS, n,
             distinct_roots=d,
             stabilizer_bound=n * max(2 * d, 60),
         )
     b = next(i for i, c in enumerate(w.coeffs) if c)  # the power of x
     if w == zero_code_enumerator(b) * full_space_enumerator(n - b, q):
-        return ClassificationResult(Shape.COORDINATE_SUBSPACE, n, q)
+        return ClassificationResult(Shape.COORDINATE_SUBSPACE, n)
     if n % 2 == 0 and w == pair_sum_enumerator(n, q):
-        return ClassificationResult(Shape.PAIR_SUM, n, q)
+        return ClassificationResult(Shape.PAIR_SUM, n)
     raise NotACodeEnumeratorError(
         f"{d} distinct roots but no admissible two-root shape for q={q}"
     )

@@ -29,6 +29,7 @@ addition.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,13 +51,16 @@ class WeightEnumerator:
 
     The one-variable polynomial is W(x) = sum a_i x^i; the homogeneous view
     W(x, y) = sum a_i x^i y^(n-i) is determined by the same coefficients.
-    Coefficients are arbitrary-precision ints.
+    Coefficients are Python or numpy integers, kept as arbitrary-precision ints.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(int(c) for c in coeffs)
+        try:
+            cs = tuple(operator.index(c) for c in coeffs)
+        except TypeError:
+            raise DomainError("weight enumerator needs integer coefficients") from None
         if not cs:
             raise DomainError("weight enumerator needs at least one coefficient")
         if any(c < 0 for c in cs):
@@ -70,11 +74,6 @@ class WeightEnumerator:
     def weight_count(self, w: int) -> int:
         """Number of codewords of weight w; 0 outside 0..n."""
         return self.coeffs[self.n - w] if 0 <= w <= self.n else 0
-
-    def evaluate(self, x, y=1):
-        """Homogeneous evaluation sum a_i x^i y^(n-i)."""
-        n = self.n
-        return sum(a * x**i * y ** (n - i) for i, a in enumerate(self.coeffs) if a)
 
     def __mul__(self, other):
         if not isinstance(other, WeightEnumerator):
@@ -97,7 +96,7 @@ class WeightEnumerator:
     def __repr__(self):
         return f"WeightEnumerator({self.poly_string()})"
 
-    def poly_string(self, homogeneous=True) -> str:
+    def poly_string(self) -> str:
         n = self.n
         terms = []
         for i in range(n, -1, -1):
@@ -107,7 +106,7 @@ class WeightEnumerator:
             factors = []
             if i:
                 factors.append("x" if i == 1 else f"x^{i}")
-            if homogeneous and n - i:
+            if n - i:
                 factors.append("y" if n - i == 1 else f"y^{n - i}")
             if a != 1 or not factors:
                 factors.insert(0, str(a))
@@ -173,16 +172,12 @@ def rref(field: FiniteField, mat: np.ndarray):
 
 
 def rank(field: FiniteField, mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
     _, pivots = rref(field, mat)
     return len(pivots)
 
 
 def nullspace(field: FiniteField, mat: np.ndarray, n: int) -> np.ndarray:
     """Basis (as rows) of {v : mat @ v = 0} over GF(q)."""
-    if mat.size == 0:
-        return np.eye(n, dtype=np.uint8)
     red, pivots = rref(field, mat)
     free = np.setdiff1d(np.arange(n), pivots)
     basis = np.zeros((len(free), n), dtype=np.uint8)
@@ -466,15 +461,13 @@ def _combinations(field, rows, index):
     return words
 
 
-def codewords_of_weight(
-    code: LinearCode, weight: int, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """All codewords of the given weight, one per row.
+def codewords_of_weight(code: LinearCode, weight: int) -> np.ndarray:
+    """All codewords of the given weight, one per row, of q^k <= DEFAULT_BUDGET.
 
     Zero counts pick the messages first; only the returned words are
     built.
     """
-    negated, masks = _tables(code, budget)
+    negated, masks = _tables(code, DEFAULT_BUDGET)
     size = masks.shape[2]
     zeros = _zero_counts(negated, masks)
     index = np.concatenate([
@@ -484,20 +477,18 @@ def codewords_of_weight(
     return _combinations(code.field, code.generator, index)
 
 
-def decompose_case_c(
-    code: LinearCode, budget: int = DEFAULT_BUDGET
-) -> tuple[tuple[int, int], ...]:
+def decompose_case_c(code: LinearCode) -> tuple[tuple[int, int], ...]:
     """Witness that a code with W = (x^2+(q-1))^(n/2), q != 2, is a direct
     sum of <(1,1)> blocks up to monomial equivalence.
 
     Returns n/2 disjoint coordinate pairs (0-based), each supporting a
-    weight-2 codeword, such that those codewords generate the code.
+    weight-2 codeword, which generate the code; W is enumerated at DEFAULT_BUDGET.
     """
     if code.q == 2:
         raise ClassificationError(
             "binary codes with W = (x^2+1)^(n/2) are not classified"
         )
-    w = enumerate_weights(code, budget=budget)
+    w = enumerate_weights(code)
     if code.n % 2 or w != pair_sum_enumerator(code.n, code.q):
         raise ClassificationError(
             "weight enumerator is not (x^2+(q-1))^(n/2)"

@@ -1,9 +1,9 @@
 """Certified complex roots of W(x, 1).
 
-Pipeline: exact Yun square-free decomposition W = c * prod f_m^m over Q;
-then, for each Yun factor f_m, the Aberth-Ehrlich iteration on f_m and an
-a-posteriori certificate computed in exact integer arithmetic from its
-integer coefficients, whose disks carry the multiplicity m.  The factors
+Pipeline: the exact Yun decomposition W = c * prod f_m^m over Q, as the
+(f_m, m) pairs of `square_free`; then `find_roots`, for each f_m: the
+Aberth-Ehrlich iteration on f_m and an a-posteriori certificate in exact
+integer arithmetic, whose disks carry the multiplicity m.  The factors
 are coprime, so once the disks of all factors are pairwise disjoint each
 holds exactly one distinct root of W, and its multiplicity is known by
 construction.
@@ -57,29 +57,15 @@ from .errors import (
 _SWEEP_CAP = 1000
 
 
-@dataclass(frozen=True)
-class SquareFreeData:
-    """Square-free decomposition of a weight enumerator.
-
-    `factors` lists Yun factors (poly, multiplicity) whose product with
-    multiplicities rebuilds W up to a positive constant; the factors are
-    square-free and coprime, so their roots are the distinct roots of W.
+def square_free(w: WeightEnumerator) -> tuple:
+    """Exact repeated-gcd (Yun) decomposition of W(x, 1): the (primitive
+    integer factor, multiplicity) pairs of `polyx.yun_squarefree`.  The
+    factors are square-free and coprime; their roots are W's distinct roots.
     """
-
-    factors: tuple
-
-    @property
-    def degree(self) -> int:
-        """The number of distinct roots of W."""
-        return sum(polyx.degree(f) for f, _ in self.factors)
-
-
-def square_free(w: WeightEnumerator) -> SquareFreeData:
-    """Exact repeated-gcd (Yun) decomposition of W(x, 1)."""
     p = tuple(w.coeffs)
     if polyx.degree(p) < 0:
         raise DomainError("zero polynomial has no square-free part")
-    return SquareFreeData(factors=tuple(polyx.yun_squarefree(p)))
+    return tuple(polyx.yun_squarefree(p))
 
 
 @dataclass(frozen=True)
@@ -309,10 +295,10 @@ def _aberth(poly, radius, tol):
     return z.tolist(), sweeps
 
 
-def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
+def find_roots(factors: tuple, target_eps: float) -> RootSet:
     """Certified disks for the distinct roots of W, one Yun factor at a time.
 
-    Each factor (f, m) gets centers from one Aberth iteration on f
+    Each `square_free` pair (f, m) gets centers from one Aberth iteration on f
     (`_aberth`), certified once against f and tagged with m; the merged
     disks are checked for disjointness once.  Raises PrecisionFailureError
     when a certified radius is above target_eps, or when the coefficients
@@ -323,7 +309,7 @@ def find_roots(sf: SquareFreeData, target_eps: float) -> RootSet:
         raise DomainError("target_eps must be positive")
     disks, sweeps = [], []
     n_val = 0.0
-    for f, m in sf.factors:
+    for f, m in factors:
         d = polyx.degree(f)
         try:
             cauchy = _cauchy_bound(f)

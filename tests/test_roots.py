@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from wenum import polyx
-from wenum.algebra import macwilliams
+from wenum.algebra import distinct_root_count, macwilliams
 from wenum.catalog import rm2_closed_form
 from conftest import random_code, seeded
 from wenum.codes import (
@@ -22,7 +22,6 @@ from wenum.errors import ClusterUnresolvedError, PrecisionFailureError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import (
-    SquareFreeData,
     _disks_disjoint,
     _SWEEP_CAP,
     _dyadic,
@@ -41,29 +40,31 @@ def squarefree_part(sf):
     """The primitive product of the Yun factors, whose roots are the
     distinct roots of W."""
     out = (1,)
-    for f, _ in sf.factors:
+    for f, _ in sf:
         out = polyx.mul(out, f)
     return polyx.primitive_int(out)
 
 
 def test_square_free_repeated_pair():
-    sf = square_free(pair_sum_enumerator(4, 4))  # (x^2+3)^2
-    assert sf.degree == 2
-    assert sf.factors == (((3, 0, 1), 2),)
+    w = pair_sum_enumerator(4, 4)  # (x^2+3)^2
+    sf = square_free(w)
+    assert distinct_root_count(w) == 2
+    assert sf == (((3, 0, 1), 2),)
 
 
 def test_square_free_gleason_is_squarefree():
     sf = square_free(GLEASON)
-    assert sf.degree == 8
-    assert sf.factors == ((GLEASON.coeffs, 1),)
+    assert distinct_root_count(GLEASON) == 8
+    assert sf == ((GLEASON.coeffs, 1),)
     d = polyx.monic_gcd(GLEASON.coeffs, polyx.derivative(GLEASON.coeffs))
     assert polyx.degree(d) == 0
 
 
 def test_square_free_x_cubed():
-    sf = square_free(zero_code_enumerator(3))
-    assert sf.degree == 1
-    assert sf.factors == (((0, 1), 3),)
+    w = zero_code_enumerator(3)
+    sf = square_free(w)
+    assert distinct_root_count(w) == 1
+    assert sf == (((0, 1), 3),)
 
 
 def test_square_free_reconstruction():
@@ -71,7 +72,7 @@ def test_square_free_reconstruction():
     for w in (GLEASON, pair_sum_enumerator(8, 3), zero_code_enumerator(5)):
         sf = square_free(w)
         prod = (1,)
-        for f, m in sf.factors:
+        for f, m in sf:
             for _ in range(m):
                 prod = polyx.mul(prod, f)
         ratio = Fraction(w.coeffs[-1], prod[-1])
@@ -106,14 +107,14 @@ def test_multiplicities_multi_factor():
     # (x+1)(x+2)^2(x^2+3)^3: three Yun factors with roots of modulus 1, 2
     # and sqrt(3)
     w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
-    assert len(square_free(w).factors) == 3
+    assert len(square_free(w)) == 3
     rs = roots_of(w, 1e-10)
     got = sorted((round(z.real), round(z.imag * z.imag), r.multiplicity)
                  for r in rs.roots for z in [r.center])
     assert got == [(-2, 0, 2), (-1, 0, 1), (0, 3, 3), (0, 3, 3)]
     # every radius is the Fraction oracle's against the disk's own Yun
     # factor, rounded up, and none is above 4.94e-16
-    for f, m in square_free(w).factors:
+    for f, m in square_free(w):
         mine = [r for r in rs.roots if r.multiplicity == m]
         want = reference_radii(f, [r.center for r in mine])
         assert [r.radius for r in mine] == [_float_up(r) for r in want]
@@ -154,7 +155,7 @@ def test_rm4_2_2_certified_disks():
     w = _enumerator(reed_muller(4, 2, 2))
     sf = square_free(w)
     rs = find_roots(sf, 1e-12)
-    assert len(rs) == sf.degree
+    assert len(rs) == distinct_root_count(w)
     # pairwise disjoint disks
     roots = rs.roots
     for i in range(len(roots)):
@@ -162,7 +163,7 @@ def test_rm4_2_2_certified_disks():
             sep = abs(roots[i].center - roots[j].center)
             assert sep > roots[i].radius + roots[j].radius
     # Vieta: sum and product of the (simple) roots against the coefficients
-    d = sf.degree
+    d = distinct_root_count(w)
     poly = squarefree_part(sf)
     lead = poly[-1]
     total = sum(rs.centers())
@@ -296,7 +297,7 @@ def test_certified_radii_match_oracle_on_factors():
             acc = acc * z + c
         return acc
 
-    for f, _ in sf.factors:
+    for f, _ in sf:
         mine = sorted(centers, key=lambda z: abs(horner(f, z)))[: len(f) - 1]
         assert_smallest_double_above(certified_radii(f, mine), f, mine)
     poly = squarefree_part(sf)
@@ -370,7 +371,7 @@ def test_coinciding_centers_give_infinite_radius(monkeypatch):
     assert certified_radii(poly, [1j, 1j, 2j]) == [math.inf, math.inf, 6.0]
     _centers_from(monkeypatch, [1j, 1j])
     with pytest.raises(PrecisionFailureError, match="above eps"):
-        find_roots(SquareFreeData(((poly, 1),)), 1e-12)
+        find_roots(((poly, 1),), 1e-12)
 
 
 def test_radius_beyond_doubles_is_infinite(monkeypatch):
@@ -383,14 +384,14 @@ def test_radius_beyond_doubles_is_infinite(monkeypatch):
     assert certified_radii(poly, centers) == [math.inf] * 5
     _centers_from(monkeypatch, centers)
     with pytest.raises(PrecisionFailureError, match="above eps"):
-        find_roots(SquareFreeData(((poly, 1),)), 1e-12)
+        find_roots(((poly, 1),), 1e-12)
 
 
 def test_sweeps_per_factor():
     prm = enumerate_weights(projective_reed_muller(5, 3, 2))
     for w in (GLEASON, prm):
         rs = roots_of(w, ROOT_EPS)
-        assert len(rs.sweeps) == len(square_free(w).factors) == 1
+        assert len(rs.sweeps) == len(square_free(w)) == 1
         assert 1 <= rs.sweeps[0] <= _SWEEP_CAP
     w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
     rs = roots_of(w, 1e-10)
@@ -408,7 +409,7 @@ def test_close_root_pair_is_unresolved():
     # near 1/100.  Radii within 1e-6 give overlapping disks; 1e-12 is below
     # what the double centers can certify.
     p = (-2, 400, -20000, 0, 0, 0, 0, 0, 1)
-    sf = SquareFreeData(((p, 1),))
+    sf = ((p, 1),)
     with pytest.raises(ClusterUnresolvedError):
         find_roots(sf, 1e-6)
     with pytest.raises(PrecisionFailureError):
@@ -422,7 +423,7 @@ def test_root_count_matches_squarefree_degree():
     w = enumerate_weights(projective_reed_muller(5, 3, 2))
     sf = square_free(w)
     rs = find_roots(sf, 1e-12)
-    assert len(rs) == sf.degree == 31
+    assert len(rs) == distinct_root_count(w) == 31
     assert rs.eps <= 1e-12
 
 

@@ -30,13 +30,14 @@ from wenum.codes import (
 )
 from wenum.errors import DegenerateInputError, DomainError, PrecisionFailureError
 from wenum.fields import GF
-from wenum.reedmuller import reed_muller
+from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
     StabilizerElement,
     Verdict,
     _closure,
+    _fixing,
     _scan_for_certificate,
     _screen,
     certify_trivial,
@@ -854,6 +855,44 @@ def test_certify_trivial_rm2_1_4_inconclusive():
     p_s = (z[s[0]] - z[s[2]]) * (z[s[1]] - z[s[3]])
     q_s = (z[s[0]] - z[s[3]]) * (z[s[1]] - z[s[2]])
     assert abs(p_t * q_s - q_t * p_s) <= 120 * rs.N**3 * rs.eps
+
+
+def test_certify_trivial_when_the_screen_fails(monkeypatch):
+    # the scan decides alone when the screen raises PrecisionFailureError
+    prm = enumerate_weights(projective_reed_muller(5, 3, 2))
+    rm = rm2_closed_form(4)
+    want = certify_trivial(prm, 5)
+    calls = []
+
+    def failing(rootset):
+        calls.append(len(rootset))
+        raise PrecisionFailureError("screen cannot tell images apart")
+
+    monkeypatch.setattr("wenum.stabilizer._screen", failing)
+    rep = certify_trivial(prm, 5)
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
+    assert rep.certificate == want.certificate and rep.eps == want.eps
+    # rm2_1_4: no screen witness, and the scan finds no certificate
+    rep = certify_trivial(rm, 2)
+    rs = roots_of(rm, ROOT_EPS)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.witness is None and rep.size == 0 and rep.eps == rs.eps
+    assert rep.offending == _scan_for_certificate(rs)[1]
+    assert rep.offending == ((0, 1, 2, 3), (4, 10, 6, 8))
+    assert calls == [31, 16]
+
+
+def test_fixing_rejects_zero_and_infinite_scales():
+    identity = _fixing(GLEASON, ((1, 0), (0, 1)))
+    assert identity is not None and identity.residual == 0
+    assert _fixing(GLEASON, ((0, 0), (0, 0))) is None  # lambda = 0
+    assert _fixing(GLEASON, ((math.inf, 0), (0, 1))) is None
+
+
+def test_scan_gives_up_at_wide_disks():
+    roots = tuple(Root(center=complex(k), radius=0.5, multiplicity=1)
+                  for k in range(5))
+    assert _scan_for_certificate(RootSet(roots=roots, eps=0.5, N=5.0)) == (None, None)
 
 
 def test_certify_trivial_rm2_1_6_witness():
