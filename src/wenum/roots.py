@@ -9,12 +9,20 @@ holds exactly one distinct root of W, and its multiplicity is known by
 construction.
 
 The iteration runs in numpy on the coefficients rounded to doubles and
-corrects all d approximations of a sweep at once, from a circle that
-encloses every root:
+corrects all d approximations of a sweep at once:
 
     z_j -= r_j / (1 - r_j * sum_{k != j} 1 / (z_j - z_k)),  r_j = p(z_j) / p'(z_j).
 
-Once doubles stall, one more step takes p(z_j) exactly at the double
+It starts from the Newton polygon of p (Bini, "Numerical computation of
+polynomial zeros by means of Aberth's method", Numer. Algorithms 13,
+1996): each edge of the upper convex hull of the points (k, log|a_k|)
+puts as many points as it is long on a circle of the radius its slope
+gives, close to the moduli of that many roots, and a root at 0 starts
+at 0, where it stays.  It stops when the largest correction is within
+the tolerance, or when the corrections stop falling while every
+|p(z_j)| lies within Higham's bound on the rounding of Horner's rule
+(Accuracy and Stability of Numerical Algorithms, ch. 5): doubles can
+resolve no more.  Then one more step takes p(z_j) exactly at the double
 centers; p' stays in doubles, as it only scales an already small
 correction.  Around that step, imaginary parts at most 2^-52 |Re z| are
 set to 0: real roots leave the iteration with imaginary parts of 1e-34
@@ -86,7 +94,9 @@ class RootSet:
     roots: tuple
     eps: float  # max radius
     N: float  # upper bound on the modulus of every true root
-    sweeps: tuple = ()  # Aberth sweeps of each Yun factor, in factor order
+    # sweeps: per Yun factor, in factor order, the Aberth corrections applied
+    # in doubles; the final step with the exact residual is not counted
+    sweeps: tuple = ()
 
     def centers(self):
         return [r.center for r in self.roots]
@@ -214,25 +224,31 @@ def _cauchy_bound(poly) -> float:
     return 1.0 + _sqrt_up(top * top, lc * lc)
 
 
-def _fujiwara_bound(poly) -> float:
-    """2 * max_i (|a_(d-i)|/|a_d|)^(1/i), another all-roots enclosure.
+def _start(coeffs):
+    """Initial approximations for the roots of the polynomial with the
+    double coefficients `coeffs`, highest degree first (Bini 1996).
 
-    Far tighter than the Cauchy bound when the middle coefficients are
-    huge (MacWilliams duals reach ~q^n scale); starting the iteration on
-    the Cauchy circle would overflow doubles there, since |z|^d can pass
-    1e308 already at degree ~30.
+    For each edge (i, j) of the upper convex hull of the points
+    (k, log|a_k|) with a_k != 0, j - i points on the circle of radius
+    (|a_i| / |a_j|)^(1/(j - i)), at angles 2 pi t / (j - i) + 0.4, off the
+    real axis; with a_0 = 0, one point at 0 for the root there.
     """
-    d = polyx.degree(poly)
-    lc = abs(poly[-1])
-    best = 0.0
-    for i in range(1, d + 1):
-        c = abs(poly[d - i])
-        if not c:
-            continue
-        # log via bit lengths stays safe for arbitrarily big ints
-        lg = (c.bit_length() - lc.bit_length() + 1) * math.log(2)
-        best = max(best, math.exp(lg / i))
-    return 2.0 * best if best else 1.0
+    a = np.abs(coeffs[::-1])
+    ks = np.flatnonzero(a)
+    logs = np.log(a[ks])
+    hull = []
+    for k, lk in zip(ks, logs):
+        while len(hull) >= 2:
+            (i, li), (j, lj) = hull[-2:]
+            if (lj - li) * (k - i) > (lk - li) * (j - i):
+                break
+            hull.pop()
+        hull.append((k, lk))
+    z = [np.zeros(ks[0])]
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        m = j - i
+        z.append(np.exp((li - lj) / m + 1j * (2 * np.pi * np.arange(m) / m + 0.4)))
+    return np.concatenate(z).astype(complex)
 
 
 def _aberth_step(z, pz, dpz):
@@ -253,35 +269,34 @@ def _snap_real(z):
     z.real[re <= 2.0**-52 * im] = 0
 
 
-def _aberth(poly, radius, tol):
+def _aberth(poly, tol):
     """Centers for the d roots of poly, as a list of complex doubles, and
     the number of sweeps in doubles.
 
-    Aberth sweeps in doubles from the circle of the given radius, until
-    the largest correction is at most tol or no sweep in a 40-sweep window
-    beat the running best by a factor 1.5 (doubles exhausted); then one
-    step with the exact residual p(z_j).
+    Aberth sweeps in doubles from the Newton-polygon start (`_start`),
+    until the largest correction is at most tol, or until it stops
+    falling while every |p(z_j)| is within Higham's rounding bound for
+    Horner, 2 d u sum_k |a_k| |z_j|^k with u = 2^-53 (doubles exhausted);
+    then one step with the exact residual p(z_j).
     """
     d = polyx.degree(poly)
     coeffs = np.array(poly[::-1], dtype=float)
     dcoeffs = np.polyder(coeffs)
-    z = radius * np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
-    best = math.inf
-    since_best = 0
+    horner = 2 * d * 2.0**-53
+    z = _start(coeffs)
+    prev = math.inf
     with np.errstate(all="ignore"):
         for sweeps in range(1, _SWEEP_CAP + 1):
-            w = _aberth_step(z, np.polyval(coeffs, z), np.polyval(dcoeffs, z))
-            z = z - w
+            pz = np.polyval(coeffs, z)
+            w = _aberth_step(z, pz, np.polyval(dcoeffs, z))
             corr_max = np.abs(w).max()
-            if corr_max <= tol:
+            stalled = corr_max >= prev and (
+                np.abs(pz) <= horner * np.polyval(np.abs(coeffs), np.abs(z))
+            ).all()
+            z = z - w
+            if stalled or not corr_max > tol:  # also when not a number
                 break
-            if corr_max * 1.5 <= best:
-                best = corr_max
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= 40:
-                    break
+            prev = corr_max
         if np.isfinite(z).all():
             _snap_real(z)
             e, pts = _dyadic(z.tolist())
@@ -313,8 +328,7 @@ def find_roots(factors: tuple, target_eps: float) -> RootSet:
         d = polyx.degree(f)
         try:
             cauchy = _cauchy_bound(f)
-            centers, count = _aberth(f, min(cauchy, _fujiwara_bound(f)),
-                                     0.25 * target_eps / d)
+            centers, count = _aberth(f, 0.25 * target_eps / d)
         except OverflowError as exc:
             raise PrecisionFailureError(
                 "coefficients or iterates beyond the range of doubles"

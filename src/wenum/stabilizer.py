@@ -23,15 +23,19 @@ and every rounding, are compared (the scan's expression for the tuple
 under which it matches are compared in full.  Each screened permutation
 gets its matrix M in closed form (the map sending the reference triple
 to (0, 1, inf), followed by the inverse of the one sending the image
-triple there) and is measured once: one substitution gives
-W(M) = lambda W, with lambda read at W's largest coefficient, and the
-relative coefficient residual of mu M, mu = lambda^(-1/n), which fixes W
-on the nose.  The n scalar twists zeta^k of mu M need no check of their
-own, since W has degree n and zeta^n = 1; the report stores mu M alone,
-one per root permutation, and derives the twists when they are asked
-for (StabilizerReport.elements).  The group is the exact
-closure, over integer tuples, of the permutations whose residual is
-within VERIFY_TOL; a closure is a group by construction.  Every
+triple there) and is measured once.  One substitution, on arrays of the
+entries of every non-identity M, gives each W(M) = lambda W, with lambda
+read at W's largest coefficient, and the relative coefficient residual
+of mu M, mu = lambda^(-1/n), which fixes W on the nose.  The identity
+permutation's map fixes three roots, so it is exactly I, with residual
+0, and needs no substitution.  The n scalar twists zeta^k of mu M need
+no check of their own, since W has degree n and zeta^n = 1; the report
+stores mu M alone, one per root permutation, and derives the twists
+when they are asked for (StabilizerReport.elements).  The group is the
+exact closure, over integer tuples, of the permutations whose residual
+is within VERIFY_TOL; a closure is a group by construction.  It is
+built breadth first over the kept generators only: a verified
+permutation already in the group generated so far adds nothing.  Every
 permutation of the closure must have been screened and rescaled, and n
 times the closure's order must stay within Klein's bound; otherwise
 PrecisionFailureError is raised.  A screened permutation outside the
@@ -98,6 +102,7 @@ _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
 _PAIRS = 1 << 18  # candidate pairs compared at once
 _TRIPLES = 4096  # image triples matched on root 3 at once by the screen
+_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> complex:
@@ -123,10 +128,13 @@ def solve_moebius(z, w):
 
     It is adj(M_w) M_z, where M_t sends the triple t to (0, 1, inf); the
     adjugate is the inverse up to a scalar, which the normalization
-    removes.  The returned matrix has largest-modulus entry 1.
+    removes.  The returned matrix has largest-modulus entry 1; a triple
+    sent to itself gives exactly I, the only map fixing three points.
     """
     if len(set(z)) != 3 or len(set(w)) != 3:
         raise DegenerateInputError("triples must be pairwise distinct")
+    if tuple(z) == tuple(w):
+        return _IDENTITY
     (p, q), (r, s) = _to_zero_one_inf(z)
     (e, f), (g, h) = _to_zero_one_inf(w)
     m = (h * p - f * r, h * q - f * s, e * r - g * p, e * s - g * q)
@@ -296,43 +304,67 @@ def _screen(rootset: RootSet):
     return {p: solve_moebius(ref, tuple(centers[i] for i in p[:3])) for p in perms}
 
 
-def _fixing(w: WeightEnumerator, mat):
-    """mu M, with mu = lambda^(-1/n) for W(M) = lambda W read at W's
-    largest coefficient, as a StabilizerElement with its relative
-    coefficient residual; None when lambda is zero or not finite."""
-    (a, b), (c, d) = mat
-    got = substitute_linear(w.coeffs, a, b, c, d)
+def _fixing(w: WeightEnumerator, mats):
+    """For each matrix M of `mats`, mu M with mu = lambda^(-1/n) for
+    W(M) = lambda W read at W's largest coefficient, as a
+    StabilizerElement with its relative coefficient residual; None where
+    lambda is zero or not finite.
+
+    One substitution carries all the matrices, as arrays of their entries;
+    the exact identity is W(I) = W, so it is passed through with residual 0.
+    """
+    out = [StabilizerElement(mat, 0.0) if mat == _IDENTITY else None for mat in mats]
+    todo = [i for i, e in enumerate(out) if e is None]
+    if not todo:
+        return out
+    flat = [[v for row in mats[i] for v in row] for i in todo]
+    entries = np.array(flat, dtype=complex).T  # rows a, b, c, d
     top = max(w.coeffs)
-    lam = got[w.coeffs.index(top)] / top
-    if lam == 0 or not cmath.isfinite(lam):
-        return None
-    mu = cmath.exp(-cmath.log(lam) / w.n)
-    residual = max(abs(g / lam - v) for g, v in zip(got, w.coeffs)) / top
-    return StabilizerElement(((mu * a, mu * b), (mu * c, mu * d)), residual)
+    with np.errstate(all="ignore"):
+        got = np.array(substitute_linear(w.coeffs, *entries))
+        lam = got[w.coeffs.index(top)] / top
+        mu = np.exp(-np.log(lam) / w.n)
+        coeffs = np.array(w.coeffs, dtype=float)[:, None]
+        residual = np.abs(got / lam - coeffs).max(axis=0) / top
+        scaled = (mu * entries).T.tolist()
+    ok = (lam != 0) & np.isfinite(lam)
+    for i, good, (a, b, c, d), r in zip(todo, ok, scaled, residual.tolist()):
+        if good:
+            out[i] = StabilizerElement(((a, b), (c, d)), r)
+    return out
 
 
 def _closure(gens, d, limit=math.inf):
     """The group of permutations of range(d) generated by `gens`, as a set
-    of integer tuples: breadth first from the identity, right-multiplying
-    by each generator.  A finite group needs no inverses.  The search stops
-    early once it holds more than `limit` permutations."""
-    identity = tuple(range(d))
-    group, frontier = {identity}, [identity]
-    while frontier and len(group) <= limit:
-        found = []
-        for p in frontier:
-            for g in gens:
-                r = tuple(p[i] for i in g)
-                if r not in group:
-                    group.add(r)
-                    found.append(r)
-        frontier = found
+    of integer tuples.  A generator already in the group is skipped; each
+    other one is kept, and the group is extended breadth first,
+    right-multiplying every member and every new one by each kept
+    generator.  A finite group needs no inverses.  The search stops early
+    once it holds more than `limit` permutations."""
+    group, kept = {tuple(range(d))}, []
+    for g in gens:
+        if len(group) > limit:
+            break
+        if g in group:
+            continue
+        kept.append(g)
+        frontier = list(group)
+        while frontier and len(group) <= limit:
+            found = []
+            for p in frontier:
+                for h in kept:
+                    r = tuple(p[i] for i in h)
+                    if r not in group:
+                        group.add(r)
+                        found.append(r)
+            frontier = found
     return group
 
 
 def _finite_group(w, rootset, cls):
     d = len(rootset.roots)
-    fixing = {perm: _fixing(w, mat) for perm, mat in _screen(rootset).items()}
+    screened = _screen(rootset)
+    fixing = dict(zip(screened, _fixing(w, list(screened.values()))))
     verified = [p for p, f in fixing.items() if f and f.residual <= VERIFY_TOL]
     # a group larger than the screened set cannot lie inside it
     group = _closure(verified, d, limit=len(fixing))
@@ -468,8 +500,8 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     except PrecisionFailureError:
         screened = {}  # the scan below decides on its own
     identity = tuple(range(len(rootset.roots)))
-    for perm, mat in screened.items():
-        fixing = _fixing(w, mat) if perm != identity else None
+    perms = [p for p in screened if p != identity]
+    for perm, fixing in zip(perms, _fixing(w, [screened[p] for p in perms])):
         if fixing and fixing.residual <= VERIFY_TOL:
             return StabilizerReport(
                 verdict=Verdict.INCONCLUSIVE,
@@ -488,7 +520,7 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     return StabilizerReport(
         verdict=Verdict.TRIVIAL_CERTIFIED,
         classification=cls,
-        projective=(StabilizerElement(((1 + 0j, 0j), (0j, 1 + 0j)), 0.0),),
+        projective=(StabilizerElement(_IDENTITY, 0.0),),
         certificate=found,
         eps=rootset.eps,
     )

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from wenum import polyx
@@ -26,6 +27,7 @@ from wenum.roots import (
     _SWEEP_CAP,
     _dyadic,
     _sqrt_up,
+    _start,
     certified_radii,
     find_roots,
     roots_of,
@@ -362,7 +364,7 @@ def test_sqrt_up_is_the_smallest_double_above():
 
 def _centers_from(monkeypatch, centers):
     """find_roots takes `centers` as the iteration's output for every factor."""
-    monkeypatch.setattr("wenum.roots._aberth", lambda poly, radius, tol: (centers, 1))
+    monkeypatch.setattr("wenum.roots._aberth", lambda poly, tol: (centers, 1))
 
 
 def test_coinciding_centers_give_infinite_radius(monkeypatch):
@@ -397,6 +399,56 @@ def test_sweeps_per_factor():
     rs = roots_of(w, 1e-10)
     assert len(rs.sweeps) == 3
     assert all(1 <= s <= _SWEEP_CAP for s in rs.sweeps)
+
+
+def test_start_circles_match_root_moduli():
+    # (1000x - 1)(x - 3)(x - 1000)(x^2 + 1): moduli 1e-3, 1, 1, 3, 1000.
+    # The points of each hull edge share one circle; sorted by modulus
+    # they pair with the sorted root moduli, each within a factor 4.
+    poly = (1,)
+    for f in ((-1, 1000), (-3, 1), (-1000, 1), (1, 0, 1)):
+        poly = polyx.mul(poly, f)
+    z = _start(np.array(poly[::-1], dtype=float))
+    assert len(z) == 5 and (z.imag != 0).all()
+    radii = sorted(np.abs(z))
+    assert len({round(r, 9) for r in radii}) == 4  # four hull edges
+    for r, want in zip(radii, (1e-3, 1, 1, 3, 1000)):
+        assert want / 4 <= r <= 4 * want
+
+
+def test_zero_root_starts_at_zero_and_certifies_exactly():
+    w = WeightEnumerator((0, 3, 0, 1))  # x (x^2 + 3)
+    z = _start(np.array(w.coeffs[::-1], dtype=float))
+    assert z[0] == 0 and (z[1:] != 0).all()
+    rs = roots_of(w, ROOT_EPS)
+    zero = [r for r in rs.roots if r.center == 0]
+    assert len(zero) == 1 and zero[0].radius == 0.0
+
+
+@pytest.mark.parametrize("m, cap", [(5, 15), (6, 25)])
+def test_dual_sweeps(m, cap):
+    # MacWilliams duals start on the Newton polygon's circles and stop at
+    # the rounding level of doubles; one circle of radius
+    # min(Cauchy, Fujiwara) and a 40-sweep stall window took 48 and 157
+    w = macwilliams(rm2_closed_form(m), 2, 2 ** (m + 1))
+    rs = roots_of(w, ROOT_EPS)
+    assert len(rs) == 2**m and len(rs.sweeps) == 1
+    assert rs.sweeps[0] <= cap
+
+
+def test_diverged_iteration_raises(monkeypatch):
+    def nan_step(z, pz, dpz):
+        return np.full_like(z, np.nan)
+
+    monkeypatch.setattr("wenum.roots._aberth_step", nan_step)
+    with pytest.raises(PrecisionFailureError, match="diverged"):
+        roots_of(GLEASON, ROOT_EPS)
+
+
+def test_roots_beyond_cauchy_bound_raise(monkeypatch):
+    monkeypatch.setattr("wenum.roots._cauchy_bound", lambda poly: 0.5)
+    with pytest.raises(PrecisionFailureError, match="Cauchy bound"):
+        roots_of(GLEASON, ROOT_EPS)
 
 
 def test_precision_failure_at_unreachable_eps():

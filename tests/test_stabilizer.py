@@ -34,6 +34,7 @@ from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
+    VERIFY_TOL,
     StabilizerElement,
     Verdict,
     _closure,
@@ -592,6 +593,51 @@ def test_closure():
     assert _closure([], 5) == {(0, 1, 2, 3, 4)}
 
 
+def _closure_oracle(gens, d):
+    """The fixed point of adding every product of two members, from the
+    identity and the generators; p[r] composes each pair at once, and
+    each permutation is keyed by its digits in base d."""
+    group = np.unique(np.array([tuple(range(d)), *gens]).reshape(-1, d), axis=0)
+    digits = d ** np.arange(d)
+    while True:
+        rows = np.vstack([group, group[:, group].reshape(-1, d)])
+        _, first = np.unique(rows @ digits, return_index=True)
+        if len(first) == len(group):
+            return {tuple(int(i) for i in p) for p in group}
+        group = rows[first]
+
+
+def test_closure_matches_product_fixed_point():
+    rng = seeded("closure")
+    perms = list(permutations(range(6)))
+    identity = tuple(range(6))
+    for _ in range(16):
+        gens = [perms[i] for i in rng.sample(range(len(perms)), rng.randint(0, 3))]
+        group = _closure_oracle(gens, 6)
+        assert _closure(gens, 6) == group
+        # generators already in the group, repeated and mixed in
+        extra = rng.sample(sorted(group), min(2, len(group)))
+        assert _closure([identity, *gens, *extra, *gens], 6) == group
+        if len(group) > 2:
+            limit = rng.randrange(1, len(group))
+            early = _closure(gens, 6, limit=limit)
+            assert limit < len(early) <= len(group) and early <= group
+        assert _closure(gens, 6, limit=len(group)) == group
+    # a transposition and a 6-cycle generate S_6; the search ends soon
+    # after passing the limit
+    gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    assert len(_closure(gens, 6)) == 720
+    assert 10 < len(_closure(gens, 6, limit=10)) < 100
+    for w in (GLEASON, rm2_closed_form(5)):
+        rs = roots_of(w, ROOT_EPS)
+        screened = _screen(rs)
+        verified = [p for p, f in zip(screened, _fixing(w, list(screened.values())))
+                    if f.residual <= VERIFY_TOL]
+        group = _closure(verified, len(rs))
+        assert group == _closure_oracle(verified, len(rs))
+        assert len(group) == len(verified) == len(screened)
+
+
 def test_one_substitution_per_screened_permutation(monkeypatch):
     calls = []
 
@@ -602,21 +648,24 @@ def test_one_substitution_per_screened_permutation(monkeypatch):
     monkeypatch.setattr("wenum.stabilizer.substitute_linear", counted)
     rep = compute_stabilizer(GLEASON, 2)
     assert rep.size == 192
-    assert len(calls) == 24  # one per root permutation, none per twist
+    # one call carrying the 23 non-identity permutations, none per twist;
+    # the identity's element is exact
+    assert len(calls) == 1
+    assert all(len(entry) == 23 for entry in calls[0][1:])
+    assert rep.projective[0] == StabilizerElement(((1, 0), (0, 1)), 0.0)
 
 
 def test_closure_accepts_unverified_element(monkeypatch):
-    # a defect forced on the second screened permutation (the first is the
-    # identity) fails verification; closure under the others restores it.
-    # It sits where W's coefficient is 0, so the scalar read off W's
-    # largest coefficient does not change.
+    # a defect forced on the first column of the batch (the first
+    # non-identity screened permutation) fails verification; closure under
+    # the others restores it.  It sits where W's coefficient is 0, so the
+    # scalar read off W's largest coefficient does not change.
     calls = []
 
     def defective(coeffs, a, b, c, d):
-        calls.append(((a, b), (c, d)))
+        calls.append(((a[0], b[0]), (c[0], d[0])))
         got = substitute_linear(coeffs, a, b, c, d)
-        if len(calls) == 2:
-            got[coeffs.index(0)] += got[coeffs.index(max(coeffs))] / 2
+        got[coeffs.index(0)][0] += got[coeffs.index(max(coeffs))][0] / 2
         return got
 
     monkeypatch.setattr("wenum.stabilizer.substitute_linear", defective)
@@ -625,7 +674,8 @@ def test_closure_accepts_unverified_element(monkeypatch):
     forced = [e for e in rep.elements if abs(e.residual - 0.5) <= 1e-9]
     assert len(forced) == GLEASON.n
     assert all(e.residual <= 1e-8 for e in rep.elements if e not in forced)
-    mat = calls[1]
+    assert len(calls) == 1
+    mat = calls[0]
     (a, b), (c, d) = mat
     assert abs(b) > 1e-6 or abs(c) > 1e-6 or abs(a - d) > 1e-6  # non-identity
     # the forced elements are zeta^k mu M, and mu M fixes W
@@ -883,10 +933,59 @@ def test_certify_trivial_when_the_screen_fails(monkeypatch):
 
 
 def test_fixing_rejects_zero_and_infinite_scales():
-    identity = _fixing(GLEASON, ((1, 0), (0, 1)))
+    identity, zero, infinite = _fixing(
+        GLEASON, [((1, 0), (0, 1)), ((0, 0), (0, 0)), ((math.inf, 0), (0, 1))]
+    )
     assert identity is not None and identity.residual == 0
-    assert _fixing(GLEASON, ((0, 0), (0, 0))) is None  # lambda = 0
-    assert _fixing(GLEASON, ((math.inf, 0), (0, 1))) is None
+    assert zero is None  # lambda = 0
+    assert infinite is None
+    assert _fixing(GLEASON, []) == []
+
+
+def _scalar_fixing(w, mat, got):
+    """mu M and its residual from the substitution `got` of M, in Python
+    complex arithmetic."""
+    top = max(w.coeffs)
+    lam = got[w.coeffs.index(top)] / top
+    mu = cmath.exp(-cmath.log(lam) / w.n)
+    residual = max(abs(g / lam - v) for g, v in zip(got, w.coeffs)) / top
+    return tuple(tuple(mu * v for v in row) for row in mat), residual
+
+
+def test_fixing_with_coefficients_above_int64():
+    # RM_2(1,7)^perp: n = 128, coefficients up to 1.9e35.  The batch holds
+    # Python ints above 2^63 against complex arrays, which NumPy 2 promotes
+    # as weak scalars.
+    w = macwilliams(rm2_closed_form(7), 2, 2**8)
+    assert max(w.coeffs) > 2**63
+    r = 2**-0.5
+    mats = [
+        ((1 + 0j, 0j), (0j, -1 + 0j)),  # every weight is even: fixes W
+        ((r + 0j, r + 0j), (r + 0j, -r + 0j)),
+        ((0.9 + 0.2j, -0.1j), (0.05 + 0j, 1.1 - 0.3j)),
+        ((cmath.exp(0.3j), 0j), (0.2 + 0j, cmath.exp(-0.1j))),
+    ]
+    a, b, c, d = np.array([[v for row in m for v in row] for m in mats]).T
+    batch = substitute_linear(w.coeffs, a, b, c, d)
+    elements = _fixing(w, mats)
+    for j, mat in enumerate(mats):
+        # each column against one scalar substitution, relative to the
+        # same Horner expansion taken in absolute values (Higham, ch. 5):
+        # the two differ only in the rounding of complex products
+        want = substitute_linear(w.coeffs, *(v for row in mat for v in row))
+        size = max(substitute_linear(w.coeffs, *(abs(v) for row in mat for v in row)))
+        column = [complex(col[j]) for col in batch]
+        assert max(abs(g - v) for g, v in zip(column, want)) <= 1e-15 * size
+        want_mat, want_res = _scalar_fixing(w, mat, column)
+        assert matrix_distance(elements[j].matrix, want_mat) <= 1e-15
+        assert abs(elements[j].residual - want_res) <= 1e-15 * max(1.0, want_res)
+    assert elements[0].residual == 0
+
+
+def test_certify_witness_is_first_verified_in_screen_order():
+    rs = roots_of(GLEASON, ROOT_EPS)
+    first = list(_screen(rs))[1]  # the first is the identity
+    assert certify_trivial(GLEASON, 2).witness == first
 
 
 def test_scan_gives_up_at_wide_disks():
