@@ -69,10 +69,18 @@ competitor within the threshold is missed; each gap compared is the same
 elementwise expression as a full row, so the verdict, the certificate
 and the offending pair are those of comparing all pairs of
 representatives.  The certificate's gaps and the offending competitor
-come from one full row each.  The tuples are walked in blocks of whole
+come from one full row each.  P and Q of the representatives are built
+by one broadcast product per first index (_cross_table), with no index
+array.  The scan opens with the full rows of (0, 1, 2, 3) and
+(0, 1, 2, 4), the first two tuples in lexicographic order: a full row
+decides its orbit exactly as the window does, so when both are critical
+they are the certificate, and nothing else is built.  Otherwise the
+projections are sorted and the tuples are walked in blocks of whole
 3-prefixes in lexicographic order; each tuple's orbit row is computed
 in closed form from its entries (_orbit_rows), each orbit is decided
 once, when first reached, and an early certificate ends the scan early.
+The representatives themselves (_reps) are built only to name the
+offending competitor.
 
 Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
@@ -404,12 +412,19 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 # --- triviality certificates --------------------------------------------------
 
 
+def _distinct(d):
+    """Which cells of the flattened d x d x d grid of index triples, in
+    lexicographic order, hold three distinct indices."""
+    ne = np.arange(d)[:, None] != np.arange(d)
+    return (ne[:, :, None] & ne[:, None, :] & ne).reshape(-1)  # i != j, i != k, j != k
+
+
 def _triples(d):
     """The ordered triples of distinct indices below d, one per row, in
     the order of permutations(range(d), 3), in the narrowest unsigned
     dtype that holds d."""
     t = np.indices((d,) * 3, dtype=np.min_scalar_type(d)).reshape(3, -1).T
-    return t[(t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])]
+    return t[_distinct(d)]
 
 
 def _reps(d):
@@ -463,6 +478,27 @@ def _cross_parts(diff, a, b, c, x):
     """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
     arrays that broadcast together, from diff[i, j] = z_i - z_j."""
     return diff[a, c] * diff[b, x], diff[a, x] * diff[b, c]
+
+
+def _cross_table(z):
+    """P and Q of every V4 representative (a, b, c, x) of the centers z, in
+    the order of _reps(len(z)), without building the representatives.
+
+    For each first index a, one broadcast product over the grid of the
+    triples (b, c, x) of indices above a gives the same elementwise
+    products as _cross_parts, operands in the same order; the cells with a
+    repeated index are dropped, which leaves the triples in lexicographic
+    order, as in _reps."""
+    d = len(z)
+    diff = z[:, None] - z
+    p, q = [], []
+    for a in range(d):
+        keep = _distinct(d - 1 - a)
+        rest = diff[a + 1 :, a + 1 :]  # diff[b, x] for b, x above a
+        head = diff[a, a + 1 :]  # diff[a, c] for c above a
+        p.append((head[None, :, None] * rest[:, None, :]).reshape(-1)[keep])
+        q.append((head[None, None, :] * rest[:, :, None]).reshape(-1)[keep])
+    return np.concatenate(p), np.concatenate(q)
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
@@ -527,15 +563,57 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
 
 
 def _scan_for_certificate(rootset: RootSet):
+    """(certificate, None) for the first two critical 4-tuples sharing a
+    3-prefix, in lexicographic order, as CriticalTuples; otherwise
+    (None, offending), the first tuple that meets a competitor and the
+    representative of that competitor's orbit; (None, None) when
+    eps >= 1/2, where no gap is certified.  Raises DomainError below 5
+    roots.
+
+    The competitors are the V4 representatives, with P and Q from
+    _cross_table.  The scan opens with the full rows of rows 0 and 1,
+    the representatives of (0, 1, 2, 3) and (0, 1, 2, 4), the first two
+    tuples of the first prefix: when both are critical they are the
+    certificate.  Otherwise the tuples are walked in blocks of prefixes,
+    and each orbit is decided once against the nearby representatives
+    only (see the module docstring).
+    """
     centers = rootset.centers()
     d = len(centers)
+    if d < 5:
+        raise DomainError(f"triviality certificate needs >= 5 roots, found {d}")
     eps, bigN = rootset.eps, rootset.N
     if eps >= 0.5:
         return None, None
     threshold = 120 * bigN**3 * eps
-    reps = _reps(d)  # the competitors, one per V4 orbit
-    z = np.array(centers)
-    p, q = _cross_parts(z[:, None] - z, *reps.T.astype(np.intp))
+    p, q = _cross_table(np.array(centers))  # the competitors, one per V4 orbit
+
+    def full_rows(rs):
+        """For each representative in rs, the smallest |a - b| against
+        every other representative, and the first one attaining it.
+
+        The rows share one complex block, reduced a row at a time, so only
+        one row's temporary lives beside it.  Freeing that block also lets
+        glibc serve the walk's pieces from the heap: with one block per
+        row, rm2_1_5's scan after rm2_1_4's took 1.5 times the page
+        faults."""
+        rs, at = np.asarray(rs), np.arange(len(rs))
+        diffs = p[rs, None] * q
+        for row, r in zip(diffs, rs):
+            row -= q[r] * p
+        diffs = np.abs(diffs)
+        diffs[at, rs] = np.inf
+        best = diffs.argmin(axis=1)
+        return diffs[at, best].tolist(), best.tolist()
+
+    def critical(t, gap):
+        return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
+
+    # a full row's minimum is exactly what the walk below decides for its
+    # orbit, and rows 0 and 1 are the first block's first two tuples
+    gaps = full_rows([0, 1])[0]
+    if min(gaps) > threshold:
+        return tuple(critical((0, 1, 2, x), g) for x, g in zip((3, 4), gaps)), None
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()
@@ -544,14 +622,6 @@ def _scan_for_certificate(rootset: RootSet):
     x = 0.6 * lam.real + 0.8 * lam.imag
     order = np.argsort(x)
     keys = x[order]
-
-    def full_row(r):
-        """Smallest |a - b| of representative r against every other
-        representative, and the first one attaining it."""
-        diffs = np.abs(p[r] * q - q[r] * p)
-        diffs[r] = np.inf
-        best = int(np.argmin(diffs))
-        return float(diffs[best]), best
 
     def uncertifiable(rows):
         """Whether each representative in rows has another representative
@@ -580,7 +650,7 @@ def _scan_for_certificate(rootset: RootSet):
         return bad
 
     triples = _triples(d)
-    known = np.zeros(len(reps), dtype=np.int8)  # 1 uncertifiable, 2 critical
+    known = np.zeros(len(p), dtype=np.int8)  # 1 uncertifiable, 2 critical
     first_bad = None
     for start in range(0, len(triples), _PREFIXES):
         block = triples[start : start + _PREFIXES]
@@ -594,20 +664,13 @@ def _scan_for_certificate(rootset: RootSet):
         done = np.flatnonzero(good.sum(axis=1) >= 2)
         if len(done):
             k = done[0]
-            certified = []
-            for j in np.flatnonzero(good[k])[:2]:
-                t = (*(int(i) for i in block[k]), int(j))
-                certified.append(
-                    CriticalTuple(
-                        indices=t,
-                        cross_ratio=cross_ratio(*(centers[i] for i in t)),
-                        gap=full_row(rows[k, j])[0],
-                    )
-                )
-            return tuple(certified), None
+            prefix = tuple(int(i) for i in block[k])
+            js = np.flatnonzero(good[k])[:2]
+            gaps = full_rows(rows[k, js])[0]
+            return tuple(critical((*prefix, int(j)), g) for j, g in zip(js, gaps)), None
         bad = verdict == 1
         if first_bad is None and bad.any():
             k, j = np.unravel_index(np.argmax(bad), bad.shape)
             first_bad = (*(int(i) for i in block[k]), int(j)), rows[k, j]
     t, r = first_bad
-    return None, (t, tuple(int(i) for i in reps[full_row(r)[1]]))
+    return None, (t, tuple(int(i) for i in _reps(d)[full_rows([r])[1][0]]))

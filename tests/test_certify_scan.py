@@ -1,5 +1,6 @@
 """The bucketed certificate scan against the all-pairs scans it replaces."""
 
+import math
 import tracemalloc
 from itertools import permutations, product
 
@@ -10,9 +11,18 @@ from conftest import random_code, seeded
 from wenum.algebra import classify, macwilliams
 from wenum.catalog import get_entry, rm2_closed_form
 from wenum.codes import LinearCode, WeightEnumerator, enumerate_weights
+from wenum.errors import DomainError
 from wenum.reedmuller import reed_muller
-from wenum.roots import roots_of
-from wenum.stabilizer import ROOT_EPS, _orbit_rows, _reps, _scan_for_certificate
+from wenum.roots import Root, RootSet, roots_of
+from wenum.stabilizer import (
+    ROOT_EPS,
+    _cross_parts,
+    _cross_table,
+    _orbit_rows,
+    _reps,
+    _scan_for_certificate,
+    solve_moebius,
+)
 
 V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
@@ -201,4 +211,69 @@ def test_scan_memory_prm5_3_2():
     finally:
         tracemalloc.stop()
     assert found is not None
-    assert peak <= 40 * 2**20
+    assert peak <= 16 * 2**20
+
+
+def hand_rootset(centers, eps=1e-13):
+    """Disks of radius eps around the given centers, in the given order."""
+    roots = tuple(Root(center=z, radius=eps, multiplicity=1) for z in centers)
+    return RootSet(roots=roots, eps=eps, N=float(math.ceil(max(map(abs, centers)))))
+
+
+def random_centers(rng, d):
+    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
+
+
+def _table_cases():
+    cases = []
+    for d in range(5, 13):
+        z = random_centers(seeded(f"table:{d}"), d)
+        cases.append(pytest.param(z, id=f"random{d}"))
+    prm = enumerate_weights(get_entry("prm5_3_2").code)
+    for name, w in (("prm5_3_2", prm), ("rm2_1_5", rm2_closed_form(5))):
+        cases.append(pytest.param(roots_of(w, ROOT_EPS).centers(), id=name))
+    return cases
+
+
+@pytest.mark.parametrize("centers", _table_cases())
+def test_cross_table_matches_gathers(centers):
+    # the gather-free table holds the very same doubles as gathering the
+    # representatives' entries
+    z = np.array(centers)
+    got = _cross_table(z)
+    want = _cross_parts(z[:, None] - z, *_reps(len(z)).T.astype(np.intp))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.float64), w.view(np.float64))
+
+
+def test_scan_needs_five_roots():
+    # four generic roots: every tuple is critical, but no prefix has two
+    # fourth entries, so no certificate can exist
+    z = [0j, 1 + 0j, 3 + 1j, -2 + 5j]
+    rootset = hand_rootset(z)
+    pq = [((z[a] - z[c]) * (z[b] - z[x]), (z[a] - z[x]) * (z[b] - z[c]))
+          for a, b, c, x in permutations(range(4)) if a == 0]
+    gaps = [abs(p * s - q * r) for i, (p, q) in enumerate(pq)
+            for j, (r, s) in enumerate(pq) if i != j]
+    assert min(gaps) > 120 * rootset.N**3 * rootset.eps
+    with pytest.raises(DomainError):
+        _scan_for_certificate(rootset)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("blocked", [3, 4])
+def test_scan_past_opening_rows(seed, blocked):
+    # z8 = M(z_blocked), with M the Moebius map sending (z0, z1, z2) to
+    # (z5, z6, z7): the tuple (0, 1, 2, blocked) shares its cross ratio
+    # with (5, 6, 7, 8), so the opening rows cannot certify and the walk
+    # decides
+    centers = random_centers(seeded(f"opening:{seed}"), 8)
+    (a, b), (c, d) = solve_moebius(centers[:3], centers[5:8])
+    z = centers[blocked]
+    rootset = hand_rootset(centers + [(a * z + b) / (c * z + d)])
+    found, offending = _scan_for_certificate(rootset)
+    assert found is not None and offending is None
+    assert found[0].indices[:3] == (0, 1, 2)
+    assert blocked not in (found[0].indices[3], found[1].indices[3])
+    found = tuple((t.indices, t.cross_ratio, t.gap) for t in found)
+    assert (found, offending) == reference_scan(rootset)
