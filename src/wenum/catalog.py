@@ -7,6 +7,7 @@ closed-form enumerator of the first-order binary Reed-Muller codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -147,15 +148,10 @@ def _entries():
     return out
 
 
-_CACHE = None
-
-
+@cache
 def catalog():
     """All entries, fixed order, built once."""
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = tuple(_entries())
-    return _CACHE
+    return tuple(_entries())
 
 
 def get_entry(name: str) -> CatalogEntry:

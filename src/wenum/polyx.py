@@ -1,22 +1,26 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
-Polynomials are tuples of coefficients in ascending order (index i holds
-the x^i coefficient), with no trailing zeros.  Coefficients are ints or
-fractions.Fraction; all operations are exact.  Degrees stay small here
-(weight enumerators have degree = code length), so the gcd is plain
-Euclid over Q, after one early exit for integer inputs: their images
-modulo the prime _P go through Euclid over GF(_P) first, and a nonzero
-constant gcd there proves them coprime over Q.  The exit is one-sided
-and sound: let g be the primitive integer gcd of p and q.  By Gauss's
-lemma g divides p and q in Z[x], so lc(g) divides lc(p); when _P does
-not divide lc(p), g modulo _P keeps its degree and divides both images,
-so deg gcd over Q <= deg gcd over GF(_P).  A nonconstant gcd modulo _P
-proves nothing, and Euclid over Q decides.
+Polynomials are tuples of int coefficients in ascending order (index i
+holds the x^i coefficient), with no trailing zeros.  A nonzero polynomial
+is primitive when its coefficients have gcd 1 and its leading coefficient
+is positive; each nonzero polynomial over Q has one rational multiple in
+that form, and a gcd over Q is returned in it.  Degrees stay small here
+(weight enumerators have degree = code length), so the gcd is a primitive
+pseudo-remainder sequence (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 6): each remainder is lc(b)^k a mod b, which stays in Z[x],
+with its content divided out.  One early exit comes first: the images of
+p and q modulo the prime _P go through Euclid over GF(_P), and a nonzero
+constant gcd there proves them coprime.  The exit is one-sided and sound:
+let g be the primitive gcd of p and q.  By Gauss's lemma g divides p and
+q in Z[x], so lc(g) divides lc(p); when _P does not divide lc(p), g
+modulo _P keeps its degree and divides both images, so deg g <= deg gcd
+over GF(_P).  A nonconstant gcd modulo _P proves nothing, and the
+sequence decides.  Gauss's lemma also keeps Yun's divisions in Z[x]: a
+primitive gcd divides its integer multiples there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 Poly = tuple
@@ -55,29 +59,21 @@ def mul(p: Poly, q: Poly) -> Poly:
     return normalize(out)
 
 
-def divmod_exact(p: Poly, q: Poly):
-    """Quotient and remainder over Q.  q must be nonzero."""
+def div_exact(p: Poly, q: Poly) -> Poly:
+    """p / q; ValueError unless the quotient lies in Z[x]."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(a) for a in p]
-    lead = Fraction(q[-1])
-    dq = len(q) - 1
-    quo = [Fraction(0)] * max(len(p) - dq, 0)
+    rem, dq = list(p), len(q) - 1
+    quo = [0] * max(len(p) - dq, 0)
     for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] / lead
-        if c == 0:
-            continue
+        c, r = divmod(rem[i], q[-1])
+        if r:
+            raise ValueError("inexact polynomial division")
         quo[i - dq] = c
-        for j, b in enumerate(q):
-            rem[i - dq + j] -= c * b
-    return normalize(quo), normalize(rem)
-
-
-def div_exact(p: Poly, q: Poly) -> Poly:
-    quo, rem = divmod_exact(p, q)
-    if rem:
+        rem[i - dq:i] = [u - c * v for u, v in zip(rem[i - dq:i], q)]
+    if any(rem[:dq]):
         raise ValueError("inexact polynomial division")
-    return quo
+    return normalize(quo)
 
 
 def derivative(p: Poly) -> Poly:
@@ -85,8 +81,8 @@ def derivative(p: Poly) -> Poly:
 
 
 def _coprime_mod_p(p: Poly, q: Poly) -> bool:
-    """Whether integer p and q have a nonzero constant gcd modulo _P, and
-    _P does not divide lc(p): then they are coprime over Q."""
+    """Whether p and q have a nonzero constant gcd modulo _P, and _P does
+    not divide lc(p): then they are coprime over Q."""
     if not p or p[-1] % _P == 0:
         return False
     a, b = [c % _P for c in p], list(normalize(c % _P for c in q))
@@ -102,41 +98,42 @@ def _coprime_mod_p(p: Poly, q: Poly) -> bool:
     return len(a) == 1
 
 
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder lc(b)^k a mod b in Z[x], k <= deg a - deg b + 1."""
+    a = list(a)
+    while len(a) >= len(b):  # a = lc(b) a - lc(a) x^shift b
+        c, shift = a[-1], len(a) - len(b)
+        a[:shift] = [b[-1] * u for u in a[:shift]]
+        a[shift:-1] = [b[-1] * u - c * v for u, v in zip(a[shift:-1], b)]
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return tuple(a)
+
+
 def monic_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q (1-tuple for coprime inputs, () only if both zero)."""
-    if all(type(c) is int for c in p + q) and _coprime_mod_p(p, q):
-        return (Fraction(1),)
+    """Gcd over Q in primitive form ((1,) for coprime inputs, () only if
+    both are zero).  perfbench/trace.py patches it by this name."""
+    if _coprime_mod_p(p, q):
+        return (1,)
     a, b = p, q
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return normalize(Fraction(c) / Fraction(a[-1]) for c in a)
+        a, b = b, primitive_int(_prem(a, b))
+    return primitive_int(a)
 
 
 def primitive_int(p: Poly) -> Poly:
-    """Integer form with content 1 and positive leading coefficient."""
+    """The primitive form: content 1 and positive leading coefficient."""
     if not p:
         return ()
-    fracs = [Fraction(c) for c in p]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // int_gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, v)
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    g = int_gcd(*p) if p[-1] > 0 else -int_gcd(*p)
+    return tuple(v // g for v in p)
 
 
 def yun_squarefree(p: Poly):
     """Yun decomposition p = const * prod f_i^i with f_i square-free, coprime.
 
-    Returns a list of (factor, multiplicity) with factor in primitive integer
+    Returns a list of (factor, multiplicity) with factor in primitive
     form and deg(factor) > 0, in increasing multiplicity order.
     """
     if degree(p) < 1:
@@ -152,10 +149,9 @@ def yun_squarefree(p: Poly):
     while degree(c) > 0:
         f = monic_gcd(c, d)
         if degree(f) > 0:
-            out.append((primitive_int(f), i))
+            out.append((f, i))
         c2 = div_exact(c, f)
         d = sub(div_exact(d, f), derivative(c2))
         c = c2
         i += 1
     return out
-

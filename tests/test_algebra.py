@@ -40,7 +40,7 @@ from wenum.codes import (
 from wenum.errors import ClassificationError, NotACodeEnumeratorError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
-from wenum.roots import roots_of
+from wenum.roots import roots_of, square_free
 from wenum.stabilizer import ROOT_EPS, _screen
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
@@ -200,6 +200,18 @@ def test_classify_every_small_subspace(q, subspaces):
             assert classify(enumerate_weights(code), q).shape is want, gen
             count += 1
     assert count == subspaces  # 2024 for the three fields
+
+
+def test_classify_prm4_2_3_dual():
+    # n = 85, coefficients up to 147 bits and a root of multiplicity 5: the
+    # gcd takes the primitive remainder sequence, and Yun divides in Z[x]
+    code = projective_reed_muller(4, 2, 3)
+    w = macwilliams(enumerate_weights(code), 4, 4**code.k)
+    assert max(w.coeffs).bit_length() == 147
+    res = classify(w, 4)
+    assert res.shape is Shape.THREE_PLUS_ROOTS
+    assert res.distinct_roots == 81
+    assert [(len(f) - 1, i) for f, i in square_free(w)] == [(80, 1), (1, 5)]
 
 
 def test_classify_pair_sum_implies_decomposition():

@@ -1,7 +1,10 @@
-"""monic_gcd's early exit modulo a prime against plain rational Euclid."""
+"""The integer polynomial layer against plain rational Euclid: monic_gcd's
+early exit modulo a prime, the primitive remainder sequence behind it,
+exact division in Z[x] and Yun's decomposition."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -10,20 +13,35 @@ from wenum import polyx
 P = 2**61 - 1
 
 
+def rem_over_q(a, b):
+    """a mod b over Q, as a list of Fractions (empty for zero)."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        c, shift = a[-1] / b[-1], len(a) - len(b)
+        for j, v in enumerate(b):
+            a[shift + j] -= c * v
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
 def euclid_over_q(p, q):
     """Monic gcd by Euclid over Fractions, written out here: shares no
     code with polyx."""
     a = [Fraction(c) for c in p]
     b = [Fraction(c) for c in q]
     while b:
-        while len(a) >= len(b):  # a mod b
-            c, shift = a[-1] / b[-1], len(a) - len(b)
-            for j, v in enumerate(b):
-                a[shift + j] -= c * v
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
+        a, b = b, rem_over_q(a, b)
     return tuple(c / a[-1] for c in a)
+
+
+def primitive(p):
+    """The integer multiple of rational p with content 1 and positive
+    leading coefficient."""
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(Fraction(c) * den) for c in p]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def random_int_poly(rng, deg, bound=9):
@@ -33,15 +51,15 @@ def random_int_poly(rng, deg, bound=9):
 
 @pytest.fixture
 def exact_steps(monkeypatch):
-    """Counts the polynomial divisions of the exact Euclid."""
+    """Counts the pseudo-remainders of the exact gcd."""
     calls = []
 
-    def counted(p, q):
+    def counted(a, b):
         calls.append(1)
-        return divmod_exact(p, q)
+        return prem(a, b)
 
-    divmod_exact = polyx.divmod_exact
-    monkeypatch.setattr(polyx, "divmod_exact", counted)
+    prem = polyx._prem
+    monkeypatch.setattr(polyx, "_prem", counted)
     return calls
 
 
@@ -54,7 +72,7 @@ def test_square_factor_never_exits():
         dp = polyx.derivative(p)
         assert not polyx._coprime_mod_p(p, dp)
         got = polyx.monic_gcd(p, dp)
-        assert got == euclid_over_q(p, dp)
+        assert got == primitive(euclid_over_q(p, dp))
         assert polyx.degree(got) >= polyx.degree(f)
 
 
@@ -68,7 +86,7 @@ def test_square_free_exits_with_rational_result(exact_steps):
             continue  # not square-free
         tried += 1
         assert polyx._coprime_mod_p(p, dp)
-        assert polyx.monic_gcd(p, dp) == (Fraction(1),) == euclid_over_q(p, dp)
+        assert polyx.monic_gcd(p, dp) == (1,) == euclid_over_q(p, dp)
     assert not exact_steps  # the exit decided every one
 
 
@@ -78,12 +96,54 @@ def test_lead_divisible_by_prime_takes_exact_path(exact_steps):
     g = (1, P)
     p, q = polyx.mul(g, (2, 1)), polyx.mul(g, (3, 1))
     assert not polyx._coprime_mod_p(p, q)
-    assert polyx.monic_gcd(p, q) == euclid_over_q(p, q) == (Fraction(1, P), 1)
+    assert euclid_over_q(p, q) == (Fraction(1, P), 1)
+    assert polyx.monic_gcd(p, q) == primitive(euclid_over_q(p, q)) == (1, P)
     assert exact_steps
 
 
-def test_fraction_inputs_take_exact_path(exact_steps):
-    p = (Fraction(1, 2), Fraction(0), Fraction(3))
-    q = (Fraction(-1), Fraction(2, 3))
-    assert polyx.monic_gcd(p, q) == euclid_over_q(p, q) == (Fraction(1),)
-    assert exact_steps
+def test_div_exact_stays_in_integers():
+    with pytest.raises(ValueError):
+        polyx.div_exact((2, 2), (4, 4))  # the quotient 1/2 is not in Z[x]
+    with pytest.raises(ValueError):
+        polyx.div_exact((1, 0, 1), (1, 1))  # a nonzero remainder
+    rng = random.Random(3)
+    for _ in range(100):
+        a = random_int_poly(rng, rng.randint(0, 6))
+        b = random_int_poly(rng, rng.randint(0, 4))
+        assert polyx.div_exact(polyx.mul(a, b), b) == a
+
+
+def test_prem_is_a_multiple_of_the_remainder():
+    rng = random.Random(4)
+    for _ in range(300):
+        a = random_int_poly(rng, rng.randint(0, 10), bound=50)
+        b = random_int_poly(rng, rng.randint(0, 6), bound=50)
+        got = polyx._prem(a, b)
+        want = rem_over_q(a, b)
+        assert all(type(c) is int for c in got)
+        assert len(got) == len(want)
+        if want:
+            ratio = Fraction(got[-1]) / want[-1]
+            assert [ratio * c for c in want] == list(got)
+
+
+def test_yun_on_repeated_factors_with_content():
+    # c f1 f2^2 f3^5 with content |c| > 1 and factors of either sign: Yun
+    # returns each f_i in primitive form with its multiplicity
+    rng = random.Random(5)
+    tried = 0
+    while tried < 100:
+        fs = [random_int_poly(rng, rng.randint(1, 3)) for _ in range(3)]
+        sqfree = polyx.mul(fs[0], polyx.mul(fs[1], fs[2]))
+        if euclid_over_q(sqfree, polyx.derivative(sqfree)) != (1,):
+            continue  # a repeated or shared root
+        tried += 1
+        c = rng.choice([-1, 1]) * rng.randint(2, 30)
+        p = polyx.mul((c,), fs[0])
+        for f, mult in zip(fs[1:], (2, 5)):
+            for _ in range(mult):
+                p = polyx.mul(p, f)
+        dp = polyx.derivative(p)
+        assert polyx.monic_gcd(p, dp) == primitive(euclid_over_q(p, dp))
+        want = [(primitive(f), mult) for f, mult in zip(fs, (1, 2, 5))]
+        assert polyx.yun_squarefree(p) == want

@@ -31,7 +31,7 @@ from wenum.codes import (
 from wenum.errors import DegenerateInputError, DomainError, PrecisionFailureError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
-from wenum.roots import Root, RootSet, roots_of
+from wenum.roots import Root, RootSet, roots_of, square_free
 from wenum.stabilizer import (
     ROOT_EPS,
     VERIFY_TOL,
@@ -730,6 +730,21 @@ def test_macwilliams_dual_same_order(m, order):
         rep = _stabilizer(v, 2)
         assert rep.verdict is Verdict.FINITE_GROUP
         assert rep.size == order
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["prm3_1_3", "prm3_1_3_dual"])
+def test_repeated_root_prm3_1_3(dual):
+    # PRM_3(1,3), n = 40, and its MacWilliams dual: 27 simple roots and one
+    # root of multiplicity 13, which every element must fix
+    code = projective_reed_muller(3, 1, 3)
+    w = enumerate_weights(code)
+    if dual:
+        w = macwilliams(w, 3, 3**code.k)
+    assert [(len(f) - 1, i) for f, i in square_free(w)] == [(27, 1), (1, 13)]
+    rep = compute_stabilizer(w, 3)
+    assert rep.verdict is Verdict.FINITE_GROUP
+    assert rep.size == 1080
+    assert len(rep.projective) == 27
 
 
 def _invariant_enumerators():
