@@ -41,45 +41,51 @@ times the closure's order must stay within Klein's bound; otherwise
 PrecisionFailureError is raised.  A screened permutation outside the
 closure failed verification and is rejected.
 
-Triviality certificates: certify_trivial screens first.  Every
+Triviality certificates: the paper's witness is two critical 4-tuples
+of roots sharing their first three entries, which force the projective
+stabilizer to be trivial.  With cross-ratio(T) = P_T / Q_T, a tuple t is
+certified critical when for every V4 orbit other than its own the
+cross-multiplied gap |P_r Q_s - Q_r P_s| exceeds 120 N^3 eps, which
+guarantees the true cross ratios differ; here r and s are the orbits'
+representatives, the members that start with their smallest index.
+This is sound because V4 keeps the cross ratio, so t and r share their
+true cross ratio, and the threshold bounds the computed gap of any
+ordered tuple, r included; so competitors are one row per orbit, a
+quarter of the ordered tuples.  Failure to certify is reported as
+inconclusive, never as "not trivial".  P and Q of the representatives
+are built by one broadcast product per first index (_cross_blocks), with
+no index array.
+
+certify_trivial first decides the first two tuples in lexicographic
+order, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): each is compared
+with every representative, one first index at a time, so no table is
+built, and the pass stops at the first competitor within the threshold.
+When both are critical they are the certificate, and nothing else runs;
+a full row decides its orbit exactly as the walk below does, so this is
+the walk's own answer.  Otherwise the roots are screened.  Every
 stabilizing map passes the screen; when the map of a screened
 non-identity permutation fixes W within VERIFY_TOL, the stabilizer is
 numerically nontrivial, so the verdict is Inconclusive with that
-permutation as witness, and nothing is scanned.  Otherwise the paper's
-witness decides: two critical 4-tuples of roots sharing their first
-three entries force the projective stabilizer to be trivial.  With
-cross-ratio(T) = P_T / Q_T, a tuple t is certified critical when for every
-V4 orbit other than its own the cross-multiplied gap |P_r Q_s - Q_r P_s|
-exceeds 120 N^3 eps, which guarantees the true cross ratios differ; here
-r and s are the orbits' representatives, the members that start with
-their smallest index.  This is sound because V4 keeps the cross ratio, so
-t and r share their true cross ratio, and the threshold bounds the
-computed gap of any ordered tuple, r included; so competitors are one
-row per orbit, a quarter of the ordered tuples.  Failure to certify is
-reported as inconclusive, never as "not trivial".  The scan compares r
-only with nearby representatives: the gap is |Q_r| |Q_s| |lambda_r -
-lambda_s|, so a competitor within the threshold has its cross ratio
-within 120 N^3 eps / (|Q_r| min|Q|) of lambda_r.  The representatives are
-sorted by a projection of lambda (which lengthens no distance), and r is
-compared with every one whose projection lies within that radius,
-widened by the relative slack 2^-40 in the radius and 2^-40 |lambda_r|
-besides.  The rounding of the products, the quotient and the projection
-is a few units of 2^-53, so the slack covers it many times over and no
-competitor within the threshold is missed; each gap compared is the same
-elementwise expression as a full row, so the verdict, the certificate
-and the offending pair are those of comparing all pairs of
-representatives.  The certificate's gaps and the offending competitor
-come from one full row each.  P and Q of the representatives are built
-by one broadcast product per first index (_cross_table), with no index
-array.  The scan opens with the full rows of (0, 1, 2, 3) and
-(0, 1, 2, 4), the first two tuples in lexicographic order: a full row
-decides its orbit exactly as the window does, so when both are critical
-they are the certificate, and nothing else is built.  Otherwise the
-projections are sorted and the tuples are walked in blocks of whole
-3-prefixes in lexicographic order; each tuple's orbit row is computed
-in closed form from its entries (_orbit_rows), each orbit is decided
-once, when first reached, and an early certificate ends the scan early.
-The representatives themselves (_reps) are built only to name the
+permutation as witness, and nothing is walked.  Otherwise the walk
+(_walk) builds the table (_cross_table) and compares each
+representative r only with nearby representatives: the gap is
+|Q_r| |Q_s| |lambda_r - lambda_s|, so a competitor within the threshold
+has its cross ratio within 120 N^3 eps / (|Q_r| min|Q|) of lambda_r.
+The representatives are sorted by a projection of lambda (which
+lengthens no distance), and r is compared with every one whose
+projection lies within that radius, widened by the relative slack 2^-40
+in the radius and 2^-40 |lambda_r| besides.  The rounding of the
+products, the quotient and the projection is a few units of 2^-53, so
+the slack covers it many times over and no competitor within the
+threshold is missed; each gap compared is the same elementwise
+expression as a full row, so the verdict, the certificate and the
+offending pair are those of comparing all pairs of representatives.
+The tuples are walked in blocks of whole 3-prefixes in lexicographic
+order; each tuple's orbit row is computed in closed form from its
+entries (_orbit_rows), each orbit is decided once, when first reached,
+and an early certificate ends the walk early.  The certificate's gaps
+and the offending competitor come from one full row each, and the
+representatives themselves (_reps) are built only to name the
 offending competitor.
 
 Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
@@ -108,7 +114,7 @@ VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 ROOT_EPS = 1e-12  # root accuracy requested by both verbs
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
-_PAIRS = 1 << 18  # candidate pairs compared at once
+_PAIRS = 1 << 16  # candidate pairs compared at once: 1 MiB per complex array
 _TRIPLES = 4096  # image triples matched on root 3 at once by the screen
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 
@@ -424,7 +430,7 @@ def _triples(d):
     the order of permutations(range(d), 3), in the narrowest unsigned
     dtype that holds d."""
     t = np.indices((d,) * 3, dtype=np.min_scalar_type(d)).reshape(3, -1).T
-    return t[_distinct(d)]
+    return t[np.flatnonzero(_distinct(d))]  # faster than a boolean index here
 
 
 def _reps(d):
@@ -480,41 +486,68 @@ def _cross_parts(diff, a, b, c, x):
     return diff[a, c] * diff[b, x], diff[a, x] * diff[b, c]
 
 
-def _cross_table(z):
-    """P and Q of every V4 representative (a, b, c, x) of the centers z, in
-    the order of _reps(len(z)), without building the representatives.
+def _cross_blocks(z):
+    """P and Q of the V4 representatives (a, b, c, x) of the centers z that
+    start with a, for each first index a < d - 3 in turn, in the order of
+    _reps.
 
-    For each first index a, one broadcast product over the grid of the
-    triples (b, c, x) of indices above a gives the same elementwise
-    products as _cross_parts, operands in the same order; the cells with a
-    repeated index are dropped, which leaves the triples in lexicographic
-    order, as in _reps."""
+    One broadcast product over the grid of the triples (b, c, x) of
+    indices above a gives the same elementwise products as _cross_parts,
+    operands in the same order; the cells with a repeated index are
+    dropped, which leaves the triples in lexicographic order, as in
+    _reps."""
     d = len(z)
     diff = z[:, None] - z
-    p, q = [], []
-    for a in range(d):
+    for a in range(d - 3):  # a representative has three indices above a
         keep = _distinct(d - 1 - a)
         rest = diff[a + 1 :, a + 1 :]  # diff[b, x] for b, x above a
         head = diff[a, a + 1 :]  # diff[a, c] for c above a
-        p.append((head[None, :, None] * rest[:, None, :]).reshape(-1)[keep])
-        q.append((head[None, None, :] * rest[:, :, None]).reshape(-1)[keep])
+        yield (
+            (head[None, :, None] * rest[:, None, :]).reshape(-1)[keep],
+            (head[None, None, :] * rest[:, :, None]).reshape(-1)[keep],
+        )
+
+
+def _cross_table(z):
+    """P and Q of every V4 representative of the centers z, in the order
+    of _reps(len(z)), without building the representatives."""
+    p, q = zip(*_cross_blocks(z))
     return np.concatenate(p), np.concatenate(q)
+
+
+def _threshold(rootset: RootSet):
+    """The certified gap bound 120 N^3 eps, or None when eps >= 1/2, where
+    no gap is certified.  Raises DomainError below 5 roots."""
+    d = len(rootset.roots)
+    if d < 5:
+        raise DomainError(f"triviality certificate needs >= 5 roots, found {d}")
+    return 120 * rootset.N**3 * rootset.eps if rootset.eps < 0.5 else None
+
+
+def _critical(centers, t, gap):
+    return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Certified-trivial stabilizer via two critical tuples.
 
-    Solves for roots once, at ROOT_EPS, and screens first: the first
-    screened non-identity permutation whose map fixes W within VERIFY_TOL
-    gives an Inconclusive verdict with that permutation as `witness`.
-    Otherwise (also when the screen cannot decide) ordered 4-tuples are
-    scanned lexicographically; each is mapped to its V4 orbit, decided
-    once against every other orbit, both measured at the member
-    that starts with its smallest index (cross ratios are V4-invariant,
-    and the threshold bounds the computed gap of every member).  The
-    first two certifiable tuples sharing a 3-prefix prove the projective
-    stabilizer trivial, so the full GL2 stabilizer is the n scalar
-    matrices zeta_n^t I.  When some needed comparison stays below the
+    Solves for roots once, at ROOT_EPS, then decides the first two
+    ordered 4-tuples, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): when
+    both are critical they are the certificate, and nothing else runs.
+    Otherwise the roots are screened: the first screened non-identity
+    permutation whose map fixes W within VERIFY_TOL gives an Inconclusive
+    verdict with that permutation as `witness`.  Otherwise (also when the
+    screen cannot decide) the ordered 4-tuples are walked
+    lexicographically (_walk); each is mapped to its V4 orbit, decided
+    once against every other orbit, both measured at the member that
+    starts with its smallest index (cross ratios are V4-invariant, and the
+    threshold bounds the computed gap of every member).  The first two
+    certifiable tuples sharing a 3-prefix prove the projective stabilizer
+    trivial, so the full GL2 stabilizer is the n scalar matrices
+    zeta_n^t I.  A certificate is a proof, while a screen witness is a
+    residual within VERIFY_TOL, so should the screen also have found a
+    witness, the certificate is reported; no catalog, bench or tested
+    enumerator has both.  When some needed comparison stays below the
     certified threshold the verdict is Inconclusive, with the offending
     tuple, the representative of its competitor's orbit and the accuracy
     scanned (None when the root solve failed), which is weaker than and
@@ -531,21 +564,23 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     except PrecisionFailureError:
         # accuracy exhausted; report what we know, never "not trivial"
         return StabilizerReport(verdict=Verdict.INCONCLUSIVE, classification=cls)
-    try:
-        screened = _screen(rootset)
-    except PrecisionFailureError:
-        screened = {}  # the scan below decides on its own
-    identity = tuple(range(len(rootset.roots)))
-    perms = [p for p in screened if p != identity]
-    for perm, fixing in zip(perms, _fixing(w, [screened[p] for p in perms])):
-        if fixing and fixing.residual <= VERIFY_TOL:
-            return StabilizerReport(
-                verdict=Verdict.INCONCLUSIVE,
-                classification=cls,
-                eps=rootset.eps,
-                witness=perm,
-            )
-    found, offending = _scan_for_certificate(rootset)
+    found, offending = _opening_pair(rootset), None
+    if found is None:
+        try:
+            screened = _screen(rootset)
+        except PrecisionFailureError:
+            screened = {}  # the walk below decides on its own
+        identity = tuple(range(len(rootset.roots)))
+        perms = [p for p in screened if p != identity]
+        for perm, fixing in zip(perms, _fixing(w, [screened[p] for p in perms])):
+            if fixing and fixing.residual <= VERIFY_TOL:
+                return StabilizerReport(
+                    verdict=Verdict.INCONCLUSIVE,
+                    classification=cls,
+                    eps=rootset.eps,
+                    witness=perm,
+                )
+        found, offending = _walk(rootset)
     if not found:
         return StabilizerReport(
             verdict=Verdict.INCONCLUSIVE,
@@ -570,33 +605,65 @@ def _scan_for_certificate(rootset: RootSet):
     eps >= 1/2, where no gap is certified.  Raises DomainError below 5
     roots.
 
-    The competitors are the V4 representatives, with P and Q from
-    _cross_table.  The scan opens with the full rows of rows 0 and 1,
-    the representatives of (0, 1, 2, 3) and (0, 1, 2, 4), the first two
-    tuples of the first prefix: when both are critical they are the
-    certificate.  Otherwise the tuples are walked in blocks of prefixes,
-    and each orbit is decided once against the nearby representatives
-    only (see the module docstring).
+    The scan opens with _opening_pair, which streams the rows of
+    (0, 1, 2, 3) and (0, 1, 2, 4) one first index at a time and builds no
+    table; only when it does not certify does _walk build the table and
+    walk the tuples.
     """
+    found = _opening_pair(rootset)
+    return (found, None) if found else _walk(rootset)
+
+
+def _opening_pair(rootset: RootSet):
+    """(0, 1, 2, 3) and (0, 1, 2, 4), rows 0 and 1 of the representatives,
+    as CriticalTuples when both are critical; otherwise None.
+
+    P and Q come one first index a at a time from _cross_blocks, and each
+    row keeps the running minimum of its gaps over the blocks, its own
+    cell excluded; the pass ends as soon as either minimum is within the
+    threshold.  P_r and Q_r are elements of the a = 0 block's arrays (a
+    product of numpy scalars may round differently from the array
+    loops), and each gap is the walk's full-row expression, so the gaps
+    are the full rows' to the bit."""
+    threshold = _threshold(rootset)
+    if threshold is None:
+        return None
+    centers = rootset.centers()
+    best = [math.inf, math.inf]
+    for a, (p, q) in enumerate(_cross_blocks(np.array(centers))):
+        if a == 0:
+            pr, qr = p[:2], q[:2]
+        for r in range(2):  # one row at a time: 1-D products are faster
+            gaps = np.abs(pr[r] * q - qr[r] * p)
+            if a == 0:
+                gaps[r] = np.inf  # the row's own cell
+            gap = gaps.min()
+            if not gap > threshold:  # NaN included, as in a full row
+                return None
+            best[r] = min(best[r], gap)
+    return tuple(_critical(centers, (0, 1, 2, x), float(g)) for x, g in zip((3, 4), best))
+
+
+def _walk(rootset: RootSet):
+    """_scan_for_certificate's result by walking every 4-tuple in
+    lexicographic order, its opening pair included.
+
+    The competitors are the V4 representatives, with P and Q from
+    _cross_table; the tuples are walked in blocks of prefixes, and each
+    orbit is decided once against the nearby representatives only (see
+    the module docstring)."""
+    threshold = _threshold(rootset)
+    if threshold is None:
+        return None, None
     centers = rootset.centers()
     d = len(centers)
-    if d < 5:
-        raise DomainError(f"triviality certificate needs >= 5 roots, found {d}")
-    eps, bigN = rootset.eps, rootset.N
-    if eps >= 0.5:
-        return None, None
-    threshold = 120 * bigN**3 * eps
     p, q = _cross_table(np.array(centers))  # the competitors, one per V4 orbit
 
     def full_rows(rs):
         """For each representative in rs, the smallest |a - b| against
-        every other representative, and the first one attaining it.
-
-        The rows share one complex block, reduced a row at a time, so only
-        one row's temporary lives beside it.  Freeing that block also lets
-        glibc serve the walk's pieces from the heap: with one block per
-        row, rm2_1_5's scan after rm2_1_4's took 1.5 times the page
-        faults."""
+        every other representative, and the first one attaining it.  The
+        rows share one complex block, reduced a row at a time, so only one
+        row's temporary lives beside it."""
         rs, at = np.asarray(rs), np.arange(len(rs))
         diffs = p[rs, None] * q
         for row, r in zip(diffs, rs):
@@ -606,14 +673,6 @@ def _scan_for_certificate(rootset: RootSet):
         best = diffs.argmin(axis=1)
         return diffs[at, best].tolist(), best.tolist()
 
-    def critical(t, gap):
-        return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
-
-    # a full row's minimum is exactly what the walk below decides for its
-    # orbit, and rows 0 and 1 are the first block's first two tuples
-    gaps = full_rows([0, 1])[0]
-    if min(gaps) > threshold:
-        return tuple(critical((0, 1, 2, x), g) for x, g in zip((3, 4), gaps)), None
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()
@@ -667,7 +726,7 @@ def _scan_for_certificate(rootset: RootSet):
             prefix = tuple(int(i) for i in block[k])
             js = np.flatnonzero(good[k])[:2]
             gaps = full_rows(rows[k, js])[0]
-            return tuple(critical((*prefix, int(j)), g) for j, g in zip(js, gaps)), None
+            return tuple(_critical(centers, (*prefix, int(j)), g) for j, g in zip(js, gaps)), None
         bad = verdict == 1
         if first_bad is None and bad.any():
             k, j = np.unravel_index(np.argmax(bad), bad.shape)

@@ -11,16 +11,20 @@ from conftest import random_code, seeded
 from wenum.algebra import classify, macwilliams
 from wenum.catalog import get_entry, rm2_closed_form
 from wenum.codes import LinearCode, WeightEnumerator, enumerate_weights
-from wenum.errors import DomainError
+from wenum.errors import DomainError, PrecisionFailureError
 from wenum.reedmuller import reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
+    Verdict,
     _cross_parts,
     _cross_table,
     _orbit_rows,
     _reps,
     _scan_for_certificate,
+    _screen,
+    _walk,
+    certify_trivial,
     solve_moebius,
 )
 
@@ -277,3 +281,74 @@ def test_scan_past_opening_rows(seed, blocked):
     assert blocked not in (found[0].indices[3], found[1].indices[3])
     found = tuple((t.indices, t.cross_ratio, t.gap) for t in found)
     assert (found, offending) == reference_scan(rootset)
+
+
+def as_tuples(certificate):
+    return tuple((t.indices, t.cross_ratio, t.gap) for t in certificate)
+
+
+def test_certify_trivial_from_opening_rows(monkeypatch):
+    # every certify target of the catalog is certified by (0, 1, 2, 3) and
+    # (0, 1, 2, 4) alone: neither the screen nor the table is built
+    def unused(*args):
+        raise AssertionError("built before the opening rows decided")
+
+    cases = []
+    for name in ("rm4_2_2", "rm4_3_2", "rm5_2_2", "prm5_3_2"):
+        code = get_entry(name).code
+        w = enumerate_weights(code)
+        cases.append((w, code.q, reference_scan(roots_of(w, ROOT_EPS))))
+    monkeypatch.setattr("wenum.stabilizer._screen", unused)
+    monkeypatch.setattr("wenum.stabilizer._cross_table", unused)
+    for w, q, want in cases:
+        rep = certify_trivial(w, q)
+        assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
+        assert (as_tuples(rep.certificate), None) == want
+
+
+def test_certify_trivial_memory_prm5_3_2():
+    # the streamed opening rows keep one first index's P and Q at a time
+    w = enumerate_weights(get_entry("prm5_3_2").code)
+    tracemalloc.start()
+    try:
+        rep = certify_trivial(w, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("screen_fails", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("blocked", [3, 4])
+def test_certify_trivial_past_opening_rows(monkeypatch, seed, blocked, screen_fails):
+    # test_scan_past_opening_rows' root sets through the verb: the opening
+    # rows fail, the screen (run or failing) gives no witness, and the
+    # walk returns the all-pairs certificate
+    centers = random_centers(seeded(f"opening:{seed}"), 8)
+    (a, b), (c, d) = solve_moebius(centers[:3], centers[5:8])
+    z = centers[blocked]
+    rootset = hand_rootset(centers + [(a * z + b) / (c * z + d)])
+    screens, walks = [], []
+
+    def counted_screen(rs):
+        screens.append(rs)
+        if screen_fails:
+            raise PrecisionFailureError("screen cannot tell images apart")
+        return _screen(rs)
+
+    def counted_walk(rs):
+        walks.append(rs)
+        return _walk(rs)
+
+    monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w, eps: rootset)
+    monkeypatch.setattr("wenum.stabilizer._screen", counted_screen)
+    monkeypatch.setattr("wenum.stabilizer._walk", counted_walk)
+    # any enumerator with at least five distinct roots passes classify; its
+    # roots are replaced by the hand-built ones
+    rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
+    assert screens == [rootset] and walks == [rootset]
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.witness is None
+    assert rep.certificate[0].indices[:3] == (0, 1, 2)
+    assert (as_tuples(rep.certificate), None) == reference_scan(rootset)

@@ -944,7 +944,8 @@ def test_certify_trivial_when_the_screen_fails(monkeypatch):
     assert rep.witness is None and rep.size == 0 and rep.eps == rs.eps
     assert rep.offending == _scan_for_certificate(rs)[1]
     assert rep.offending == ((0, 1, 2, 3), (4, 10, 6, 8))
-    assert calls == [31, 16]
+    # prm5_3_2's opening rows certify before the screen would run
+    assert calls == [16]
 
 
 def test_fixing_rejects_zero_and_infinite_scales():
