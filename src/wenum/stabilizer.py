@@ -13,20 +13,24 @@ on them.  A Moebius map keeps cross ratios, so (a, b, c) induces the root
 permutation sigma exactly when [a, b, c, sigma(k)] = [0, 1, 2, k] for
 every k >= 3; sigma must also keep multiplicities.  Each equality is
 tested with the certificate's gap and threshold (below), which true-equal
-cross ratios always meet, so no stabilizing map is missed.  The image
-triples that keep multiplicities go in lexicographic blocks.  The gap of
+cross ratios always meet, so no stabilizing map is missed.  The gap of
 [a, b, c, x] against [0, 1, 2, k] is affine in z_x and vanishes only at
 the image of root k under the triple's map, so only the roots whose real
 part lies in a window around that image, wide enough for the threshold
 and every rounding, are compared (the scan's expression for the tuple
-(a, b, c, x)); root 3 is matched for every triple, and only the triples
-under which it matches are compared in full.  Each screened permutation
-gets its matrix M in closed form (the map sending the reference triple
-to (0, 1, inf), followed by the inverse of the one sending the image
-triple there) and is measured once.  One substitution, on arrays of the
-entries of every non-identity M, gives each W(M) = lambda W, with lambda
-read at W's largest coefficient, and the relative coefficient residual
-of mu M, mu = lambda^(-1/n), which fixes W on the nose.  The identity
+(a, b, c, x)).  Root 3 is matched on broadcast grids of image triples,
+every (a, b, c) for a run of consecutive first indices a, with no index
+array: the cells with a repeated index or a multiplicity unlike the
+reference roots' are masked out, and only the few cells whose window
+holds a root are expanded and compared.  Only the triples under which
+root 3 matches are compared in full, every root k >= 3 at once.  Each
+screened permutation gets its matrix M in closed form (the map sending
+the reference triple to (0, 1, inf), followed by the inverse of the one
+sending the image triple there) and is measured once.  One
+substitution, on arrays of the entries of every non-identity M, gives
+each W(M) = lambda W, with lambda read at W's largest coefficient, and
+the relative coefficient residual of mu M, mu = lambda^(-1/n), which
+fixes W on the nose.  The identity
 permutation's map fixes three roots, so it is exactly I, with residual
 0, and needs no substitution.  The n scalar twists zeta^k of mu M need
 no check of their own, since W has degree n and zeta^n = 1; the report
@@ -115,7 +119,7 @@ ROOT_EPS = 1e-12  # root accuracy requested by both verbs
 _SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
 _PREFIXES = 256  # 3-prefixes scanned per block
 _PAIRS = 1 << 16  # candidate pairs compared at once: 1 MiB per complex array
-_TRIPLES = 4096  # image triples matched on root 3 at once by the screen
+_CELLS = 4096  # screen grid cells (a, b, c) a block, but one first index at least
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
@@ -252,9 +256,16 @@ def _screen(rootset: RootSet):
     same gap expression and threshold as comparing root k with every
     root, so no match is missed and none is added.
 
-    Root 3 is matched for every image triple that keeps multiplicities,
-    in blocks of _TRIPLES; every root k >= 3 is then matched for the few
-    triples of the block under which root 3 matched some root.
+    Root 3 is matched for every image triple that keeps multiplicities.
+    One broadcast product, with the same elementwise expressions and
+    P_3 and Q_3 as scalars, gives the grid of every (a, b, c) for a run
+    of max(1, _CELLS // d^2) consecutive first indices a; the cells with
+    a repeated index or a multiplicity unlike roots 0, 1 and 2 are
+    masked out, and only the cells whose window holds a root get index
+    arrays.  Every root k >= 3 is then matched for the few triples under
+    which root 3 matched some root, up to _CELLS triples against all the
+    rows in one broadcast; the grid is flattened in lexicographic order,
+    so the triples are too.
     """
     if rootset.eps >= 0.5:
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
@@ -267,53 +278,91 @@ def _screen(rootset: RootSet):
     rounding = 2.0**-47 * np.abs(z).max() ** 2  # times |P_k| + |Q_k|
     by_real = np.argsort(z.real)
     keys = z.real[by_real]
-    triples = _triples(d)
-    triples = triples[(mult[triples] == mult[:3]).all(axis=1)]
     ref_p, ref_q = _cross_parts(diff, 0, 1, 2, np.arange(3, d))  # rows (0, 1, 2, k)
+    m = d - 3
 
-    def hits(t, k):
-        """(i, x) for each root x that root 3 + k[i] matches under the
-        image triple t[i]."""
-        a, b, c = t.T
-        pk, qk = ref_p[k], ref_q[k]
-        ac, bc = diff[a, c], diff[b, c]
+    def windows(pk, qk, ac, bc, za, zb):
+        """For broadcasting operands, the flattened ends of the window
+        around the image y of root k under each image triple, and where
+        the window is not finite."""
         with np.errstate(all="ignore"):
-            beta = qk * ac - pk * bc
-            y = (qk * ac * z[b] - pk * z[a] * bc) / beta  # -alpha / beta
+            qa = qk * ac
+            beta = qa - pk * bc
+            y = (qa * zb - pk * za * bc) / beta  # -alpha / beta
             h = (threshold + rounding * (np.abs(pk) + np.abs(qk))) / np.abs(beta)
             h = h * (1 + _SLACK) + _SLACK * np.abs(y)
-            lo = np.searchsorted(keys, y.real - h, "left")
-            hi = np.searchsorted(keys, y.real + h, "right")
-        wide = ~(np.isfinite(y) & np.isfinite(h))
+            return (y.real - h).ravel(), (y.real + h).ravel(), ~np.isfinite(h).ravel()
+
+    def hits(a, b, c, width, lo, hi, wide):
+        """(t, k, x) for each root x that root 3 + k matches under the
+        image triple (a[t], b[t], c[t]), from the bounds into keys of the
+        windows of the flattened (triple, k) rows, width rows a triple;
+        a row whose window is not finite gets every root."""
         lo[wide], hi[wide] = 0, d
         counts = hi - lo
-        i = np.repeat(np.arange(len(t)), counts)
+        i = np.repeat(np.arange(len(counts)), counts)
         starts = np.cumsum(counts) - counts
         x = by_real[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
-        p, q = _cross_parts(diff, a[i], b[i], c[i], x)
-        gap = pk[i] * q - qk[i] * p
-        keep = (np.abs(gap) <= threshold) & (x != a[i]) & (x != b[i]) & (x != c[i])
-        return i[keep], x[keep]
+        t, k = np.divmod(i, width)
+        a, b, c = a[t], b[t], c[t]
+        p, q = _cross_parts(diff, a, b, c, x)
+        gap = ref_p[k] * q - ref_q[k] * p
+        keep = (np.abs(gap) <= threshold) & (x != a) & (x != b) & (x != c)
+        return t[keep], k[keep], x[keep]
+
+    ends = np.append(keys, np.nan)  # ends[lo] <= top: a key lies in [bottom, top]
+    idx = np.arange(d)
+    pair_ok = (idx[:, None] != idx) & (mult[:, None] == mult[1]) & (mult == mult[2])
+    run = max(1, _CELLS // d**2)  # first indices a block
+    found = []
+    for a0 in range(0, d, run):
+        a1 = min(a0 + run, d)
+        # b, c != a, and a keeps root 0's multiplicity
+        ok = (idx != idx[a0:a1, None]) & (mult[a0:a1, None] == mult[0])
+        near = (pair_ok & ok[:, :, None] & ok[:, None, :]).ravel()
+        if not near.any():  # no first index here keeps root 0's multiplicity
+            continue
+        if m:  # the triples under which root 3 matches some root
+            bottom, top, wide = windows(
+                ref_p[0],
+                ref_q[0],
+                diff[a0:a1, None, :],  # z_a - z_c
+                diff[None],  # z_b - z_c
+                z[a0:a1, None, None],
+                z[None, :, None],
+            )
+            lo = np.searchsorted(keys, bottom, "left")
+            near &= wide | (ends[lo] <= top)
+        cells = np.flatnonzero(near)
+        if m:
+            a, b, c = a0 + cells // d**2, cells // d % d, cells % d
+            hi = np.searchsorted(keys, top[cells], "right")
+            t = hits(a, b, c, 1, lo[cells], hi, wide[cells])[0]
+            cells = cells[np.flatnonzero(np.bincount(t, minlength=len(cells)))]
+        found.append(a0 * d**2 + cells)
+    found = np.concatenate(found)
 
     perms = []
-    m = d - 3
-    for start in range(0, len(triples), _TRIPLES):
-        block = triples[start : start + _TRIPLES]
-        if m:  # the triples under which root 3 matches some root
-            found = hits(block, np.zeros(len(block), dtype=int))[0]
-            block = block[np.flatnonzero(np.bincount(found, minlength=len(block)))]
-        rows, x = hits(np.repeat(block, m, axis=0), np.tile(np.arange(m), len(block)))
-        counts = np.bincount(rows, minlength=len(block) * m).reshape(len(block), m)
+    for start in range(0, len(found), _CELLS):  # every root k >= 3 for these
+        a, bc = np.divmod(found[start : start + _CELLS], d**2)
+        b, c = np.divmod(bc, d)
+        bottom, top, wide = windows(
+            ref_p, ref_q, diff[a, c][:, None], diff[b, c][:, None], z[a][:, None], z[b][:, None]
+        )
+        lo = np.searchsorted(keys, bottom, "left")
+        hi = np.searchsorted(keys, top, "right")
+        t, k, x = hits(a, b, c, m, lo, hi, wide)
+        counts = np.bincount(t * m + k, minlength=len(a) * m).reshape(len(a), m)
         full = (counts > 0).all(axis=1)
         if (counts[full] > 1).any():
             raise PrecisionFailureError(
                 f"a root matches {counts[full].max()} roots under one triple"
             )
-        images = np.zeros(len(block) * m, dtype=int)
-        images[rows] = x
-        for perm in np.hstack((block, images.reshape(len(block), m)))[full]:
-            if (mult[perm] == mult).all() and len(set(perm)) == d:
-                perms.append(tuple(int(i) for i in perm))
+        images = np.zeros((len(a), m), dtype=int)
+        images[t, k] = x
+        rows = np.column_stack((a, b, c, images))[full]
+        keep = (mult[rows] == mult).all(axis=1) & (np.sort(rows, axis=1) == idx).all(axis=1)
+        perms += map(tuple, rows[keep].tolist())
     ref = tuple(centers[:3])
     return {p: solve_moebius(ref, tuple(centers[i] for i in p[:3])) for p in perms}
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 from itertools import permutations, product
 from pathlib import Path
 
@@ -510,10 +511,31 @@ def test_screen_matches_reference(w):
 
 
 def test_screen_block_size(monkeypatch):
-    rootset = roots_of(rm2_closed_form(4), ROOT_EPS)
-    whole = _screen(rootset)
-    monkeypatch.setattr("wenum.stabilizer._TRIPLES", 1)
-    assert list(_screen(rootset).items()) == list(whole.items())
+    # one first index a block, as at d >= 46, and the whole grid at once;
+    # PRM_3(1,3)'s root of multiplicity 13 exercises the multiplicity mask
+    for w in (rm2_closed_form(5), enumerate_weights(projective_reed_muller(3, 1, 3))):
+        rootset = roots_of(w, ROOT_EPS)
+        default = list(_screen(rootset).items())
+        for cells in (1, 2**30):
+            monkeypatch.setattr("wenum.stabilizer._CELLS", cells)
+            assert list(_screen(rootset).items()) == default
+            monkeypatch.undo()
+
+
+def test_screen_memory_rm2_1_6_dual():
+    # d = 64: one first index a grid bounds the screen's arrays, where one
+    # grid of all 64^3 cells peaks at about 15 MiB
+    w_dual = macwilliams(rm2_closed_form(6), 2, 2**7)
+    rootset = roots_of(w_dual, ROOT_EPS)
+    assert len(rootset.roots) == 64
+    tracemalloc.start()
+    try:
+        found = _screen(rootset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 64
+    assert peak <= 8 * 2**20
 
 
 def test_screen_on_unsorted_roots():
@@ -745,6 +767,29 @@ def test_repeated_root_prm3_1_3(dual):
     assert rep.verdict is Verdict.FINITE_GROUP
     assert rep.size == 1080
     assert len(rep.projective) == 27
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        2,
+        pytest.param(
+            3,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: four of the 8 screened permutations "
+                "miss VERIFY_TOL and are dropped, so RM_2(3,6) reads 256",
+            ),
+        ),
+    ],
+    ids=["rm2_2_6", "rm2_3_6"],
+)
+def test_rm2_second_order_6_order_512(r):
+    # RM_2(2,6) and its dual RM_2(3,6) have conjugate stabilizers, of
+    # projective order 8 and 64 scalar twists each
+    rep = compute_stabilizer(enumerate_weights(reed_muller(2, r, 6)), 2)
+    assert rep.verdict is Verdict.FINITE_GROUP
+    assert rep.size == 512
 
 
 def _invariant_enumerators():
