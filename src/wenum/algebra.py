@@ -2,7 +2,8 @@
 formal self-duality, and the at-most-two-distinct-roots classification.
 
 Everything here is exact integer/rational arithmetic.  The distinct-root
-count comes from the degree of gcd(W, W') over Q; an enumerator with at
+count is the total degree of W's Yun square-free factors, the
+decomposition roots.square_free solves on; an enumerator with at
 most two distinct roots is matched by direct coefficient comparison
 against the binomial expansions of its two shapes, x^b (x+(q-1))^(n-b)
 and (x^2+(q-1))^(n/2).  Floating point lives only in the roots/stabilizer
@@ -119,13 +120,6 @@ class ClassificationResult:
         return self.shape is not Shape.THREE_PLUS_ROOTS
 
 
-def distinct_root_count(w: WeightEnumerator) -> int:
-    """Number of distinct complex roots of W(x, 1): n - deg gcd(W, W')."""
-    p = tuple(w.coeffs)
-    g = polyx.monic_gcd(p, polyx.derivative(p))
-    return w.n - polyx.degree(g)
-
-
 def classify(w: WeightEnumerator, q: int) -> ClassificationResult:
     """Sort a code enumerator into the two two-root shapes or ThreePlusRoots.
 
@@ -148,7 +142,9 @@ def classify(w: WeightEnumerator, q: int) -> ClassificationResult:
     if w.coeffs[-1] != 1:
         raise NotACodeEnumeratorError("a_n != 1: not derived from a code")
     n = w.n
-    d = distinct_root_count(w)
+    # the Yun factors are square-free and coprime: their degrees add up to
+    # the number of distinct roots
+    d = sum(polyx.degree(f) for f, _ in polyx.yun_squarefree(tuple(w.coeffs)))
     if d >= 3:
         return ClassificationResult(
             Shape.THREE_PLUS_ROOTS, n,

@@ -22,6 +22,7 @@ into the read-only tables built here.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +53,10 @@ class FiniteField:
     """
 
     def __init__(self, q: int):
+        try:
+            q = operator.index(q)  # a numpy integer would overflow q**k
+        except TypeError:
+            raise DomainError(f"field size must be an integer, got {q!r}") from None
         if q > MAX_Q:
             raise DomainError(f"field size {q} exceeds supported cap {MAX_Q}")
         p, e = _factor_prime_power(q)

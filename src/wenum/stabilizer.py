@@ -58,15 +58,16 @@ ordered tuple, r included; so competitors are one row per orbit, a
 quarter of the ordered tuples.  Failure to certify is reported as
 inconclusive, never as "not trivial".  P and Q of the representatives
 are built by one broadcast product per first index (_cross_blocks), with
-no index array.
+no index array, in representative order (_orbit_rows); a full row, a
+representative's smallest gap to every other, has one routine
+(_row_minima), streamed or over the whole table alike.
 
 certify_trivial first decides the first two tuples in lexicographic
-order, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): each is compared
-with every representative, one first index at a time, so no table is
-built, and the pass stops at the first competitor within the threshold.
-When both are critical they are the certificate, and nothing else runs;
-a full row decides its orbit exactly as the walk below does, so this is
-the walk's own answer.  Otherwise the roots are screened.  Every
+order, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): their full rows
+are streamed, so no table is built, and the pass stops at the first
+competitor within the threshold.  When both are critical they are the
+certificate, and nothing else runs; the walk below opens with the same
+two rows, so this is its own answer.  Otherwise the roots are screened.  Every
 stabilizing map passes the screen; when the map of a screened
 non-identity permutation fixes W within VERIFY_TOL, the stabilizer is
 numerically nontrivial, so the verdict is Inconclusive with that
@@ -88,9 +89,8 @@ The tuples are walked in blocks of whole 3-prefixes in lexicographic
 order; each tuple's orbit row is computed in closed form from its
 entries (_orbit_rows), each orbit is decided once, when first reached,
 and an early certificate ends the walk early.  The certificate's gaps
-and the offending competitor come from one full row each, and the
-representatives themselves (_reps) are built only to name the
-offending competitor.
+and the offending competitor come from full rows, and the competitor's
+row is turned back into its representative (_unrank).
 
 Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
@@ -482,23 +482,11 @@ def _triples(d):
     return t[np.flatnonzero(_distinct(d))]  # faster than a boolean index here
 
 
-def _reps(d):
-    """Each V4 orbit's member that starts with its smallest index, for the
-    4-tuples of distinct indices below d, in lexicographic order: the
-    members starting with a are a and the triples of distinct indices
-    above a."""
-    dtype = np.min_scalar_type(d)
-    blocks = []
-    for a in range(d):
-        t = _triples(d - 1 - a).astype(dtype) + a + 1
-        blocks.append(np.column_stack([np.full(len(t), a, dtype), t]))
-    return np.concatenate(blocks)
-
-
 def _orbit_rows(d, u0, u1, u2, u3):
-    """The row in _reps(d) of the V4 orbit of each 4-tuple (u0, u1, u2, u3),
-    for index arrays that broadcast together, and -1 for a tuple that
-    repeats an index.
+    """The row of the V4 orbit of each 4-tuple (u0, u1, u2, u3), for index
+    arrays that broadcast together, and -1 for a tuple that repeats an
+    index.  Representative order, that of every table here, ranks the
+    orbits' members that start with their smallest index lexicographically.
 
     V4 moves position j to j xor g, so two swaps bring the smallest index
     a to the front: of the pairs (u0, u1) and (u2, u3) when it lies in
@@ -529,6 +517,17 @@ def _orbit_rows(d, u0, u1, u2, u3):
     return np.where(distinct, start + rank, -1)
 
 
+def _unrank(d, row):
+    """The representative at `row` in representative order (_orbit_rows)
+    of the indices below d: skip the P(m) rows starting with each a, then
+    (b, c, x) is the ordered triple of the rank left, above a."""
+    a, m = 0, d - 1
+    while row >= m * (m - 1) * (m - 2):
+        row -= m * (m - 1) * (m - 2)
+        a, m = a + 1, m - 1
+    return (a, *(int(v) + a + 1 for v in _triples(m)[row]))
+
+
 def _cross_parts(diff, a, b, c, x):
     """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
     arrays that broadcast together, from diff[i, j] = z_i - z_j."""
@@ -537,14 +536,13 @@ def _cross_parts(diff, a, b, c, x):
 
 def _cross_blocks(z):
     """P and Q of the V4 representatives (a, b, c, x) of the centers z that
-    start with a, for each first index a < d - 3 in turn, in the order of
-    _reps.
+    start with a, for each first index a < d - 3 in turn, in
+    representative order (_orbit_rows).
 
     One broadcast product over the grid of the triples (b, c, x) of
     indices above a gives the same elementwise products as _cross_parts,
     operands in the same order; the cells with a repeated index are
-    dropped, which leaves the triples in lexicographic order, as in
-    _reps."""
+    dropped, which leaves the triples in lexicographic order."""
     d = len(z)
     diff = z[:, None] - z
     for a in range(d - 3):  # a representative has three indices above a
@@ -558,8 +556,9 @@ def _cross_blocks(z):
 
 
 def _cross_table(z):
-    """P and Q of every V4 representative of the centers z, in the order
-    of _reps(len(z)), without building the representatives."""
+    """P and Q of every V4 representative of the centers z, in
+    representative order (_orbit_rows), without building the
+    representatives."""
     p, q = zip(*_cross_blocks(z))
     return np.concatenate(p), np.concatenate(q)
 
@@ -577,30 +576,59 @@ def _critical(centers, t, gap):
     return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
 
 
+def _row_minima(blocks, rows, threshold=None):
+    """For the representatives at `rows`, the smallest |P_r Q_s - Q_r P_s|
+    over every other representative s, and the row of the first s
+    attaining it, as two lists.  `blocks` yields P and Q of the
+    representatives in representative order (_orbit_rows), in consecutive
+    pieces, the first holding `rows`.  With a threshold, None as soon as a
+    minimum is not above it (NaN included).
+
+    A row streamed one first index at a time (_opening_pair) and over the
+    whole table (_walk) give the same bits: one 1-D product per row and
+    block, the row's own cell set to inf; P_r and Q_r are elements of the
+    first block's arrays (a product of numpy scalars may round otherwise);
+    block minima combine as np.argmin does: first NaN, else first minimum."""
+    heads, found, start = None, [[] for _ in rows], 0
+    for p, q in blocks:
+        if heads is None:
+            heads = [(p[r], q[r]) for r in rows]
+        for (pr, qr), r, out in zip(heads, rows, found):
+            gaps = np.abs(pr * q - qr * p)
+            if start == 0:
+                gaps[r] = np.inf  # the row's own cell
+            s = int(gaps.argmin())
+            if threshold is not None and not gaps[s] > threshold:
+                return None
+            out.append((gaps[s], start + s))
+        start += len(p)
+    best = [out[int(np.argmin([g for g, _ in out]))] for out in found]
+    return [float(g) for g, _ in best], [s for _, s in best]
+
+
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Certified-trivial stabilizer via two critical tuples.
 
-    Solves for roots once, at ROOT_EPS, then decides the first two
-    ordered 4-tuples, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): when
-    both are critical they are the certificate, and nothing else runs.
-    Otherwise the roots are screened: the first screened non-identity
-    permutation whose map fixes W within VERIFY_TOL gives an Inconclusive
-    verdict with that permutation as `witness`.  Otherwise (also when the
-    screen cannot decide) the ordered 4-tuples are walked
-    lexicographically (_walk); each is mapped to its V4 orbit, decided
-    once against every other orbit, both measured at the member that
-    starts with its smallest index (cross ratios are V4-invariant, and the
+    Solves for roots once, at ROOT_EPS, then decides the full rows
+    (_row_minima) of the first two ordered 4-tuples, (0, 1, 2, 3) and
+    (0, 1, 2, 4) (_opening_pair): when both are critical they are the
+    certificate, and nothing else runs.  Otherwise the roots are screened:
+    the first screened non-identity permutation whose map fixes W within
+    VERIFY_TOL gives an Inconclusive verdict with that permutation as
+    `witness`.  Otherwise (also when the screen cannot decide) _walk
+    decides the ordered 4-tuples in lexicographic order, once per V4
+    orbit, at its representative (cross ratios are V4-invariant, and the
     threshold bounds the computed gap of every member).  The first two
-    certifiable tuples sharing a 3-prefix prove the projective stabilizer
+    critical tuples sharing a 3-prefix prove the projective stabilizer
     trivial, so the full GL2 stabilizer is the n scalar matrices
     zeta_n^t I.  A certificate is a proof, while a screen witness is a
     residual within VERIFY_TOL, so should the screen also have found a
     witness, the certificate is reported; no catalog, bench or tested
-    enumerator has both.  When some needed comparison stays below the
-    certified threshold the verdict is Inconclusive, with the offending
-    tuple, the representative of its competitor's orbit and the accuracy
-    scanned (None when the root solve failed), which is weaker than and
-    distinct from "not trivial".
+    enumerator has both.  When some needed comparison stays within the
+    threshold the verdict is Inconclusive, with the offending tuple, its
+    competitor's representative and the accuracy scanned (None when the
+    root solve failed), which is weaker than and distinct from "not
+    trivial".
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer or cls.distinct_roots < 5:
@@ -646,7 +674,23 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     )
 
 
-def _scan_for_certificate(rootset: RootSet):
+def _opening_pair(rootset: RootSet):
+    """(0, 1, 2, 3) and (0, 1, 2, 4), rows 0 and 1 of the representatives,
+    as CriticalTuples when both are critical; otherwise None.
+
+    Their full rows (_row_minima) take P and Q one first index a at a time
+    from _cross_blocks, so no table is built, and the pass ends as soon as
+    either minimum is within the threshold.  The gaps are the bits the
+    walk takes from the whole table."""
+    threshold = _threshold(rootset)
+    if threshold is None:
+        return None
+    centers = rootset.centers()
+    found = _row_minima(_cross_blocks(np.array(centers)), (0, 1), threshold)
+    return found and tuple(_critical(centers, (0, 1, 2, x), g) for x, g in zip((3, 4), found[0]))
+
+
+def _walk(rootset: RootSet):
     """(certificate, None) for the first two critical 4-tuples sharing a
     3-prefix, in lexicographic order, as CriticalTuples; otherwise
     (None, offending), the first tuple that meets a competitor and the
@@ -654,74 +698,16 @@ def _scan_for_certificate(rootset: RootSet):
     eps >= 1/2, where no gap is certified.  Raises DomainError below 5
     roots.
 
-    The scan opens with _opening_pair, which streams the rows of
-    (0, 1, 2, 3) and (0, 1, 2, 4) one first index at a time and builds no
-    table; only when it does not certify does _walk build the table and
-    walk the tuples.
-    """
-    found = _opening_pair(rootset)
-    return (found, None) if found else _walk(rootset)
-
-
-def _opening_pair(rootset: RootSet):
-    """(0, 1, 2, 3) and (0, 1, 2, 4), rows 0 and 1 of the representatives,
-    as CriticalTuples when both are critical; otherwise None.
-
-    P and Q come one first index a at a time from _cross_blocks, and each
-    row keeps the running minimum of its gaps over the blocks, its own
-    cell excluded; the pass ends as soon as either minimum is within the
-    threshold.  P_r and Q_r are elements of the a = 0 block's arrays (a
-    product of numpy scalars may round differently from the array
-    loops), and each gap is the walk's full-row expression, so the gaps
-    are the full rows' to the bit."""
-    threshold = _threshold(rootset)
-    if threshold is None:
-        return None
-    centers = rootset.centers()
-    best = [math.inf, math.inf]
-    for a, (p, q) in enumerate(_cross_blocks(np.array(centers))):
-        if a == 0:
-            pr, qr = p[:2], q[:2]
-        for r in range(2):  # one row at a time: 1-D products are faster
-            gaps = np.abs(pr[r] * q - qr[r] * p)
-            if a == 0:
-                gaps[r] = np.inf  # the row's own cell
-            gap = gaps.min()
-            if not gap > threshold:  # NaN included, as in a full row
-                return None
-            best[r] = min(best[r], gap)
-    return tuple(_critical(centers, (0, 1, 2, x), float(g)) for x, g in zip((3, 4), best))
-
-
-def _walk(rootset: RootSet):
-    """_scan_for_certificate's result by walking every 4-tuple in
-    lexicographic order, its opening pair included.
-
-    The competitors are the V4 representatives, with P and Q from
-    _cross_table; the tuples are walked in blocks of prefixes, and each
-    orbit is decided once against the nearby representatives only (see
-    the module docstring)."""
+    Every 4-tuple is walked in blocks of prefixes, the opening pair
+    included, and each orbit is decided once against the nearby
+    representatives of _cross_table only (see the module docstring); the
+    gaps and the competitor come from the table as one _row_minima block."""
     threshold = _threshold(rootset)
     if threshold is None:
         return None, None
     centers = rootset.centers()
     d = len(centers)
     p, q = _cross_table(np.array(centers))  # the competitors, one per V4 orbit
-
-    def full_rows(rs):
-        """For each representative in rs, the smallest |a - b| against
-        every other representative, and the first one attaining it.  The
-        rows share one complex block, reduced a row at a time, so only one
-        row's temporary lives beside it."""
-        rs, at = np.asarray(rs), np.arange(len(rs))
-        diffs = p[rs, None] * q
-        for row, r in zip(diffs, rs):
-            row -= q[r] * p
-        diffs = np.abs(diffs)
-        diffs[at, rs] = np.inf
-        best = diffs.argmin(axis=1)
-        return diffs[at, best].tolist(), best.tolist()
-
     lam = p / q
     abs_q = np.abs(q)
     q_min = abs_q.min()
@@ -774,11 +760,11 @@ def _walk(rootset: RootSet):
             k = done[0]
             prefix = tuple(int(i) for i in block[k])
             js = np.flatnonzero(good[k])[:2]
-            gaps = full_rows(rows[k, js])[0]
+            gaps = _row_minima([(p, q)], rows[k, js])[0]
             return tuple(_critical(centers, (*prefix, int(j)), g) for j, g in zip(js, gaps)), None
         bad = verdict == 1
         if first_bad is None and bad.any():
             k, j = np.unravel_index(np.argmax(bad), bad.shape)
             first_bad = (*(int(i) for i in block[k]), int(j)), rows[k, j]
     t, r = first_bad
-    return None, (t, tuple(int(i) for i in _reps(d)[full_rows([r])[1][0]]))
+    return None, (t, _unrank(d, _row_minima([(p, q)], [r])[1][0]))

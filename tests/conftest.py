@@ -8,9 +8,17 @@ from itertools import product
 
 import numpy as np
 
+from wenum import polyx
 from wenum.codes import LinearCode
 from wenum.errors import DomainError
 from wenum.fields import GF
+
+
+def gcd_distinct_roots(w):
+    """Number of distinct complex roots of W(x, 1) as n - deg gcd(W, W'),
+    a route that classify's Yun factors do not take."""
+    p = tuple(w.coeffs)
+    return w.n - polyx.degree(polyx.monic_gcd(p, polyx.derivative(p)))
 
 
 def oracle_weight_coeffs(code):

@@ -11,15 +11,16 @@ import pytest
 
 from conftest import (
     d_delta_matrix,
+    gcd_distinct_roots,
     oracle_weight_coeffs,
     random_code,
     seeded,
     self_dual_matrix,
 )
+from wenum import polyx
 from wenum.algebra import (
     Shape,
     classify,
-    distinct_root_count,
     divisibility,
     is_formally_self_dual,
     macwilliams,
@@ -243,10 +244,17 @@ def test_gleason_pierce_consistency():
 
 
 def test_distinct_root_count_exact():
-    assert distinct_root_count(WeightEnumerator((3, 0, 1))) == 2  # x^2 + 3
-    assert distinct_root_count(pair_sum_enumerator(8, 4)) == 2
-    assert distinct_root_count(GLEASON) == 8
-    assert distinct_root_count(zero_code_enumerator(6)) == 1
+    # the total degree of the Yun factors, classify's count, against
+    # n - deg gcd(W, W')
+    for w, want in (
+        (WeightEnumerator((3, 0, 1)), 2),  # x^2 + 3
+        (pair_sum_enumerator(8, 4), 2),
+        (GLEASON, 8),
+        (zero_code_enumerator(6), 1),
+    ):
+        assert sum(polyx.degree(f) for f, _ in square_free(w)) == want
+        assert gcd_distinct_roots(w) == want
+    assert classify(GLEASON, 2).distinct_roots == 8
 
 
 def test_substitute_linear_exact_identity():

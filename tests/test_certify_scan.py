@@ -19,10 +19,10 @@ from wenum.stabilizer import (
     Verdict,
     _cross_parts,
     _cross_table,
+    _opening_pair,
     _orbit_rows,
-    _reps,
-    _scan_for_certificate,
     _screen,
+    _unrank,
     _walk,
     certify_trivial,
     solve_moebius,
@@ -35,6 +35,12 @@ def v4_orbit(t):
     return {tuple(t[i] for i in sigma) for sigma in V4}
 
 
+def oracle_reps(d):
+    """Each V4 orbit's member that starts with its smallest index, for the
+    4-tuples of distinct indices below d, in lexicographic order."""
+    return [t for t in permutations(range(d), 4) if t[0] == min(t)]
+
+
 def reference_scan(rootset):
     """Certificate and offending pair by comparing every ordered 4-tuple
     with every V4 orbit outside its own, both measured at the orbit's
@@ -44,7 +50,7 @@ def reference_scan(rootset):
     centers = rootset.centers()
     d = len(centers)
     threshold = 120 * rootset.N**3 * rootset.eps
-    reps = [t for t in permutations(range(d), 4) if t[0] == min(t)]
+    reps = oracle_reps(d)
     where = {t: i for i, t in enumerate(reps)}
     z = np.array(centers)
     idx = np.array(reps)
@@ -134,7 +140,7 @@ def _enumerators():
 @pytest.mark.parametrize("w, q", _enumerators())
 def test_scan_matches_all_pairs(w, q):
     rootset = roots_of(w, ROOT_EPS)
-    found, offending = _scan_for_certificate(rootset)
+    found, offending = _walk(rootset)
     if found is not None:
         found = tuple((c.indices, c.cross_ratio, c.gap) for c in found)
     assert (found, offending) == reference_scan(rootset)
@@ -151,10 +157,10 @@ def test_scan_matches_all_pairs(w, q):
 
 
 def test_tuples_and_orbit_keys():
-    # _orbit_rows gives every ordered 4-tuple the row of its V4 orbit in
-    # _reps, and every tuple with a repeated index -1
+    # _orbit_rows gives every ordered 4-tuple the row of its V4 orbit's
+    # representative, and every tuple with a repeated index -1
     for d in range(4, 9):
-        reps = [tuple(r) for r in _reps(d).tolist()]
+        reps = oracle_reps(d)
         tuples = list(product(range(d), repeat=4))
         rows = _orbit_rows(d, *np.array(tuples).T).tolist()
         for t, row in zip(tuples, rows):
@@ -165,8 +171,10 @@ def test_tuples_and_orbit_keys():
 
 
 def test_reps_one_per_orbit():
+    # _unrank names one representative per orbit, in lexicographic order
     for d in range(4, 9):
-        reps = [tuple(r) for r in _reps(d).tolist()]
+        reps = [_unrank(d, row) for row in range(d * (d - 1) * (d - 2) * (d - 3) // 4)]
+        assert reps == oracle_reps(d)
         orbits = {frozenset(v4_orbit(t)) for t in permutations(range(d), 4)}
         assert {frozenset(v4_orbit(t)) for t in reps} == orbits
         assert len(reps) == len(orbits)
@@ -177,7 +185,7 @@ def test_reps_one_per_orbit():
 def rep_of_table(d):
     """The d^4 table the closed-form rows replace: each representative's
     row scattered to the four members of its orbit, -1 elsewhere."""
-    reps = _reps(d)
+    reps = np.array(oracle_reps(d))
     rep_of = np.full((d,) * 4, -1, dtype=np.int32)
     for g in V4:
         rep_of[tuple(reps[:, g].T)] = np.arange(len(reps), dtype=np.int32)
@@ -189,11 +197,23 @@ def test_orbit_rows_match_table(d):
     assert (_orbit_rows(d, *np.indices((d,) * 4)) == rep_of_table(d)).all()
 
 
+def test_unrank_inverts_orbit_rows():
+    for d in range(5, 10):
+        for t in oracle_reps(d):
+            assert _unrank(d, int(_orbit_rows(d, *t))) == t
+    rng = seeded("unrank")
+    for d in (31, 64):
+        for _ in range(200):
+            t = tuple(rng.sample(range(d), 4))
+            rep = min(v4_orbit(t))
+            assert _unrank(d, int(_orbit_rows(d, *t))) == rep
+
+
 def test_scan_no_certificate_d32():
     # rm2_1_5: a nontrivial group, so every tuple meets a competitor
     rootset = roots_of(rm2_closed_form(5), ROOT_EPS)
     assert len(rootset.roots) == 32
-    found, (t, s) = _scan_for_certificate(rootset)
+    found, (t, s) = _walk(rootset)
     assert found is None and (t, s) == ((0, 1, 2, 3), (28, 29, 30, 31))
     z = rootset.centers()
     p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
@@ -203,19 +223,21 @@ def test_scan_no_certificate_d32():
     assert abs(p_t * q_s - q_t * p_s) <= 120 * rootset.N**3 * rootset.eps
 
 
-def test_scan_memory_prm5_3_2():
-    # d = 31: one row per V4 orbit keeps the scan's arrays at 188,790 rows
+def test_walk_memory_prm5_3_2():
+    # d = 31: one row per V4 orbit keeps the walk's table at 188,790 rows
+    # (about 22 MiB at its peak); one row per ordered tuple would be four
+    # times that
     w = enumerate_weights(get_entry("prm5_3_2").code)
     rootset = roots_of(w, ROOT_EPS)
     assert len(rootset.roots) == 31
     tracemalloc.start()
     try:
-        found, _ = _scan_for_certificate(rootset)
+        found, _ = _walk(rootset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert found is not None
-    assert peak <= 16 * 2**20
+    assert peak <= 32 * 2**20
 
 
 def hand_rootset(centers, eps=1e-13):
@@ -245,7 +267,7 @@ def test_cross_table_matches_gathers(centers):
     # representatives' entries
     z = np.array(centers)
     got = _cross_table(z)
-    want = _cross_parts(z[:, None] - z, *_reps(len(z)).T.astype(np.intp))
+    want = _cross_parts(z[:, None] - z, *np.array(oracle_reps(len(z))).T)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.float64), w.view(np.float64))
 
@@ -261,7 +283,9 @@ def test_scan_needs_five_roots():
             for j, (r, s) in enumerate(pq) if i != j]
     assert min(gaps) > 120 * rootset.N**3 * rootset.eps
     with pytest.raises(DomainError):
-        _scan_for_certificate(rootset)
+        _opening_pair(rootset)
+    with pytest.raises(DomainError):
+        _walk(rootset)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -275,7 +299,8 @@ def test_scan_past_opening_rows(seed, blocked):
     (a, b), (c, d) = solve_moebius(centers[:3], centers[5:8])
     z = centers[blocked]
     rootset = hand_rootset(centers + [(a * z + b) / (c * z + d)])
-    found, offending = _scan_for_certificate(rootset)
+    assert _opening_pair(rootset) is None
+    found, offending = _walk(rootset)
     assert found is not None and offending is None
     assert found[0].indices[:3] == (0, 1, 2)
     assert blocked not in (found[0].indices[3], found[1].indices[3])

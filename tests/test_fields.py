@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from wenum.codes import LinearCode, enumerate_weights, full_space_enumerator
 from wenum.errors import DomainError
 from wenum.fields import GF, FiniteField
 
@@ -100,6 +101,20 @@ def test_non_prime_power_rejected():
 def test_size_cap():
     with pytest.raises(DomainError):
         FiniteField(512)
+
+
+def test_numpy_integer_size_is_a_python_int():
+    # a uint8 q would wrap q**k: 4**5 is 0 in uint8
+    f = GF(np.uint8(4))
+    assert type(f.q) is int and f == GF(4)
+    code = LinearCode(f, np.eye(5, dtype=np.uint8))
+    assert code.size == 4**5
+    assert enumerate_weights(code) == full_space_enumerator(5, 4)
+
+
+def test_non_integer_size_rejected():
+    with pytest.raises(DomainError):
+        GF(2.0)
 
 
 # irreducible and a digest of the add, sub, mul, neg and inv tables for

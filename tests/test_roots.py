@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from wenum import polyx
-from wenum.algebra import distinct_root_count, macwilliams
+from wenum.algebra import macwilliams
 from wenum.catalog import rm2_closed_form
-from conftest import random_code, seeded
+from conftest import gcd_distinct_roots, random_code, seeded
 from wenum.codes import (
     WeightEnumerator,
     direct_sum,
@@ -50,13 +50,13 @@ def squarefree_part(sf):
 def test_square_free_repeated_pair():
     w = pair_sum_enumerator(4, 4)  # (x^2+3)^2
     sf = square_free(w)
-    assert distinct_root_count(w) == 2
+    assert gcd_distinct_roots(w) == 2
     assert sf == (((3, 0, 1), 2),)
 
 
 def test_square_free_gleason_is_squarefree():
     sf = square_free(GLEASON)
-    assert distinct_root_count(GLEASON) == 8
+    assert gcd_distinct_roots(GLEASON) == 8
     assert sf == ((GLEASON.coeffs, 1),)
     d = polyx.monic_gcd(GLEASON.coeffs, polyx.derivative(GLEASON.coeffs))
     assert polyx.degree(d) == 0
@@ -65,7 +65,7 @@ def test_square_free_gleason_is_squarefree():
 def test_square_free_x_cubed():
     w = zero_code_enumerator(3)
     sf = square_free(w)
-    assert distinct_root_count(w) == 1
+    assert gcd_distinct_roots(w) == 1
     assert sf == (((0, 1), 3),)
 
 
@@ -157,7 +157,7 @@ def test_rm4_2_2_certified_disks():
     w = _enumerator(reed_muller(4, 2, 2))
     sf = square_free(w)
     rs = find_roots(sf, 1e-12)
-    assert len(rs) == distinct_root_count(w)
+    assert len(rs) == gcd_distinct_roots(w)
     # pairwise disjoint disks
     roots = rs.roots
     for i in range(len(roots)):
@@ -165,7 +165,7 @@ def test_rm4_2_2_certified_disks():
             sep = abs(roots[i].center - roots[j].center)
             assert sep > roots[i].radius + roots[j].radius
     # Vieta: sum and product of the (simple) roots against the coefficients
-    d = distinct_root_count(w)
+    d = gcd_distinct_roots(w)
     poly = squarefree_part(sf)
     lead = poly[-1]
     total = sum(rs.centers())
@@ -475,7 +475,7 @@ def test_root_count_matches_squarefree_degree():
     w = enumerate_weights(projective_reed_muller(5, 3, 2))
     sf = square_free(w)
     rs = find_roots(sf, 1e-12)
-    assert len(rs) == distinct_root_count(w) == 31
+    assert len(rs) == gcd_distinct_roots(w) == 31
     assert rs.eps <= 1e-12
 
 

@@ -40,8 +40,9 @@ from wenum.stabilizer import (
     Verdict,
     _closure,
     _fixing,
-    _scan_for_certificate,
+    _opening_pair,
     _screen,
+    _walk,
     certify_trivial,
     compute_stabilizer,
     cross_ratio,
@@ -942,7 +943,7 @@ def test_certify_trivial_gleason_inconclusive(monkeypatch):
     rs = roots_of(GLEASON, ROOT_EPS)
     assert rep.eps == rs.eps  # the accuracy screened
     assert len(solves) == 1
-    found, offending = _scan_for_certificate(rs)
+    found, offending = _walk(rs)
     assert found is None and offending is not None
     compute_stabilizer(GLEASON, 2)
     assert len(solves) == 2
@@ -957,7 +958,7 @@ def test_certify_trivial_rm2_1_4_inconclusive():
     rs = roots_of(w, ROOT_EPS)
     assert rep.eps == rs.eps
     z = rs.centers()
-    found, (t, s) = _scan_for_certificate(rs)
+    found, (t, s) = _walk(rs)
     assert found is None
     assert s not in {tuple(t[i] for i in sigma) for sigma in V4_PERMS}
     p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
@@ -987,7 +988,7 @@ def test_certify_trivial_when_the_screen_fails(monkeypatch):
     rs = roots_of(rm, ROOT_EPS)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.witness is None and rep.size == 0 and rep.eps == rs.eps
-    assert rep.offending == _scan_for_certificate(rs)[1]
+    assert rep.offending == _walk(rs)[1]
     assert rep.offending == ((0, 1, 2, 3), (4, 10, 6, 8))
     # prm5_3_2's opening rows certify before the screen would run
     assert calls == [16]
@@ -1052,7 +1053,9 @@ def test_certify_witness_is_first_verified_in_screen_order():
 def test_scan_gives_up_at_wide_disks():
     roots = tuple(Root(center=complex(k), radius=0.5, multiplicity=1)
                   for k in range(5))
-    assert _scan_for_certificate(RootSet(roots=roots, eps=0.5, N=5.0)) == (None, None)
+    rootset = RootSet(roots=roots, eps=0.5, N=5.0)
+    assert _walk(rootset) == (None, None)
+    assert _opening_pair(rootset) is None
 
 
 def test_certify_trivial_rm2_1_6_witness():
