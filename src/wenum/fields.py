@@ -32,6 +32,14 @@ from .errors import DomainError
 MAX_Q = 256  # the tables are uint8
 
 
+def _field_size(q) -> int:
+    """q as a Python int; a numpy integer would overflow q**k."""
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise DomainError(f"field size must be an integer, got {q!r}") from None
+
+
 def _factor_prime_power(q: int):
     """Return (p, e) with q = p^e, or raise if q is not a prime power."""
     if q < 2:
@@ -53,10 +61,7 @@ class FiniteField:
     """
 
     def __init__(self, q: int):
-        try:
-            q = operator.index(q)  # a numpy integer would overflow q**k
-        except TypeError:
-            raise DomainError(f"field size must be an integer, got {q!r}") from None
+        q = _field_size(q)
         if q > MAX_Q:
             raise DomainError(f"field size {q} exceeds supported cap {MAX_Q}")
         p, e = _factor_prime_power(q)
@@ -126,7 +131,9 @@ class FiniteField:
         return f"GF({self.q})"
 
 
-@lru_cache(maxsize=None)
 def GF(q: int) -> FiniteField:
-    """Cached canonical field of size q."""
-    return FiniteField(q)
+    """The canonical field of size q, one instance per size."""
+    return _cached_field(_field_size(q))
+
+
+_cached_field = lru_cache(maxsize=None)(FiniteField)

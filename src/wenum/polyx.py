@@ -8,15 +8,11 @@ that form, and a gcd over Q is returned in it.  Degrees stay small here
 (weight enumerators have degree = code length), so the gcd is a primitive
 pseudo-remainder sequence (von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 6): each remainder is lc(b)^k a mod b, which stays in Z[x],
-with its content divided out.  One early exit comes first: the images of
-p and q modulo the prime _P go through Euclid over GF(_P), and a nonzero
-constant gcd there proves them coprime.  The exit is one-sided and sound:
-let g be the primitive gcd of p and q.  By Gauss's lemma g divides p and
-q in Z[x], so lc(g) divides lc(p); when _P does not divide lc(p), g
-modulo _P keeps its degree and divides both images, so deg g <= deg gcd
-over GF(_P).  A nonconstant gcd modulo _P proves nothing, and the
-sequence decides.  Gauss's lemma also keeps Yun's divisions in Z[x]: a
-primitive gcd divides its integer multiples there.
+with its content divided out.  One early exit comes first: coprime, a
+gcd modulo the prime _P, can prove p and q coprime and never does so
+wrongly; when it cannot, the sequence decides.  Gauss's lemma also keeps
+Yun's divisions in Z[x]: a primitive gcd divides its integer multiples
+there.
 """
 
 from __future__ import annotations
@@ -80,9 +76,16 @@ def derivative(p: Poly) -> Poly:
     return normalize(i * p[i] for i in range(1, len(p)))
 
 
-def _coprime_mod_p(p: Poly, q: Poly) -> bool:
+def coprime(p: Poly, q: Poly) -> bool:
     """Whether p and q have a nonzero constant gcd modulo _P, and _P does
-    not divide lc(p): then they are coprime over Q."""
+    not divide lc(p): then they are coprime over Q.
+
+    The images of p and q go through Euclid over GF(_P).  The test is
+    one-sided and sound: let g be the primitive gcd of p and q.  By
+    Gauss's lemma g divides p and q in Z[x], so lc(g) divides lc(p); when
+    _P does not divide lc(p), g modulo _P keeps its degree and divides
+    both images, so deg g <= deg gcd over GF(_P).  False proves nothing:
+    a nonconstant gcd modulo _P may come from an unlucky prime."""
     if not p or p[-1] % _P == 0:
         return False
     a, b = [c % _P for c in p], list(normalize(c % _P for c in q))
@@ -114,7 +117,7 @@ def _prem(a: Poly, b: Poly) -> Poly:
 def monic_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd over Q in primitive form ((1,) for coprime inputs, () only if
     both are zero).  perfbench/trace.py patches it by this name."""
-    if _coprime_mod_p(p, q):
+    if coprime(p, q):
         return (1,)
     a, b = p, q
     while b:

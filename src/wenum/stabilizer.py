@@ -55,42 +55,23 @@ representatives, the members that start with their smallest index.
 This is sound because V4 keeps the cross ratio, so t and r share their
 true cross ratio, and the threshold bounds the computed gap of any
 ordered tuple, r included; so competitors are one row per orbit, a
-quarter of the ordered tuples.  Failure to certify is reported as
-inconclusive, never as "not trivial".  P and Q of the representatives
-are built by one broadcast product per first index (_cross_blocks), with
-no index array, in representative order (_orbit_rows); a full row, a
-representative's smallest gap to every other, has one routine
-(_row_minima), streamed or over the whole table alike.
+quarter of the ordered tuples.  P and Q of the representatives are
+built by one broadcast product per first index (_cross_blocks), with no
+index array.
 
 certify_trivial first decides the first two tuples in lexicographic
 order, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): their full rows
-are streamed, so no table is built, and the pass stops at the first
-competitor within the threshold.  When both are critical they are the
-certificate, and nothing else runs; the walk below opens with the same
-two rows, so this is its own answer.  Otherwise the roots are screened.  Every
-stabilizing map passes the screen; when the map of a screened
-non-identity permutation fixes W within VERIFY_TOL, the stabilizer is
-numerically nontrivial, so the verdict is Inconclusive with that
-permutation as witness, and nothing is walked.  Otherwise the walk
-(_walk) builds the table (_cross_table) and compares each
-representative r only with nearby representatives: the gap is
-|Q_r| |Q_s| |lambda_r - lambda_s|, so a competitor within the threshold
-has its cross ratio within 120 N^3 eps / (|Q_r| min|Q|) of lambda_r.
-The representatives are sorted by a projection of lambda (which
-lengthens no distance), and r is compared with every one whose
-projection lies within that radius, widened by the relative slack 2^-40
-in the radius and 2^-40 |lambda_r| besides.  The rounding of the
-products, the quotient and the projection is a few units of 2^-53, so
-the slack covers it many times over and no competitor within the
-threshold is missed; each gap compared is the same elementwise
-expression as a full row, so the verdict, the certificate and the
-offending pair are those of comparing all pairs of representatives.
-The tuples are walked in blocks of whole 3-prefixes in lexicographic
-order; each tuple's orbit row is computed in closed form from its
-entries (_orbit_rows), each orbit is decided once, when first reached,
-and an early certificate ends the walk early.  The certificate's gaps
-and the offending competitor come from full rows, and the competitor's
-row is turned back into its representative (_unrank).
+(_row_minima) are streamed, so no table is built, and the pass stops at
+the first competitor within the threshold.  When both are critical they
+are the certificate, and nothing else runs.  Otherwise the roots are
+screened.  Every stabilizing map passes the screen; when the map of a
+screened non-identity permutation fixes W within VERIFY_TOL, the
+stabilizer is numerically nontrivial, so the verdict is Inconclusive
+with that permutation as witness.  Otherwise the proof is exact:
+invariants.fixed_points looks for three integer points whose fibre of
+W's absolute invariants is the point itself, which the whole stabilizer
+must then fix, and uses neither roots nor eps.  Failure to certify
+either way is reported as inconclusive, never as "not trivial".
 
 Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
@@ -112,13 +93,12 @@ import numpy as np
 from .algebra import ClassificationResult, classify, substitute_linear
 from .codes import WeightEnumerator
 from .errors import DegenerateInputError, DomainError, PrecisionFailureError
+from .invariants import fixed_points
 from .roots import RootSet, roots_of
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 ROOT_EPS = 1e-12  # root accuracy requested by both verbs
-_SLACK = 2.0**-40  # relative widening of a candidate radius for rounding
-_PREFIXES = 256  # 3-prefixes scanned per block
-_PAIRS = 1 << 16  # candidate pairs compared at once: 1 MiB per complex array
+_SLACK = 2.0**-40  # relative widening of a screen window for rounding
 _CELLS = 4096  # screen grid cells (a, b, c) a block, but one first index at least
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 
@@ -192,14 +172,17 @@ class StabilizerReport:
     """`projective` holds mu M for each root permutation of the group, in
     screen order (the identity alone when TRIVIAL_CERTIFIED); `size` and
     `elements` count and list its n scalar twists, with n read from
-    `classification`.  size is 0 for INFINITE and INCONCLUSIVE."""
+    `classification`.  size is 0 for INFINITE and INCONCLUSIVE.  A
+    TRIVIAL_CERTIFIED report holds its proof: either `certificate`, the
+    paper's two critical tuples, or `fixed_points`, three points that the
+    whole stabilizer fixes (invariants.fixed_points)."""
 
     verdict: Verdict
     classification: ClassificationResult
     projective: tuple = ()  # StabilizerElements, one per root permutation
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
+    fixed_points: tuple | None = None  # three integers x0, points (x0 : 1)
     eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
-    offending: tuple | None = None  # uncertifiable tuple, competitor's representative
     witness: tuple | None = None  # verified non-identity permutation (inconclusive)
 
     @property
@@ -474,60 +457,6 @@ def _distinct(d):
     return (ne[:, :, None] & ne[:, None, :] & ne).reshape(-1)  # i != j, i != k, j != k
 
 
-def _triples(d):
-    """The ordered triples of distinct indices below d, one per row, in
-    the order of permutations(range(d), 3), in the narrowest unsigned
-    dtype that holds d."""
-    t = np.indices((d,) * 3, dtype=np.min_scalar_type(d)).reshape(3, -1).T
-    return t[np.flatnonzero(_distinct(d))]  # faster than a boolean index here
-
-
-def _orbit_rows(d, u0, u1, u2, u3):
-    """The row of the V4 orbit of each 4-tuple (u0, u1, u2, u3), for index
-    arrays that broadcast together, and -1 for a tuple that repeats an
-    index.  Representative order, that of every table here, ranks the
-    orbits' members that start with their smallest index lexicographically.
-
-    V4 moves position j to j xor g, so two swaps bring the smallest index
-    a to the front: of the pairs (u0, u1) and (u2, u3) when it lies in
-    the second, then of the entries within each pair when it is second
-    in its pair.  That gives the orbit's representative (a, b, c, x).
-    The representatives starting below a number the sum over a' < a of
-    P(d - 1 - a'), P(m) = m (m - 1) (m - 2) being the count of ordered
-    triples of m indices, which is S(d - 1) - S(d - 1 - a) for
-    S(n) = (n + 1) n (n - 1) (n - 2) / 4.  Then (b, c, x) has its
-    lexicographic rank among the ordered triples of the m = d - 1 - a
-    indices above a: with i, j, k their offsets above a, j drops one
-    place when it lies above i, and k one for each of i, j below it.
-    """
-    u0, u1, u2, u3 = (np.asarray(v, dtype=np.int64) for v in (u0, u1, u2, u3))
-    swap = np.minimum(u2, u3) < np.minimum(u0, u1)
-    u0, u1, u2, u3 = (
-        np.where(swap, v, w) for v, w in ((u2, u0), (u3, u1), (u0, u2), (u1, u3))
-    )
-    swap = u1 < u0
-    a, b, c, x = (
-        np.where(swap, v, w) for v, w in ((u1, u0), (u0, u1), (u3, u2), (u2, u3))
-    )
-    m = d - 1 - a
-    i, j, k = b - a - 1, c - a - 1, x - a - 1
-    rank = (i * (m - 1) + j - (j > i)) * (m - 2) + k - (k > i) - (k > j)
-    start = (d * (d - 1) * (d - 2) * (d - 3) - (m + 1) * m * (m - 1) * (m - 2)) // 4
-    distinct = (a < b) & (a < c) & (a < x) & (b != c) & (b != x) & (c != x)
-    return np.where(distinct, start + rank, -1)
-
-
-def _unrank(d, row):
-    """The representative at `row` in representative order (_orbit_rows)
-    of the indices below d: skip the P(m) rows starting with each a, then
-    (b, c, x) is the ordered triple of the rank left, above a."""
-    a, m = 0, d - 1
-    while row >= m * (m - 1) * (m - 2):
-        row -= m * (m - 1) * (m - 2)
-        a, m = a + 1, m - 1
-    return (a, *(int(v) + a + 1 for v in _triples(m)[row]))
-
-
 def _cross_parts(diff, a, b, c, x):
     """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
     arrays that broadcast together, from diff[i, j] = z_i - z_j."""
@@ -536,8 +465,9 @@ def _cross_parts(diff, a, b, c, x):
 
 def _cross_blocks(z):
     """P and Q of the V4 representatives (a, b, c, x) of the centers z that
-    start with a, for each first index a < d - 3 in turn, in
-    representative order (_orbit_rows).
+    start with a, for each first index a < d - 3 in turn: together, every
+    representative in representative order, which ranks them
+    lexicographically.
 
     One broadcast product over the grid of the triples (b, c, x) of
     indices above a gives the same elementwise products as _cross_parts,
@@ -555,80 +485,57 @@ def _cross_blocks(z):
         )
 
 
-def _cross_table(z):
-    """P and Q of every V4 representative of the centers z, in
-    representative order (_orbit_rows), without building the
-    representatives."""
-    p, q = zip(*_cross_blocks(z))
-    return np.concatenate(p), np.concatenate(q)
-
-
-def _threshold(rootset: RootSet):
-    """The certified gap bound 120 N^3 eps, or None when eps >= 1/2, where
-    no gap is certified.  Raises DomainError below 5 roots."""
-    d = len(rootset.roots)
-    if d < 5:
-        raise DomainError(f"triviality certificate needs >= 5 roots, found {d}")
-    return 120 * rootset.N**3 * rootset.eps if rootset.eps < 0.5 else None
-
-
 def _critical(centers, t, gap):
     return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
 
 
-def _row_minima(blocks, rows, threshold=None):
+def _row_minima(blocks, rows, threshold):
     """For the representatives at `rows`, the smallest |P_r Q_s - Q_r P_s|
-    over every other representative s, and the row of the first s
-    attaining it, as two lists.  `blocks` yields P and Q of the
-    representatives in representative order (_orbit_rows), in consecutive
-    pieces, the first holding `rows`.  With a threshold, None as soon as a
-    minimum is not above it (NaN included).
+    over every other representative s, as a list; None as soon as a
+    minimum is not above `threshold` (NaN included).  `blocks` yields P
+    and Q of the representatives in representative order, in consecutive
+    pieces, the first holding `rows`.
 
-    A row streamed one first index at a time (_opening_pair) and over the
-    whole table (_walk) give the same bits: one 1-D product per row and
-    block, the row's own cell set to inf; P_r and Q_r are elements of the
-    first block's arrays (a product of numpy scalars may round otherwise);
-    block minima combine as np.argmin does: first NaN, else first minimum."""
-    heads, found, start = None, [[] for _ in rows], 0
+    Each row takes one 1-D product per block, its own cell set to inf;
+    P_r and Q_r are elements of the first block's arrays (a product of
+    numpy scalars may round otherwise)."""
+    heads, found = None, [[] for _ in rows]
     for p, q in blocks:
-        if heads is None:
+        first = heads is None
+        if first:
             heads = [(p[r], q[r]) for r in rows]
         for (pr, qr), r, out in zip(heads, rows, found):
             gaps = np.abs(pr * q - qr * p)
-            if start == 0:
+            if first:
                 gaps[r] = np.inf  # the row's own cell
-            s = int(gaps.argmin())
-            if threshold is not None and not gaps[s] > threshold:
+            out.append(gaps.min())
+            if not out[-1] > threshold:
                 return None
-            out.append((gaps[s], start + s))
-        start += len(p)
-    best = [out[int(np.argmin([g for g, _ in out]))] for out in found]
-    return [float(g) for g, _ in best], [s for _, s in best]
+    return [float(min(out)) for out in found]
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
-    """Certified-trivial stabilizer via two critical tuples.
+    """Certified-trivial stabilizer, by the paper's two critical tuples or
+    by three fixed points.
 
     Solves for roots once, at ROOT_EPS, then decides the full rows
     (_row_minima) of the first two ordered 4-tuples, (0, 1, 2, 3) and
     (0, 1, 2, 4) (_opening_pair): when both are critical they are the
-    certificate, and nothing else runs.  Otherwise the roots are screened:
-    the first screened non-identity permutation whose map fixes W within
-    VERIFY_TOL gives an Inconclusive verdict with that permutation as
-    `witness`.  Otherwise (also when the screen cannot decide) _walk
-    decides the ordered 4-tuples in lexicographic order, once per V4
-    orbit, at its representative (cross ratios are V4-invariant, and the
-    threshold bounds the computed gap of every member).  The first two
-    critical tuples sharing a 3-prefix prove the projective stabilizer
-    trivial, so the full GL2 stabilizer is the n scalar matrices
-    zeta_n^t I.  A certificate is a proof, while a screen witness is a
-    residual within VERIFY_TOL, so should the screen also have found a
-    witness, the certificate is reported; no catalog, bench or tested
-    enumerator has both.  When some needed comparison stays within the
-    threshold the verdict is Inconclusive, with the offending tuple, its
-    competitor's representative and the accuracy scanned (None when the
-    root solve failed), which is weaker than and distinct from "not
-    trivial".
+    `certificate`, and nothing else runs.  Otherwise the roots are
+    screened: the first screened non-identity permutation whose map fixes
+    W within VERIFY_TOL gives an Inconclusive verdict with that
+    permutation as `witness`.  Otherwise (also when the screen cannot
+    decide) invariants.fixed_points looks for three points that the
+    whole stabilizer fixes, exactly, from W's coefficients alone; found,
+    they are the proof, as `fixed_points`.  Either proof makes the
+    projective stabilizer trivial, so the full GL2 stabilizer is the n
+    scalar matrices zeta_n^t I.  A certificate is a proof, while a screen
+    witness is a residual within VERIFY_TOL, so should the screen also
+    have found a witness, the certificate is reported; no catalog, bench
+    or tested enumerator has both.  With neither a proof nor a witness
+    the verdict is Inconclusive, with the accuracy of the roots (None
+    when the root solve failed), which is weaker than and distinct from
+    "not trivial".
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer or cls.distinct_roots < 5:
@@ -641,12 +548,12 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     except PrecisionFailureError:
         # accuracy exhausted; report what we know, never "not trivial"
         return StabilizerReport(verdict=Verdict.INCONCLUSIVE, classification=cls)
-    found, offending = _opening_pair(rootset), None
+    found, points = _opening_pair(rootset), None
     if found is None:
         try:
             screened = _screen(rootset)
         except PrecisionFailureError:
-            screened = {}  # the walk below decides on its own
+            screened = {}  # the fixed points below decide on their own
         identity = tuple(range(len(rootset.roots)))
         perms = [p for p in screened if p != identity]
         for perm, fixing in zip(perms, _fixing(w, [screened[p] for p in perms])):
@@ -657,114 +564,35 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
                     eps=rootset.eps,
                     witness=perm,
                 )
-        found, offending = _walk(rootset)
-    if not found:
-        return StabilizerReport(
-            verdict=Verdict.INCONCLUSIVE,
-            classification=cls,
-            offending=offending,
-            eps=rootset.eps,
-        )
+        points = fixed_points(w.coeffs)
+        if points is None:
+            return StabilizerReport(
+                verdict=Verdict.INCONCLUSIVE, classification=cls, eps=rootset.eps
+            )
     return StabilizerReport(
         verdict=Verdict.TRIVIAL_CERTIFIED,
         classification=cls,
         projective=(StabilizerElement(_IDENTITY, 0.0),),
         certificate=found,
+        fixed_points=points,
         eps=rootset.eps,
     )
 
 
 def _opening_pair(rootset: RootSet):
     """(0, 1, 2, 3) and (0, 1, 2, 4), rows 0 and 1 of the representatives,
-    as CriticalTuples when both are critical; otherwise None.
-
-    Their full rows (_row_minima) take P and Q one first index a at a time
-    from _cross_blocks, so no table is built, and the pass ends as soon as
-    either minimum is within the threshold.  The gaps are the bits the
-    walk takes from the whole table."""
-    threshold = _threshold(rootset)
-    if threshold is None:
-        return None
-    centers = rootset.centers()
-    found = _row_minima(_cross_blocks(np.array(centers)), (0, 1), threshold)
-    return found and tuple(_critical(centers, (0, 1, 2, x), g) for x, g in zip((3, 4), found[0]))
-
-
-def _walk(rootset: RootSet):
-    """(certificate, None) for the first two critical 4-tuples sharing a
-    3-prefix, in lexicographic order, as CriticalTuples; otherwise
-    (None, offending), the first tuple that meets a competitor and the
-    representative of that competitor's orbit; (None, None) when
+    as CriticalTuples when both are critical; otherwise None, also when
     eps >= 1/2, where no gap is certified.  Raises DomainError below 5
     roots.
 
-    Every 4-tuple is walked in blocks of prefixes, the opening pair
-    included, and each orbit is decided once against the nearby
-    representatives of _cross_table only (see the module docstring); the
-    gaps and the competitor come from the table as one _row_minima block."""
-    threshold = _threshold(rootset)
-    if threshold is None:
-        return None, None
+    Their full rows (_row_minima) take P and Q one first index a at a time
+    from _cross_blocks, so no table is built, and the pass ends as soon as
+    either minimum is within the certified bound 120 N^3 eps."""
     centers = rootset.centers()
-    d = len(centers)
-    p, q = _cross_table(np.array(centers))  # the competitors, one per V4 orbit
-    lam = p / q
-    abs_q = np.abs(q)
-    q_min = abs_q.min()
-    # projection on a direction off both axes: a real W has conjugate
-    # roots, so a cross ratio and its conjugate share their real part
-    x = 0.6 * lam.real + 0.8 * lam.imag
-    order = np.argsort(x)
-    keys = x[order]
-
-    def uncertifiable(rows):
-        """Whether each representative in rows has another representative
-        with |a - b| <= threshold; only those whose projection lies within
-        the row's candidate radius are compared."""
-        radius = (
-            threshold / (abs_q[rows] * q_min) + _SLACK * np.abs(lam[rows])
-        ) * (1 + _SLACK)
-        lo = np.searchsorted(keys, x[rows] - radius, "left")
-        counts = np.searchsorted(keys, x[rows] + radius, "right") - lo
-        edges = np.concatenate(([0], np.cumsum(counts)))
-        bad = np.zeros(len(rows), dtype=bool)
-        i = 0
-        while i < len(counts):  # pieces of at most _PAIRS pairs, or one row
-            j = int(np.searchsorted(edges, edges[i] + _PAIRS, "right")) - 1
-            j = max(j, i + 1)
-            k = np.repeat(np.arange(i, j), counts[i:j])
-            t = rows[k]
-            s = order[
-                np.repeat(lo[i:j] - edges[i:j], counts[i:j])
-                + np.arange(edges[i], edges[j])
-            ]
-            diffs = np.abs(p[t] * q[s] - q[t] * p[s])
-            bad[k[(diffs <= threshold) & (s != t)]] = True
-            i = j
-        return bad
-
-    triples = _triples(d)
-    known = np.zeros(len(p), dtype=np.int8)  # 1 uncertifiable, 2 critical
-    first_bad = None
-    for start in range(0, len(triples), _PREFIXES):
-        block = triples[start : start + _PREFIXES]
-        # prefix by x; -1 where x is in the prefix
-        rows = _orbit_rows(d, *block.T[:, :, None], np.arange(d))
-        new = np.sort(rows[(rows >= 0) & (known[rows] == 0)])
-        new = new[np.diff(new, prepend=-1) != 0]
-        known[new] = np.where(uncertifiable(new), 1, 2)
-        verdict = np.where(rows < 0, 0, known[rows])
-        good = verdict == 2
-        done = np.flatnonzero(good.sum(axis=1) >= 2)
-        if len(done):
-            k = done[0]
-            prefix = tuple(int(i) for i in block[k])
-            js = np.flatnonzero(good[k])[:2]
-            gaps = _row_minima([(p, q)], rows[k, js])[0]
-            return tuple(_critical(centers, (*prefix, int(j)), g) for j, g in zip(js, gaps)), None
-        bad = verdict == 1
-        if first_bad is None and bad.any():
-            k, j = np.unravel_index(np.argmax(bad), bad.shape)
-            first_bad = (*(int(i) for i in block[k]), int(j)), rows[k, j]
-    t, r = first_bad
-    return None, (t, _unrank(d, _row_minima([(p, q)], [r])[1][0]))
+    if len(centers) < 5:
+        raise DomainError(f"triviality certificate needs >= 5 roots, found {len(centers)}")
+    if rootset.eps >= 0.5:
+        return None
+    threshold = 120 * rootset.N**3 * rootset.eps
+    gaps = _row_minima(_cross_blocks(np.array(centers)), (0, 1), threshold)
+    return gaps and tuple(_critical(centers, (0, 1, 2, x), g) for x, g in zip((3, 4), gaps))

@@ -1,5 +1,6 @@
-"""Shared test helpers: independent oracles, random code generation and
-the paper's invariant matrices D_Delta and S_q."""
+"""Shared test helpers: independent oracles, random code generation, the
+certificate tests' enumerators and the paper's invariant matrices D_Delta
+and S_q."""
 
 import cmath
 import math
@@ -7,11 +8,15 @@ import random
 from itertools import product
 
 import numpy as np
+import pytest
 
 from wenum import polyx
-from wenum.codes import LinearCode
+from wenum.algebra import classify, macwilliams
+from wenum.catalog import rm2_closed_form
+from wenum.codes import LinearCode, WeightEnumerator, enumerate_weights
 from wenum.errors import DomainError
 from wenum.fields import GF
+from wenum.reedmuller import reed_muller
 
 
 def gcd_distinct_roots(w):
@@ -79,6 +84,35 @@ def monomial_transform(rng, code):
 
 def seeded(name):
     return random.Random(f"wenum:{name}")
+
+
+def certify_enumerators():
+    """(name, W, q): catalog enumerators, seeded random codes with at
+    least five distinct roots, binary codes holding the all-ones word
+    (palindromic W, so no certificate exists), and all their duals."""
+    out = [
+        ("gleason", WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1)), 2),
+        ("rm2_1_3", rm2_closed_form(3), 2),
+        ("rm4_2_2", enumerate_weights(reed_muller(4, 2, 2)), 4),
+        ("rm4_3_2", enumerate_weights(reed_muller(4, 3, 2)), 4),
+    ]
+    shapes = [(2, 12, 5), (3, 11, 4), (4, 10, 4), (5, 12, 4)] * 5
+    shapes += [(2, 10, 4, "ones")] * 3
+    for slot, (q, n, k, *ones) in enumerate(shapes):
+        rng = seeded(f"scan:{slot}")
+        while True:
+            code = random_code(rng, q, n, k)
+            if ones:
+                gen = np.vstack([code.generator, np.ones(n, np.uint8)])
+                code = LinearCode(code.field, gen)
+            w = enumerate_weights(code)
+            cls = classify(w, q)
+            if not cls.infinite_stabilizer and cls.distinct_roots >= 5:
+                break
+        size = q**code.k
+        out.append((f"rand{slot}_q{q}_{n}_{code.k}", w, q))
+        out.append((f"rand{slot}_q{q}_{n}_{code.k}_dual", macwilliams(w, q, size), q))
+    return [pytest.param(w, q, id=name) for name, w, q in out]
 
 
 def d_delta_matrix(delta):

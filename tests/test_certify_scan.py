@@ -1,29 +1,29 @@
-"""The bucketed certificate scan against the all-pairs scans it replaces."""
+"""The opening-pair certificate and certify_trivial against all-pairs
+scans that share no code with them."""
 
+import functools
 import math
 import tracemalloc
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from conftest import random_code, seeded
-from wenum.algebra import classify, macwilliams
+from conftest import certify_enumerators, seeded
 from wenum.catalog import get_entry, rm2_closed_form
-from wenum.codes import LinearCode, WeightEnumerator, enumerate_weights
+from wenum.codes import enumerate_weights
 from wenum.errors import DomainError, PrecisionFailureError
+from wenum.invariants import fixed_points
 from wenum.reedmuller import reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
     ROOT_EPS,
     Verdict,
+    _cross_blocks,
     _cross_parts,
-    _cross_table,
     _opening_pair,
-    _orbit_rows,
+    _row_minima,
     _screen,
-    _unrank,
-    _walk,
     certify_trivial,
     solve_moebius,
 )
@@ -42,7 +42,7 @@ def oracle_reps(d):
 
 
 def reference_scan(rootset):
-    """Certificate and offending pair by comparing every ordered 4-tuple
+    """The certificate, or None, by comparing every ordered 4-tuple
     with every V4 orbit outside its own, both measured at the orbit's
     member that starts with its smallest index: tuples from itertools, a
     dict index, one full numpy row per tuple scanned.  Shares no code with
@@ -56,7 +56,6 @@ def reference_scan(rootset):
     idx = np.array(reps)
     p = (z[idx[:, 0]] - z[idx[:, 2]]) * (z[idx[:, 1]] - z[idx[:, 3]])
     q = (z[idx[:, 0]] - z[idx[:, 3]]) * (z[idx[:, 1]] - z[idx[:, 2]])
-    first = None
     for prefix in permutations(range(d), 3):
         certified = []
         for i4 in (i for i in range(d) if i not in prefix):
@@ -70,10 +69,8 @@ def reference_scan(rootset):
                 lam = ((z1 - z3) * (z2 - z4)) / ((z1 - z4) * (z2 - z3))
                 certified.append((t, lam, float(diffs[best])))
                 if len(certified) == 2:
-                    return tuple(certified), None
-            elif first is None:
-                first = (t, reps[best])
-    return None, first
+                    return tuple(certified)
+    return None
 
 
 def members_scan(rootset):
@@ -88,7 +85,6 @@ def members_scan(rootset):
     idx = np.array(tuples)
     p = (z[idx[:, 0]] - z[idx[:, 2]]) * (z[idx[:, 1]] - z[idx[:, 3]])
     q = (z[idx[:, 0]] - z[idx[:, 3]]) * (z[idx[:, 1]] - z[idx[:, 2]])
-    first = None
     for prefix in permutations(range(d), 3):
         certified = []
         for i4 in (i for i in range(d) if i not in prefix):
@@ -102,142 +98,75 @@ def members_scan(rootset):
                 lam = ((z1 - z3) * (z2 - z4)) / ((z1 - z4) * (z2 - z3))
                 certified.append((t, lam, float(diffs[best])))
                 if len(certified) == 2:
-                    return tuple(certified), None
-            elif first is None:
-                first = (t, tuples[best])
-    return None, first
+                    return tuple(certified)
+    return None
 
 
-def _enumerators():
-    """(name, W, q): catalog enumerators, seeded random codes with at
-    least five distinct roots, binary codes holding the all-ones word
-    (palindromic W, so no certificate exists), and all their duals."""
-    out = [
-        ("gleason", WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1)), 2),
-        ("rm2_1_3", rm2_closed_form(3), 2),
-        ("rm4_2_2", enumerate_weights(reed_muller(4, 2, 2)), 4),
-        ("rm4_3_2", enumerate_weights(reed_muller(4, 3, 2)), 4),
-    ]
-    shapes = [(2, 12, 5), (3, 11, 4), (4, 10, 4), (5, 12, 4)] * 5
-    shapes += [(2, 10, 4, "ones")] * 3
-    for slot, (q, n, k, *ones) in enumerate(shapes):
-        rng = seeded(f"scan:{slot}")
-        while True:
-            code = random_code(rng, q, n, k)
-            if ones:
-                gen = np.vstack([code.generator, np.ones(n, np.uint8)])
-                code = LinearCode(code.field, gen)
-            w = enumerate_weights(code)
-            cls = classify(w, q)
-            if not cls.infinite_stabilizer and cls.distinct_roots >= 5:
-                break
-        size = q**code.k
-        out.append((f"rand{slot}_q{q}_{n}_{code.k}", w, q))
-        out.append((f"rand{slot}_q{q}_{n}_{code.k}_dual", macwilliams(w, q, size), q))
-    return [pytest.param(w, q, id=name) for name, w, q in out]
+OPENING = ((0, 1, 2, 3), (0, 1, 2, 4))
 
 
-@pytest.mark.parametrize("w, q", _enumerators())
-def test_scan_matches_all_pairs(w, q):
+@functools.cache
+def scans(w):
+    """W's roots and both all-pairs scans of them, computed once per W."""
     rootset = roots_of(w, ROOT_EPS)
-    found, offending = _walk(rootset)
-    if found is not None:
-        found = tuple((c.indices, c.cross_ratio, c.gap) for c in found)
-    assert (found, offending) == reference_scan(rootset)
-    # measured at every member, the verdict and tuples are the same
-    want, want_offending = members_scan(rootset)
-    assert (found is None) == (want is None)
-    if found is not None:
-        for (t, lam, gap), (want_t, want_lam, want_gap) in zip(found, want):
+    return rootset, reference_scan(rootset), members_scan(rootset)
+
+
+def as_tuples(certificate):
+    return tuple((t.indices, t.cross_ratio, t.gap) for t in certificate)
+
+
+@pytest.mark.parametrize("w, q", certify_enumerators())
+def test_opening_pair_matches_all_pairs(w, q):
+    # the opening pair is the all-pairs certificate exactly when that
+    # certificate is (0, 1, 2, 3) and (0, 1, 2, 4), and None otherwise
+    rootset, want, members = scans(w)
+    found = _opening_pair(rootset)
+    if want is not None and tuple(t for t, _, _ in want) == OPENING:
+        assert as_tuples(found) == want
+        # measured at every member, the tuples and gaps are the same
+        for (t, lam, gap), (want_t, want_lam, want_gap) in zip(as_tuples(found), members):
             assert (t, lam) == (want_t, want_lam)
             assert gap == pytest.approx(want_gap, rel=1e-12)
     else:
-        assert offending[0] == want_offending[0]
-        assert offending[1] in v4_orbit(want_offending[1])
+        assert found is None
 
 
-def test_tuples_and_orbit_keys():
-    # _orbit_rows gives every ordered 4-tuple the row of its V4 orbit's
-    # representative, and every tuple with a repeated index -1
-    for d in range(4, 9):
-        reps = oracle_reps(d)
-        tuples = list(product(range(d), repeat=4))
-        rows = _orbit_rows(d, *np.array(tuples).T).tolist()
-        for t, row in zip(tuples, rows):
-            if len(set(t)) == 4:
-                assert reps[row] in v4_orbit(t)
-            else:
-                assert row == -1
-
-
-def test_reps_one_per_orbit():
-    # _unrank names one representative per orbit, in lexicographic order
-    for d in range(4, 9):
-        reps = [_unrank(d, row) for row in range(d * (d - 1) * (d - 2) * (d - 3) // 4)]
-        assert reps == oracle_reps(d)
-        orbits = {frozenset(v4_orbit(t)) for t in permutations(range(d), 4)}
-        assert {frozenset(v4_orbit(t)) for t in reps} == orbits
-        assert len(reps) == len(orbits)
-        assert all(t[0] == min(t) for t in reps)
-        assert reps == sorted(reps)
-
-
-def rep_of_table(d):
-    """The d^4 table the closed-form rows replace: each representative's
-    row scattered to the four members of its orbit, -1 elsewhere."""
-    reps = np.array(oracle_reps(d))
-    rep_of = np.full((d,) * 4, -1, dtype=np.int32)
-    for g in V4:
-        rep_of[tuple(reps[:, g].T)] = np.arange(len(reps), dtype=np.int32)
-    return rep_of
-
-
-@pytest.mark.parametrize("d", [9, 31])
-def test_orbit_rows_match_table(d):
-    assert (_orbit_rows(d, *np.indices((d,) * 4)) == rep_of_table(d)).all()
-
-
-def test_unrank_inverts_orbit_rows():
-    for d in range(5, 10):
-        for t in oracle_reps(d):
-            assert _unrank(d, int(_orbit_rows(d, *t))) == t
-    rng = seeded("unrank")
-    for d in (31, 64):
-        for _ in range(200):
-            t = tuple(rng.sample(range(d), 4))
-            rep = min(v4_orbit(t))
-            assert _unrank(d, int(_orbit_rows(d, *t))) == rep
+@pytest.mark.parametrize("w, q", certify_enumerators())
+def test_scan_matches_all_pairs(w, q):
+    # the verb loses no certificate that the all-pairs scan finds: it
+    # reports the paper's certificate when that is the opening pair, and
+    # three fixed points otherwise
+    rootset, want, _ = scans(w)
+    rep = certify_trivial(w, q)
+    if want is not None:
+        assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
+    if rep.certificate is not None:
+        assert as_tuples(rep.certificate) == want
+        assert rep.fixed_points is None
+    elif rep.verdict is Verdict.TRIVIAL_CERTIFIED:
+        assert rep.fixed_points == fixed_points(w.coeffs) is not None
+    assert rep.eps == rootset.eps
 
 
 def test_scan_no_certificate_d32():
-    # rm2_1_5: a nontrivial group, so every tuple meets a competitor
+    # rm2_1_5: a nontrivial group, so (0, 1, 2, 3) meets a competitor, the
+    # opening rows refuse, and the verb gives a screen witness
     rootset = roots_of(rm2_closed_form(5), ROOT_EPS)
     assert len(rootset.roots) == 32
-    found, (t, s) = _walk(rootset)
-    assert found is None and (t, s) == ((0, 1, 2, 3), (28, 29, 30, 31))
+    threshold = 120 * rootset.N**3 * rootset.eps
     z = rootset.centers()
+    t, s = (0, 1, 2, 3), (28, 29, 30, 31)
     p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
     q_t = (z[t[0]] - z[t[3]]) * (z[t[1]] - z[t[2]])
     p_s = (z[s[0]] - z[s[2]]) * (z[s[1]] - z[s[3]])
     q_s = (z[s[0]] - z[s[3]]) * (z[s[1]] - z[s[2]])
-    assert abs(p_t * q_s - q_t * p_s) <= 120 * rootset.N**3 * rootset.eps
-
-
-def test_walk_memory_prm5_3_2():
-    # d = 31: one row per V4 orbit keeps the walk's table at 188,790 rows
-    # (about 22 MiB at its peak); one row per ordered tuple would be four
-    # times that
-    w = enumerate_weights(get_entry("prm5_3_2").code)
-    rootset = roots_of(w, ROOT_EPS)
-    assert len(rootset.roots) == 31
-    tracemalloc.start()
-    try:
-        found, _ = _walk(rootset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert found is not None
-    assert peak <= 32 * 2**20
+    assert abs(p_t * q_s - q_t * p_s) <= threshold
+    assert _row_minima(_cross_blocks(np.array(z)), (0,), threshold) is None
+    assert _opening_pair(rootset) is None
+    rep = certify_trivial(rm2_closed_form(5), 2)
+    assert rep.verdict is Verdict.INCONCLUSIVE and rep.witness is not None
+    assert rep.fixed_points is None and rep.certificate is None
 
 
 def hand_rootset(centers, eps=1e-13):
@@ -263,10 +192,10 @@ def _table_cases():
 
 @pytest.mark.parametrize("centers", _table_cases())
 def test_cross_table_matches_gathers(centers):
-    # the gather-free table holds the very same doubles as gathering the
-    # representatives' entries
+    # the gather-free blocks, concatenated, hold the very same doubles as
+    # gathering the representatives' entries
     z = np.array(centers)
-    got = _cross_table(z)
+    got = [np.concatenate(parts) for parts in zip(*_cross_blocks(z))]
     want = _cross_parts(z[:, None] - z, *np.array(oracle_reps(len(z))).T)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.float64), w.view(np.float64))
@@ -284,39 +213,58 @@ def test_scan_needs_five_roots():
     assert min(gaps) > 120 * rootset.N**3 * rootset.eps
     with pytest.raises(DomainError):
         _opening_pair(rootset)
-    with pytest.raises(DomainError):
-        _walk(rootset)
+
+
+def past_opening_rootset(seed, blocked):
+    """Nine hand-built roots with z8 = M(z_blocked), M the Moebius map
+    sending (z0, z1, z2) to (z5, z6, z7): the tuple (0, 1, 2, blocked)
+    shares its cross ratio with (5, 6, 7, 8)."""
+    centers = random_centers(seeded(f"opening:{seed}"), 8)
+    (a, b), (c, d) = solve_moebius(centers[:3], centers[5:8])
+    z = centers[blocked]
+    return hand_rootset(centers + [(a * z + b) / (c * z + d)])
+
+
+def oracle_row_minimum(centers, t):
+    """The smallest gap of the representative t against every other
+    representative, from gathered entries."""
+    reps = oracle_reps(len(centers))
+    z, idx = np.array(centers), np.array(reps)
+    p = (z[idx[:, 0]] - z[idx[:, 2]]) * (z[idx[:, 1]] - z[idx[:, 3]])
+    q = (z[idx[:, 0]] - z[idx[:, 3]]) * (z[idx[:, 1]] - z[idx[:, 2]])
+    row = reps.index(t)
+    gaps = np.abs(p[row] * q - q[row] * p)
+    gaps[row] = np.inf
+    return float(gaps.min())
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("blocked", [3, 4])
 def test_scan_past_opening_rows(seed, blocked):
-    # z8 = M(z_blocked), with M the Moebius map sending (z0, z1, z2) to
-    # (z5, z6, z7): the tuple (0, 1, 2, blocked) shares its cross ratio
-    # with (5, 6, 7, 8), so the opening rows cannot certify and the walk
-    # decides
-    centers = random_centers(seeded(f"opening:{seed}"), 8)
-    (a, b), (c, d) = solve_moebius(centers[:3], centers[5:8])
-    z = centers[blocked]
-    rootset = hand_rootset(centers + [(a * z + b) / (c * z + d)])
+    # the blocked opening row meets (5, 6, 7, 8), so the opening rows
+    # refuse; the other row streams the all-pairs gap; and the all-pairs
+    # scan certifies past the opening rows
+    rootset = past_opening_rootset(seed, blocked)
+    centers = rootset.centers()
+    threshold = 120 * rootset.N**3 * rootset.eps
     assert _opening_pair(rootset) is None
-    found, offending = _walk(rootset)
-    assert found is not None and offending is None
-    assert found[0].indices[:3] == (0, 1, 2)
-    assert blocked not in (found[0].indices[3], found[1].indices[3])
-    found = tuple((t.indices, t.cross_ratio, t.gap) for t in found)
-    assert (found, offending) == reference_scan(rootset)
-
-
-def as_tuples(certificate):
-    return tuple((t.indices, t.cross_ratio, t.gap) for t in certificate)
+    z = np.array(centers)
+    # (0, 1, 2, x) is row x - 3 of the representatives
+    assert _row_minima(_cross_blocks(z), (blocked - 3,), threshold) is None
+    other = 7 - blocked
+    want = oracle_row_minimum(centers, (0, 1, 2, other))
+    assert want > threshold
+    assert _row_minima(_cross_blocks(z), (other - 3,), threshold) == [want]
+    found = reference_scan(rootset)
+    assert found[0][0][:3] == (0, 1, 2)
+    assert blocked not in (found[0][0][3], found[1][0][3])
 
 
 def test_certify_trivial_from_opening_rows(monkeypatch):
     # every certify target of the catalog is certified by (0, 1, 2, 3) and
-    # (0, 1, 2, 4) alone: neither the screen nor the table is built
+    # (0, 1, 2, 4) alone: neither the screen nor the fixed points run
     def unused(*args):
-        raise AssertionError("built before the opening rows decided")
+        raise AssertionError("ran before the opening rows decided")
 
     cases = []
     for name in ("rm4_2_2", "rm4_3_2", "rm5_2_2", "prm5_3_2"):
@@ -324,11 +272,11 @@ def test_certify_trivial_from_opening_rows(monkeypatch):
         w = enumerate_weights(code)
         cases.append((w, code.q, reference_scan(roots_of(w, ROOT_EPS))))
     monkeypatch.setattr("wenum.stabilizer._screen", unused)
-    monkeypatch.setattr("wenum.stabilizer._cross_table", unused)
+    monkeypatch.setattr("wenum.stabilizer.fixed_points", unused)
     for w, q, want in cases:
         rep = certify_trivial(w, q)
-        assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
-        assert (as_tuples(rep.certificate), None) == want
+        assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.fixed_points is None
+        assert as_tuples(rep.certificate) == want
 
 
 def test_certify_trivial_memory_prm5_3_2():
@@ -348,14 +296,12 @@ def test_certify_trivial_memory_prm5_3_2():
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("blocked", [3, 4])
 def test_certify_trivial_past_opening_rows(monkeypatch, seed, blocked, screen_fails):
-    # test_scan_past_opening_rows' root sets through the verb: the opening
-    # rows fail, the screen (run or failing) gives no witness, and the
-    # walk returns the all-pairs certificate
-    centers = random_centers(seeded(f"opening:{seed}"), 8)
-    (a, b), (c, d) = solve_moebius(centers[:3], centers[5:8])
-    z = centers[blocked]
-    rootset = hand_rootset(centers + [(a * z + b) / (c * z + d)])
-    screens, walks = [], []
+    # test_scan_past_opening_rows' root sets through the verb, on rm4_2_2's
+    # W: the opening rows fail, the screen (run or failing) gives no
+    # witness, and W's fixed points prove the group trivial
+    rootset = past_opening_rootset(seed, blocked)
+    w = enumerate_weights(reed_muller(4, 2, 2))
+    screens, proofs = [], []
 
     def counted_screen(rs):
         screens.append(rs)
@@ -363,17 +309,16 @@ def test_certify_trivial_past_opening_rows(monkeypatch, seed, blocked, screen_fa
             raise PrecisionFailureError("screen cannot tell images apart")
         return _screen(rs)
 
-    def counted_walk(rs):
-        walks.append(rs)
-        return _walk(rs)
+    def counted_fixed_points(coeffs):
+        proofs.append(coeffs)
+        return fixed_points(coeffs)
 
     monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w, eps: rootset)
     monkeypatch.setattr("wenum.stabilizer._screen", counted_screen)
-    monkeypatch.setattr("wenum.stabilizer._walk", counted_walk)
-    # any enumerator with at least five distinct roots passes classify; its
-    # roots are replaced by the hand-built ones
-    rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
-    assert screens == [rootset] and walks == [rootset]
+    monkeypatch.setattr("wenum.stabilizer.fixed_points", counted_fixed_points)
+    # W's roots are replaced by the hand-built ones
+    rep = certify_trivial(w, 4)
+    assert screens == [rootset] and proofs == [w.coeffs]
     assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.witness is None
-    assert rep.certificate[0].indices[:3] == (0, 1, 2)
-    assert (as_tuples(rep.certificate), None) == reference_scan(rootset)
+    assert rep.certificate is None and rep.fixed_points == (2, 3, 5)
+    assert rep.eps == rootset.eps and rep.size == w.n

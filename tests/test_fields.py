@@ -117,6 +117,15 @@ def test_non_integer_size_rejected():
         GF(2.0)
 
 
+def test_numpy_integer_size_shares_the_cached_field():
+    # the size is normalized before the cache lookup, so every integer
+    # type of one size gets the one instance and its tables are built once
+    assert GF(np.uint8(4)) is GF(4) is GF(np.int64(4))
+    assert GF(np.int16(256)) is GF(256)
+    with pytest.raises(DomainError):
+        GF(2.0)
+
+
 # irreducible and a digest of the add, sub, mul, neg and inv tables for
 # every prime power q <= 256, recorded from the digit-list construction
 # (trial-division modulus, tables filled pair by pair); element indices

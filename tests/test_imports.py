@@ -55,3 +55,19 @@ def test_catalog_does_not_import_the_stabilizer():
     # needs no stabilizer machinery
     code = "import sys\nimport wenum.catalog\nprint('wenum.stabilizer' in sys.modules)\n"
     assert _run(code) == "False"
+
+
+def test_invariants_load_no_numpy():
+    # the exact layer is float-free: wenum.invariants and what it imports,
+    # loaded under a bare package (the package's own __init__ brings in
+    # the codes, and numpy with them), load no numpy
+    pkg = str(Path(wenum.__file__).resolve().parent)
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('wenum')\n"
+        f"package.__path__ = [{pkg!r}]\n"
+        "sys.modules['wenum'] = package\n"
+        "import wenum.invariants\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _run(code) == "False"

@@ -70,7 +70,7 @@ def test_square_factor_never_exits():
         f = random_int_poly(rng, rng.randint(1, 3))
         p = polyx.mul(random_int_poly(rng, rng.randint(0, 6)), polyx.mul(f, f))
         dp = polyx.derivative(p)
-        assert not polyx._coprime_mod_p(p, dp)
+        assert not polyx.coprime(p, dp)
         got = polyx.monic_gcd(p, dp)
         assert got == primitive(euclid_over_q(p, dp))
         assert polyx.degree(got) >= polyx.degree(f)
@@ -85,7 +85,7 @@ def test_square_free_exits_with_rational_result(exact_steps):
         if euclid_over_q(p, dp) != (1,):
             continue  # not square-free
         tried += 1
-        assert polyx._coprime_mod_p(p, dp)
+        assert polyx.coprime(p, dp)
         assert polyx.monic_gcd(p, dp) == (1,) == euclid_over_q(p, dp)
     assert not exact_steps  # the exit decided every one
 
@@ -95,7 +95,7 @@ def test_lead_divisible_by_prime_takes_exact_path(exact_steps):
     # are coprime modulo P while over Q they share the root -1/P
     g = (1, P)
     p, q = polyx.mul(g, (2, 1)), polyx.mul(g, (3, 1))
-    assert not polyx._coprime_mod_p(p, q)
+    assert not polyx.coprime(p, q)
     assert euclid_over_q(p, q) == (Fraction(1, P), 1)
     assert polyx.monic_gcd(p, q) == primitive(euclid_over_q(p, q)) == (1, P)
     assert exact_steps

@@ -31,6 +31,7 @@ from wenum.codes import (
 )
 from wenum.errors import DegenerateInputError, DomainError, PrecisionFailureError
 from wenum.fields import GF
+from wenum.invariants import fixed_points
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import Root, RootSet, roots_of, square_free
 from wenum.stabilizer import (
@@ -42,7 +43,6 @@ from wenum.stabilizer import (
     _fixing,
     _opening_pair,
     _screen,
-    _walk,
     certify_trivial,
     compute_stabilizer,
     cross_ratio,
@@ -939,12 +939,11 @@ def test_certify_trivial_gleason_inconclusive(monkeypatch):
     # symmetric root set: coinciding cross ratios, certificate impossible
     rep = certify_trivial(GLEASON, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.witness is not None and rep.offending is None
+    assert rep.witness is not None and rep.fixed_points is None
     rs = roots_of(GLEASON, ROOT_EPS)
     assert rep.eps == rs.eps  # the accuracy screened
     assert len(solves) == 1
-    found, offending = _walk(rs)
-    assert found is None and offending is not None
+    assert _opening_pair(rs) is None and fixed_points(GLEASON.coeffs) is None
     compute_stabilizer(GLEASON, 2)
     assert len(solves) == 2
 
@@ -954,12 +953,13 @@ def test_certify_trivial_rm2_1_4_inconclusive():
     w = rm2_closed_form(4)
     rep = certify_trivial(w, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.witness is not None and rep.offending is None
+    assert rep.witness is not None and rep.fixed_points is None
     rs = roots_of(w, ROOT_EPS)
     assert rep.eps == rs.eps
+    assert _opening_pair(rs) is None and fixed_points(w.coeffs) is None
+    # (0, 1, 2, 3) meets the representative (4, 10, 6, 8) of another orbit
     z = rs.centers()
-    found, (t, s) = _walk(rs)
-    assert found is None
+    t, s = (0, 1, 2, 3), (4, 10, 6, 8)
     assert s not in {tuple(t[i] for i in sigma) for sigma in V4_PERMS}
     p_t = (z[t[0]] - z[t[2]]) * (z[t[1]] - z[t[3]])
     q_t = (z[t[0]] - z[t[3]]) * (z[t[1]] - z[t[2]])
@@ -969,7 +969,8 @@ def test_certify_trivial_rm2_1_4_inconclusive():
 
 
 def test_certify_trivial_when_the_screen_fails(monkeypatch):
-    # the scan decides alone when the screen raises PrecisionFailureError
+    # the fixed points decide alone when the screen raises
+    # PrecisionFailureError
     prm = enumerate_weights(projective_reed_muller(5, 3, 2))
     rm = rm2_closed_form(4)
     want = certify_trivial(prm, 5)
@@ -983,13 +984,13 @@ def test_certify_trivial_when_the_screen_fails(monkeypatch):
     rep = certify_trivial(prm, 5)
     assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
     assert rep.certificate == want.certificate and rep.eps == want.eps
-    # rm2_1_4: no screen witness, and the scan finds no certificate
+    # rm2_1_4: no screen witness, and no fixed points prove a group of
+    # order 256 trivial
     rep = certify_trivial(rm, 2)
     rs = roots_of(rm, ROOT_EPS)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.witness is None and rep.size == 0 and rep.eps == rs.eps
-    assert rep.offending == _walk(rs)[1]
-    assert rep.offending == ((0, 1, 2, 3), (4, 10, 6, 8))
+    assert rep.certificate is None and rep.fixed_points is None
     # prm5_3_2's opening rows certify before the screen would run
     assert calls == [16]
 
@@ -1050,18 +1051,25 @@ def test_certify_witness_is_first_verified_in_screen_order():
     assert certify_trivial(GLEASON, 2).witness == first
 
 
-def test_scan_gives_up_at_wide_disks():
+def test_scan_gives_up_at_wide_disks(monkeypatch):
+    # no gap is certified at eps = 1/2 and the screen raises, so rm4_2_2's
+    # fixed points decide, with no use of the roots
     roots = tuple(Root(center=complex(k), radius=0.5, multiplicity=1)
                   for k in range(5))
     rootset = RootSet(roots=roots, eps=0.5, N=5.0)
-    assert _walk(rootset) == (None, None)
     assert _opening_pair(rootset) is None
+    with pytest.raises(PrecisionFailureError):
+        _screen(rootset)
+    monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w, eps: rootset)
+    rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.eps == 0.5
+    assert rep.certificate is None and rep.fixed_points == (2, 3, 5)
 
 
 def test_certify_trivial_rm2_1_6_witness():
     rep = certify_trivial(rm2_closed_form(6), 2)  # d = 64, order 4096
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.witness is not None and rep.offending is None
+    assert rep.witness is not None and rep.fixed_points is None
     assert rep.witness != tuple(range(64))
 
 
@@ -1107,9 +1115,10 @@ def test_certificate_agrees_with_screen_and_group(w, q):
     if rep.verdict is Verdict.TRIVIAL_CERTIFIED:
         assert list(_screen(rs)) == [tuple(range(len(rs)))]
         assert group.size == w.n
+        assert (rep.certificate is None) != (rep.fixed_points is None)
     else:
         assert rep.witness in induced_permutations(group.elements, rs.centers())
-        assert rep.offending is None
+        assert rep.fixed_points is None and fixed_points(w.coeffs) is None
 
 
 def test_agreement_trivial_vs_group():
