@@ -67,11 +67,13 @@ are the certificate, and nothing else runs.  Otherwise the roots are
 screened.  Every stabilizing map passes the screen; when the map of a
 screened non-identity permutation fixes W within VERIFY_TOL, the
 stabilizer is numerically nontrivial, so the verdict is Inconclusive
-with that permutation as witness.  Otherwise the proof is exact:
+with that permutation as witness.  Otherwise, a failed root solve and
+roots too coarse to decide included, the proof is exact:
 invariants.fixed_points looks for three integer points whose fibre of
 W's absolute invariants is the point itself, which the whole stabilizer
 must then fix, and uses neither roots nor eps.  Failure to certify
-either way is reported as inconclusive, never as "not trivial".
+either way is reported as inconclusive, never as "not trivial"; on
+either verdict eps is None exactly when the root solve failed.
 
 Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
@@ -182,7 +184,7 @@ class StabilizerReport:
     projective: tuple = ()  # StabilizerElements, one per root permutation
     certificate: tuple | None = None  # two CriticalTuples, shared 3-prefix
     fixed_points: tuple | None = None  # three integers x0, points (x0 : 1)
-    eps: float | None = None  # accuracy achieved by the disks (None: solve failed)
+    eps: float | None = None  # accuracy of the disks; None exactly when the solve failed
     witness: tuple | None = None  # verified non-identity permutation (inconclusive)
 
     @property
@@ -407,13 +409,23 @@ def _closure(gens, d, limit=math.inf):
     return group
 
 
-def _finite_group(w, rootset, cls):
-    d = len(rootset.roots)
+def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
+    """Full stabilizer of the homogeneous enumerator.
+
+    Infinite verdict for the two two-root shapes; otherwise the verified
+    finite group from one root solve at ROOT_EPS.  Raises
+    PrecisionFailureError when those roots cannot tell candidate images
+    apart.
+    """
+    cls = classify(w, q)
+    if cls.infinite_stabilizer:
+        return StabilizerReport(verdict=Verdict.INFINITE, classification=cls)
+    rootset = roots_of(w, ROOT_EPS)
     screened = _screen(rootset)
     fixing = dict(zip(screened, _fixing(w, list(screened.values()))))
     verified = [p for p, f in fixing.items() if f and f.residual <= VERIFY_TOL]
     # a group larger than the screened set cannot lie inside it
-    group = _closure(verified, d, limit=len(fixing))
+    group = _closure(verified, len(rootset.roots), limit=len(fixing))
     unmeasured = sum(fixing.get(p) is None for p in group)
     if unmeasured:
         raise PrecisionFailureError(
@@ -431,20 +443,6 @@ def _finite_group(w, rootset, cls):
             f"group order {report.size} above Klein's bound {cls.stabilizer_bound}"
         )
     return report
-
-
-def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
-    """Full stabilizer of the homogeneous enumerator.
-
-    Infinite verdict for the two two-root shapes; otherwise the verified
-    finite group from one root solve at ROOT_EPS.  Raises
-    PrecisionFailureError when those roots cannot tell candidate images
-    apart.
-    """
-    cls = classify(w, q)
-    if cls.infinite_stabilizer:
-        return StabilizerReport(verdict=Verdict.INFINITE, classification=cls)
-    return _finite_group(w, roots_of(w, ROOT_EPS), cls)
 
 
 # --- triviality certificates --------------------------------------------------
@@ -524,18 +522,19 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     `certificate`, and nothing else runs.  Otherwise the roots are
     screened: the first screened non-identity permutation whose map fixes
     W within VERIFY_TOL gives an Inconclusive verdict with that
-    permutation as `witness`.  Otherwise (also when the screen cannot
-    decide) invariants.fixed_points looks for three points that the
-    whole stabilizer fixes, exactly, from W's coefficients alone; found,
-    they are the proof, as `fixed_points`.  Either proof makes the
-    projective stabilizer trivial, so the full GL2 stabilizer is the n
-    scalar matrices zeta_n^t I.  A certificate is a proof, while a screen
-    witness is a residual within VERIFY_TOL, so should the screen also
-    have found a witness, the certificate is reported; no catalog, bench
-    or tested enumerator has both.  With neither a proof nor a witness
-    the verdict is Inconclusive, with the accuracy of the roots (None
-    when the root solve failed), which is weaker than and distinct from
-    "not trivial".
+    permutation as `witness`.  Every input left with neither, a failed
+    root solve and roots too coarse to decide included, goes to
+    invariants.fixed_points, which looks for three points that the whole
+    stabilizer fixes, exactly, from W's coefficients alone; found, they
+    are the proof, as `fixed_points`.  Either proof makes the projective
+    stabilizer trivial, so the full GL2 stabilizer is the n scalar
+    matrices zeta_n^t I.  A certificate is a proof, while a screen
+    witness is a residual within VERIFY_TOL, so the certificate is
+    decided first; no catalog, bench or tested enumerator has both.
+    With neither a proof nor a witness the verdict is Inconclusive,
+    which is weaker than and distinct from "not trivial".  On either
+    verdict `eps` is the accuracy of the roots, None exactly when the
+    root solve failed.
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer or cls.distinct_roots < 5:
@@ -543,47 +542,39 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
             f"triviality certificate needs >= 5 distinct roots, "
             f"found {cls.distinct_roots or 'at most 2'}"
         )
+    rootset = found = witness = points = None
     try:
         rootset = roots_of(w, ROOT_EPS)
-    except PrecisionFailureError:
-        # accuracy exhausted; report what we know, never "not trivial"
-        return StabilizerReport(verdict=Verdict.INCONCLUSIVE, classification=cls)
-    found, points = _opening_pair(rootset), None
-    if found is None:
-        try:
+        found = _opening_pair(rootset)
+        if found is None:
             screened = _screen(rootset)
-        except PrecisionFailureError:
-            screened = {}  # the fixed points below decide on their own
-        identity = tuple(range(len(rootset.roots)))
-        perms = [p for p in screened if p != identity]
-        for perm, fixing in zip(perms, _fixing(w, [screened[p] for p in perms])):
-            if fixing and fixing.residual <= VERIFY_TOL:
-                return StabilizerReport(
-                    verdict=Verdict.INCONCLUSIVE,
-                    classification=cls,
-                    eps=rootset.eps,
-                    witness=perm,
-                )
-        points = fixed_points(w.coeffs)
-        if points is None:
-            return StabilizerReport(
-                verdict=Verdict.INCONCLUSIVE, classification=cls, eps=rootset.eps
+            identity = tuple(range(len(rootset.roots)))
+            perms = [p for p in screened if p != identity]
+            fixing = _fixing(w, [screened[p] for p in perms])
+            witness = next(
+                (p for p, f in zip(perms, fixing) if f and f.residual <= VERIFY_TOL), None
             )
+    except PrecisionFailureError:
+        pass  # the roots cannot decide; the fixed points below use none
+    if found is None and witness is None:
+        points = fixed_points(w.coeffs)
+    proof = found or points
     return StabilizerReport(
-        verdict=Verdict.TRIVIAL_CERTIFIED,
+        verdict=Verdict.TRIVIAL_CERTIFIED if proof else Verdict.INCONCLUSIVE,
         classification=cls,
-        projective=(StabilizerElement(_IDENTITY, 0.0),),
+        projective=(StabilizerElement(_IDENTITY, 0.0),) if proof else (),
         certificate=found,
         fixed_points=points,
-        eps=rootset.eps,
+        eps=None if rootset is None else rootset.eps,
+        witness=witness,
     )
 
 
 def _opening_pair(rootset: RootSet):
     """(0, 1, 2, 3) and (0, 1, 2, 4), rows 0 and 1 of the representatives,
-    as CriticalTuples when both are critical; otherwise None, also when
-    eps >= 1/2, where no gap is certified.  Raises DomainError below 5
-    roots.
+    as CriticalTuples when both are critical; otherwise None.  Raises
+    DomainError below 5 roots and, as _screen does, PrecisionFailureError
+    at eps >= 1/2, where no gap is certified.
 
     Their full rows (_row_minima) take P and Q one first index a at a time
     from _cross_blocks, so no table is built, and the pass ends as soon as
@@ -592,7 +583,7 @@ def _opening_pair(rootset: RootSet):
     if len(centers) < 5:
         raise DomainError(f"triviality certificate needs >= 5 roots, found {len(centers)}")
     if rootset.eps >= 0.5:
-        return None
+        raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
     threshold = 120 * rootset.N**3 * rootset.eps
     gaps = _row_minima(_cross_blocks(np.array(centers)), (0, 1), threshold)
     return gaps and tuple(_critical(centers, (0, 1, 2, x), g) for x, g in zip((3, 4), gaps))

@@ -482,9 +482,11 @@ def test_root_count_matches_squarefree_degree():
 def test_coefficients_beyond_doubles_raise_precision_failure():
     with pytest.raises(PrecisionFailureError):
         roots_of(WeightEnumerator((1, 10**400, 1)), 1e-12)
-    # so the certificate reports it as inconclusive instead of crashing
+    # so the certificate reports instead of crashing, proved by its fixed
+    # points, which need no roots
     rep = certify_trivial(WeightEnumerator((1, 3, 10**400, 7, 5, 11, 1)), 2)
-    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED
+    assert rep.fixed_points == (2, 3, 5)
     assert rep.eps is None
 
 

@@ -1052,18 +1052,50 @@ def test_certify_witness_is_first_verified_in_screen_order():
 
 
 def test_scan_gives_up_at_wide_disks(monkeypatch):
-    # no gap is certified at eps = 1/2 and the screen raises, so rm4_2_2's
-    # fixed points decide, with no use of the roots
+    # no gap is certified at eps = 1/2, so the opening pair and the screen
+    # raise, and rm4_2_2's fixed points decide, with no use of the roots
     roots = tuple(Root(center=complex(k), radius=0.5, multiplicity=1)
                   for k in range(5))
     rootset = RootSet(roots=roots, eps=0.5, N=5.0)
-    assert _opening_pair(rootset) is None
+    with pytest.raises(PrecisionFailureError):
+        _opening_pair(rootset)
     with pytest.raises(PrecisionFailureError):
         _screen(rootset)
     monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w, eps: rootset)
     rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
     assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.eps == 0.5
     assert rep.certificate is None and rep.fixed_points == (2, 3, 5)
+
+
+def test_certify_trivial_proves_past_a_failed_root_solve():
+    # RM_7(2,2)'s dual: roots_of raises, and the fixed points prove it
+    code = reed_muller(7, 2, 2)
+    dual = macwilliams(enumerate_weights(code), 7, code.size)
+    with pytest.raises(PrecisionFailureError):
+        roots_of(dual, ROOT_EPS)
+    rep = certify_trivial(dual, 7)
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.fixed_points == (2, 3, 5)
+    assert rep.certificate is None and rep.witness is None and rep.eps is None
+    assert rep.size == rep.classification.n
+
+
+def test_certify_trivial_without_roots_keeps_the_proof(monkeypatch):
+    def fail(w, eps):
+        raise PrecisionFailureError("no roots")
+
+    monkeypatch.setattr("wenum.stabilizer.roots_of", fail)
+    rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.fixed_points == (2, 3, 5)
+    assert rep.certificate is None and rep.witness is None and rep.eps is None
+
+
+def test_certify_trivial_without_roots_or_proof():
+    # x^8 + 10^400 x^4 y^4 + y^8: too wide for doubles, and its
+    # x -> ix symmetry leaves no fixed-point proof
+    w = WeightEnumerator((1, 0, 0, 0, 10**400, 0, 0, 0, 1))
+    rep = certify_trivial(w, 2)
+    assert rep.verdict is Verdict.INCONCLUSIVE and rep.projective == ()
+    assert rep.eps is None and rep.witness is None and rep.fixed_points is None
 
 
 def test_certify_trivial_rm2_1_6_witness():
