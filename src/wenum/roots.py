@@ -18,16 +18,20 @@ polynomial zeros by means of Aberth's method", Numer. Algorithms 13,
 1996): each edge of the upper convex hull of the points (k, log|a_k|)
 puts as many points as it is long on a circle of the radius its slope
 gives, close to the moduli of that many roots, and a root at 0 starts
-at 0, where it stays.  It stops when the largest correction is within
-the tolerance, or when the corrections stop falling while every
-|p(z_j)| lies within Higham's bound on the rounding of Horner's rule
-(Accuracy and Stability of Numerical Algorithms, ch. 5): doubles can
-resolve no more.  Then one more step takes p(z_j) exactly at the double
-centers; p' stays in doubles, as it only scales an already small
-correction.  Around that step, imaginary parts at most 2^-52 |Re z| are
-set to 0: real roots leave the iteration with imaginary parts of 1e-34
-and below, which would widen every exact integer through the common
-power of two below.
+at 0, where it stays.  The hull is decided exactly on the integer
+coefficients.  A sweep evaluates p and p' as row sums of one table of
+powers z_j^k.  It stops when the largest correction is within the
+tolerance, or when the corrections stop falling while every |p(z_j)|
+lies within 2 d u sum_k |a_k| |z_j|^k, the size of the rounding of an
+evaluation in doubles (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 5).  That rule is only a heuristic for "doubles can
+resolve no more"; the exact step and the certificate decide.  The exact
+step takes p(z_j) at the double centers by an integer recurrence
+(`_scaled_values`); p' stays in doubles, as it only scales an already
+small correction.  Around that step, imaginary parts at most
+2^-52 |Re z| are set to 0: real roots leave the iteration with imaginary
+parts of 1e-34 and below, which would widen every exact integer through
+the common power of two below.
 
 For monic p of degree d and pairwise-distinct approximations z_1..z_d,
 every root of p lies in the union of the disks
@@ -41,7 +45,8 @@ p(z_j) and the differences z_j - z_k are then exact integers at a known
 scale, and each squared radius is a quotient of two exact integers.  One
 integer division and one integer square root round its root once, up,
 to the next double (`_sqrt_up`); no Fraction is used.  A reported disk
-is a proof, not an estimate.
+is a proof, not an estimate.  The disks are tested for disjointness in
+integers too, in one sweep along the real axis.
 
 Certified radii cannot fall below the rounding of the double centers
 (about d * ulp(max |z|)); a finer target raises PrecisionFailureError.
@@ -152,17 +157,22 @@ def _scaled_values(poly, e, points):
     """S^d * poly(z) as a Gaussian integer (re, im) for each
     z = (x + i*y) / S, S = 2**e, d = deg poly.
 
-    Horner over the Gaussian integers, with coefficient i scaled by
-    S^(d - i): every intermediate is an exact integer.
+    Z = x + i*y is a root of the real quadratic w^2 - s w + t with s = 2x,
+    t = x^2 + y^2, so with c_k = a_k S^(d - k) the recurrence
+    b_k = c_k + s b_(k+1) - t b_(k+2), k = d down to 1, gives
+    S^d poly(z) = (b_1 x + c_0 - t b_2) + i (b_1 y): two integer products
+    per coefficient, every intermediate exact.
     """
     d = polyx.degree(poly)
-    coeffs = [c << (e * (d - i)) for i, c in enumerate(poly)][::-1]
+    c = [a << (e * (d - k)) for k, a in enumerate(poly)]
+    c0, down = c[0], c[:0:-1]  # c_0, then c_d down to c_1
     out = []
     for x, y in points:
-        are, aim = 0, 0
-        for c in coeffs:
-            are, aim = are * x - aim * y + c, are * y + aim * x
-        out.append((are, aim))
+        s, t = 2 * x, x * x + y * y
+        b1 = b2 = 0
+        for ck in down:
+            b1, b2 = ck + s * b1 - t * b2, b1
+        out.append((b1 * x + c0 - t * b2, b1 * y))
     return out
 
 
@@ -172,26 +182,26 @@ def certified_radii(poly, centers):
 
     poly must have integer coefficients; centers are complex doubles.  All
     centers are written over one power of two S = 2**e with Gaussian-integer
-    numerators (`_dyadic`), so |S^d p(z_j)|^2 and every |S (z_j - z_k)|^2
-    are integers and each squared radius
+    numerators (`_dyadic`), so |S^d p(z_j)|^2 (`_scaled_values`) and every
+    |S (z_j - z_k)|^2 are integers and each squared radius
     d^2 |p(z_j)|^2 / (lc^2 prod_k |z_j - z_k|^2) is a quotient of two exact
-    integers.
+    integers.  Each squared distance is taken once and multiplied into
+    the denominators of both of its centers.
     """
     d = polyx.degree(poly)
-    lc = poly[-1]
     e, pts = _dyadic(centers)
     # S^(2(m-1)) from the m-1 differences against S^(2d) from p(z_j)
     shift = 2 * e * (len(pts) - 1 - d)
-    radii = []
-    for j, (are, aim) in enumerate(_scaled_values(poly, e, pts)):
-        x, y = pts[j]
-        den2 = lc * lc
-        for k, (u, v) in enumerate(pts):
-            if k != j:
-                den2 *= (x - u) * (x - u) + (y - v) * (y - v)
-        num2 = d * d * (are * are + aim * aim)
-        radii.append(_sqrt_up(num2 << max(shift, 0), den2 << max(-shift, 0)))
-    return radii
+    den2 = [poly[-1] ** 2] * len(pts)
+    for j, (x, y) in enumerate(pts):
+        for k in range(j + 1, len(pts)):
+            u, v = pts[k]
+            dist2 = (x - u) * (x - u) + (y - v) * (y - v)
+            den2[j] *= dist2
+            den2[k] *= dist2
+    return [_sqrt_up(d * d * (are * are + aim * aim) << max(shift, 0),
+                     den << max(-shift, 0))
+            for (are, aim), den in zip(_scaled_values(poly, e, pts), den2)]
 
 
 def _disks_disjoint(centers, radii):
@@ -199,17 +209,20 @@ def _disks_disjoint(centers, radii):
 
     radii are doubles (rounded up from the exact ones, which only makes the
     test stricter); centers and radii go over one power of two, so the
-    comparison is exact in integers.
+    comparison is exact in integers.  The disks are swept in order of the
+    real part x: once u - x > r_j + max r, no later disk can meet disk j.
+    Tangent disks count as overlapping.
     """
     m = len(centers)
     _, pts = _dyadic([*centers, *map(complex, radii)])
-    rs = [r for r, _ in pts[m:]]
-    for j in range(m):
-        x, y = pts[j]
+    disks = sorted((x, y, r) for (x, y), (r, _) in zip(pts, pts[m:]))
+    reach = max((r for _, _, r in disks), default=0)
+    for j, (x, y, r) in enumerate(disks):
         for k in range(j + 1, m):
-            u, v = pts[k]
-            lim = rs[j] + rs[k]
-            if (x - u) * (x - u) + (y - v) * (y - v) <= lim * lim:
+            u, v, s = disks[k]
+            if u - x > r + reach:
+                break
+            if (x - u) * (x - u) + (y - v) * (y - v) <= (r + s) * (r + s):
                 return False
     return True
 
@@ -224,31 +237,41 @@ def _cauchy_bound(poly) -> float:
     return 1.0 + _sqrt_up(top * top, lc * lc)
 
 
-def _start(coeffs):
-    """Initial approximations for the roots of the polynomial with the
-    double coefficients `coeffs`, highest degree first (Bini 1996).
+def _start(poly):
+    """Initial approximations for the roots of the integer polynomial
+    `poly`, lowest degree first (Bini 1996).
 
     For each edge (i, j) of the upper convex hull of the points
     (k, log|a_k|) with a_k != 0, j - i points on the circle of radius
     (|a_i| / |a_j|)^(1/(j - i)), at angles 2 pi t / (j - i) + 0.4, off the
-    real axis; with a_0 = 0, one point at 0 for the root there.
+    real axis; with a_0 = 0, one point at 0 for the root there.  The hull
+    is decided exactly on the integers: for i < j < k, point j stays above
+    the chord from i to k when |a_j|^(k-i) > |a_i|^(k-j) |a_k|^(j-i).  So
+    collinear points join one edge, where float logs could leave two edges
+    of one radius and phase, whose points coincide.
     """
-    a = np.abs(coeffs[::-1])
-    ks = np.flatnonzero(a)
-    logs = np.log(a[ks])
+    a = [abs(c) for c in poly]
     hull = []
-    for k, lk in zip(ks, logs):
+    for k in (k for k, ak in enumerate(a) if ak):
         while len(hull) >= 2:
-            (i, li), (j, lj) = hull[-2:]
-            if (lj - li) * (k - i) > (lk - li) * (j - i):
+            i, j = hull[-2:]
+            if a[j] ** (k - i) > a[i] ** (k - j) * a[k] ** (j - i):
                 break
             hull.pop()
-        hull.append((k, lk))
-    z = [np.zeros(ks[0])]
-    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        hull.append(k)
+    logs = np.log(np.array([a[k] for k in hull], dtype=float))
+    z = [np.zeros(hull[0])]
+    for i, j, li, lj in zip(hull, hull[1:], logs, logs[1:]):
         m = j - i
         z.append(np.exp((li - lj) / m + 1j * (2 * np.pi * np.arange(m) / m + 0.4)))
     return np.concatenate(z).astype(complex)
+
+
+def _powers(z, d):
+    """The table of z_j^k, one row per z_j, columns k = 0..d."""
+    t = np.ones((len(z), d + 1), dtype=complex)
+    t[:, 1:] = z[:, None]
+    return t.cumprod(axis=1)
 
 
 def _aberth_step(z, pz, dpz):
@@ -273,25 +296,29 @@ def _aberth(poly, tol):
     """Centers for the d roots of poly, as a list of complex doubles, and
     the number of sweeps in doubles.
 
-    Aberth sweeps in doubles from the Newton-polygon start (`_start`),
-    until the largest correction is at most tol, or until it stops
-    falling while every |p(z_j)| is within Higham's rounding bound for
-    Horner, 2 d u sum_k |a_k| |z_j|^k with u = 2^-53 (doubles exhausted);
-    then one step with the exact residual p(z_j).
+    Aberth sweeps in doubles from the Newton-polygon start (`_start`).
+    Each sweep builds one table of z_j^k (`_powers`) and takes p(z_j),
+    p'(z_j) and the stop rule's sum_k |a_k| |z_j|^k as its row sums
+    against the coefficient vectors.  The sweeps stop when the largest
+    correction is at most tol, or when it stops falling while every
+    |p(z_j)| is within 2 d u sum_k |a_k| |z_j|^k, u = 2^-53 (doubles
+    exhausted).  Then one step with the exact residual p(z_j).  The stop
+    rule is a heuristic only: the exact step and the certificate decide.
     """
     d = polyx.degree(poly)
-    coeffs = np.array(poly[::-1], dtype=float)
-    dcoeffs = np.polyder(coeffs)
-    horner = 2 * d * 2.0**-53
-    z = _start(coeffs)
+    a = np.array(poly, dtype=float)
+    da = a[1:] * np.arange(1, d + 1)
+    rounding = 2 * d * 2.0**-53 * np.abs(a)  # the stop rule's weights
+    z = _start(poly)
     prev = math.inf
     with np.errstate(all="ignore"):
         for sweeps in range(1, _SWEEP_CAP + 1):
-            pz = np.polyval(coeffs, z)
-            w = _aberth_step(z, pz, np.polyval(dcoeffs, z))
+            t = _powers(z, d)
+            pz = (t * a).sum(axis=1)
+            w = _aberth_step(z, pz, (t[:, :-1] * da).sum(axis=1))
             corr_max = np.abs(w).max()
             stalled = corr_max >= prev and (
-                np.abs(pz) <= horner * np.polyval(np.abs(coeffs), np.abs(z))
+                np.abs(pz) <= (np.abs(t) * rounding).sum(axis=1)
             ).all()
             z = z - w
             if stalled or not corr_max > tol:  # also when not a number
@@ -303,7 +330,8 @@ def _aberth(poly, tol):
             scale = 1 << (e * d)
             pz = np.array([complex(are / scale, aim / scale)
                            for are, aim in _scaled_values(poly, e, pts)])
-            z = z - _aberth_step(z, pz, np.polyval(dcoeffs, z))
+            dpz = (_powers(z, d)[:, :-1] * da).sum(axis=1)
+            z = z - _aberth_step(z, pz, dpz)
     if not np.isfinite(z).all():
         raise PrecisionFailureError("Aberth iteration diverged")
     _snap_real(z)

@@ -10,7 +10,7 @@ import pytest
 
 from wenum import polyx
 from wenum.algebra import macwilliams
-from wenum.catalog import rm2_closed_form
+from wenum.catalog import catalog, rm2_closed_form
 from conftest import gcd_distinct_roots, random_code, seeded
 from wenum.codes import (
     WeightEnumerator,
@@ -23,9 +23,12 @@ from wenum.errors import ClusterUnresolvedError, PrecisionFailureError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import (
+    _aberth,
     _disks_disjoint,
     _SWEEP_CAP,
     _dyadic,
+    _powers,
+    _scaled_values,
     _sqrt_up,
     _start,
     certified_radii,
@@ -33,7 +36,7 @@ from wenum.roots import (
     roots_of,
     square_free,
 )
-from wenum.stabilizer import ROOT_EPS, Verdict, certify_trivial
+from wenum.stabilizer import ROOT_EPS, Verdict, certify_trivial, compute_stabilizer
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -330,6 +333,72 @@ def test_tangent_disks_are_not_disjoint():
     assert not _disks_disjoint([0j, 1 + 0j], up)
 
 
+def _fraction_horner(poly, x, y):
+    """poly(x + i*y) as a pair of Fractions, by Horner's rule."""
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(poly):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
+def test_scaled_values_match_fraction_horner():
+    rng = random.Random(38)
+    for d in range(13):
+        for e in range(71):
+            poly = tuple(rng.choice((0, rng.randint(-10**9, 10**9))) for _ in range(d))
+            poly += (rng.choice((-1, 1)) * rng.randint(1, 99),)
+            big = rng.randint(1, 2**70)
+            points = [(0, 0), (big, 0), (-big, 0), (0, big), (0, -big),
+                      (-rng.randint(1, 2**70), -rng.randint(1, 2**70)),
+                      (rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40))]
+            got = _scaled_values(poly, e, points)
+            assert len(got) == len(points)
+            for (x, y), (re, im) in zip(points, got):
+                want = _fraction_horner(poly, Fraction(x, 2**e), Fraction(y, 2**e))
+                assert (re, im) == tuple(part * 2 ** (e * d) for part in want)
+
+
+def _pair_gaps(centers, radii):
+    """For every pair of disks, in Fractions, the squared distance of the
+    centers minus the squared sum of the radii: the closed disks are
+    disjoint when it is positive and tangent when it is 0."""
+    disks = [(Fraction(z.real), Fraction(z.imag), Fraction(r))
+             for z, r in zip(centers, radii)]
+    return [(x - u) ** 2 + (y - v) ** 2 - (r + s) ** 2
+            for j, (x, y, r) in enumerate(disks) for u, v, s in disks[j + 1:]]
+
+
+def test_disks_disjoint_matches_all_pairs_oracle():
+    # disks on a half-integer grid touch often (3-4-5 triangles, shared
+    # real parts); conjugate pairs share a real part; the grid is also
+    # scaled to binary exponent -1000, and some disks are off the grid
+    rng = random.Random(1000)
+    outcomes, tangent = [], 0
+    for _ in range(600):
+        scale = 2.0 ** rng.choice((-1000, -1000, -8, 0, 30))
+        centers, radii = [], []
+        for _ in range(rng.randint(1, 9)):
+            x, y = rng.randint(-8, 8) * scale, rng.randint(0, 8) * scale
+            if rng.random() < 0.2:
+                x += rng.random() * scale
+            centers.append(complex(x, y))
+            radii.append(rng.randint(0, 8) * scale / 2)
+            if y and rng.random() < 0.4:
+                centers.append(complex(x, -y))
+                radii.append(rng.randint(0, 8) * scale / 2)
+        order = list(range(len(centers)))
+        rng.shuffle(order)
+        centers = [centers[j] for j in order]
+        radii = [radii[j] for j in order]
+        gaps = _pair_gaps(centers, radii)
+        want = all(g > 0 for g in gaps)
+        assert _disks_disjoint(centers, radii) is want
+        outcomes.append(want)
+        tangent += 0 in gaps
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+    assert tangent >= 50
+
+
 def test_exact_radius_formula_matches_module():
     poly = (3, 0, 1)
     centers = [-1.7320508075688772j, 1.7320508075688772j]
@@ -408,7 +477,7 @@ def test_start_circles_match_root_moduli():
     poly = (1,)
     for f in ((-1, 1000), (-3, 1), (-1000, 1), (1, 0, 1)):
         poly = polyx.mul(poly, f)
-    z = _start(np.array(poly[::-1], dtype=float))
+    z = _start(poly)
     assert len(z) == 5 and (z.imag != 0).all()
     radii = sorted(np.abs(z))
     assert len({round(r, 9) for r in radii}) == 4  # four hull edges
@@ -416,9 +485,54 @@ def test_start_circles_match_root_moduli():
         assert want / 4 <= r <= 4 * want
 
 
+@pytest.mark.parametrize("coeffs", [(0, 8, 8, 4, 4, 0, 0, 0, 1), (8, 8, 4, 4, 0, 0, 0, 1)])
+def test_collinear_newton_points_start_apart(coeffs):
+    # three Newton points lie on one line: (2, log 8), (4, log 4), (8, 0)
+    # for the first W and (1, log 8), (3, log 4), (7, 0) for the second.
+    # Decided in doubles they made two edges of one radius and phase, two
+    # pairs of start points coincided and the iteration diverged.  The
+    # exact hull gives one edge, and the orders of W and its MacWilliams
+    # partner (|C| = 25 over GF(5)) agree.
+    w = WeightEnumerator(coeffs)
+    (f, _), = square_free(w)
+    z = _start(f).tolist()
+    assert len(z) == polyx.degree(f) == len(set(z))
+    order = compute_stabilizer(w, 5).size
+    assert order == compute_stabilizer(macwilliams(w, 5, 25), 5).size == w.n
+
+
+def _premise_factors():
+    """The Yun factors of the catalog enumerators, of rm2_1_5, rm2_1_6 and
+    of their duals."""
+    ws = [e.expected or enumerate_weights(e.code) for e in catalog()]
+    for m in (5, 6):
+        ws += [rm2_closed_form(m), macwilliams(rm2_closed_form(m), 2, 2 ** (m + 1))]
+    return {f for w in ws for f, _ in square_free(w)}
+
+
+def test_power_table_values_within_the_stop_bound():
+    # the stop rule takes |p(z)| <= 2 d u sum_k |a_k| |z|^k, u = 2^-53, as
+    # the rounding of p(z) in doubles: at the start points and at the
+    # final centers, the power table's p(z) is that close to the exact
+    # value (at z = 0 with a_0 = 0 both sides are 0)
+    for f in _premise_factors():
+        d = polyx.degree(f)
+        a = np.array(f, dtype=float)
+        start = _start(f)
+        final = np.array(_aberth(f, 0.25 * ROOT_EPS / d)[0])
+        for z in (start, final):
+            values = (_powers(z, d) * a).sum(axis=1)
+            for zj, pz in zip(z.tolist(), values.tolist()):
+                re, im = _fraction_horner(f, Fraction(zj.real), Fraction(zj.imag))
+                err2 = (Fraction(pz.real) - re) ** 2 + (Fraction(pz.imag) - im) ** 2
+                bound = 2 * d * 2.0**-53 * math.fsum(
+                    abs(c) * abs(zj) ** k for k, c in enumerate(f))
+                assert err2 <= Fraction(bound) ** 2
+
+
 def test_zero_root_starts_at_zero_and_certifies_exactly():
     w = WeightEnumerator((0, 3, 0, 1))  # x (x^2 + 3)
-    z = _start(np.array(w.coeffs[::-1], dtype=float))
+    z = _start(w.coeffs)
     assert z[0] == 0 and (z[1:] != 0).all()
     rs = roots_of(w, ROOT_EPS)
     zero = [r for r in rs.roots if r.center == 0]
