@@ -4,12 +4,12 @@
 
 The set is the enumerators of `--count` seeded random codes (q <= 5,
 n = 5..14) and of their duals, then a fixed list of named codes, without
-repeats.  Each (q, W) gets one JSON line: `roots_of`'s eps and sweeps at
-ROOT_EPS, and the `compute_stabilizer` and `certify_trivial` reports,
-with every float written by `float.hex` and every error as its type and
-message.  The program is imported from the `src` beside this script, so
-running the script of two checkouts on the same arguments and comparing
-the outputs with `diff` shows every report that differs.
+repeats.  Each (q, W) gets one JSON line: `roots_of`'s eps and sweeps,
+and the `compute_stabilizer` and `certify_trivial` reports, with every
+float written by `float.hex` and every error as its type and message.
+The program is imported from the `src` beside this script, so running
+the script of two checkouts on the same arguments and comparing the
+outputs with `diff` shows every report that differs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from wenum.catalog import rm2_closed_form  # noqa: E402
 from wenum.codes import WeightEnumerator  # noqa: E402
 from wenum.errors import DomainError, WenumError  # noqa: E402
 from wenum.roots import roots_of  # noqa: E402
-from wenum.stabilizer import ROOT_EPS, certify_trivial, compute_stabilizer  # noqa: E402
+from wenum.stabilizer import certify_trivial, compute_stabilizer  # noqa: E402
 
 
 def plain(value):
@@ -90,7 +90,7 @@ def outcome(call, *args):
 
 
 def solve(w):
-    rs = roots_of(w, ROOT_EPS)
+    rs = roots_of(w)
     return {"eps": rs.eps, "sweeps": rs.sweeps}
 
 

@@ -2,7 +2,9 @@
 
 DomainError covers bad inputs and violated preconditions; PrecisionError
 covers numeric outcomes that are honest failures rather than wrong
-answers.  A planned command-line interface maps them to exit 2 and 3.
+answers, every one raised as its subclass PrecisionFailureError, so one
+`except` catches any failure of a root solve.  A planned command-line
+interface maps them to exit 2 and 3.
 """
 
 
@@ -46,8 +48,4 @@ class PrecisionError(WenumError):
 
 
 class PrecisionFailureError(PrecisionError):
-    """Target accuracy not reached within the iteration/precision caps."""
-
-
-class ClusterUnresolvedError(PrecisionError):
-    """Certified root disks overlap at the requested accuracy."""
+    """A root solve, or a group built on its roots, could not be certified."""

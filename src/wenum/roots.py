@@ -48,8 +48,9 @@ to the next double (`_sqrt_up`); no Fraction is used.  A reported disk
 is a proof, not an estimate.  The disks are tested for disjointness in
 integers too, in one sweep along the real axis.
 
-Certified radii cannot fall below the rounding of the double centers
-(about d * ulp(max |z|)); a finer target raises PrecisionFailureError.
+One accuracy, ROOT_EPS, for every solve: a radius above it or disks that
+meet raise PrecisionFailureError.  No radius falls below the rounding of
+the double centers, about d * ulp(max |z|).
 """
 
 from __future__ import annotations
@@ -61,12 +62,9 @@ import numpy as np
 
 from . import polyx
 from .codes import WeightEnumerator
-from .errors import (
-    ClusterUnresolvedError,
-    DomainError,
-    PrecisionFailureError,
-)
+from .errors import DomainError, PrecisionFailureError
 
+ROOT_EPS = 1e-12  # the largest certified radius a solve accepts
 _SWEEP_CAP = 1000
 
 
@@ -140,13 +138,12 @@ def _dyadic(centers):
     """(e, [(x_j, y_j)]) with z_j = (x_j + i*y_j) / 2**e exactly.
 
     Every finite double is a dyadic rational, so one power of two (the
-    largest denominator of any component) puts all of them over integer
-    numerators.
+    largest denominator of any component, whose bit length gives e) puts
+    all of them over integer numerators.
     """
     parts = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
              for z in centers]
-    e = max((den.bit_length() - 1 for pair in parts for _, den in pair),
-            default=0)
+    e = max([den for pair in parts for _, den in pair], default=1).bit_length() - 1
     return e, [
         (xn << (e + 1 - xd.bit_length()), yn << (e + 1 - yd.bit_length()))
         for (xn, xd), (yn, yd) in parts
@@ -338,34 +335,29 @@ def _aberth(poly, tol):
     return z.tolist(), sweeps
 
 
-def find_roots(factors: tuple, target_eps: float) -> RootSet:
+def find_roots(factors: tuple) -> RootSet:
     """Certified disks for the distinct roots of W, one Yun factor at a time.
 
     Each `square_free` pair (f, m) gets centers from one Aberth iteration on f
     (`_aberth`), certified once against f and tagged with m; the merged
     disks are checked for disjointness once.  Raises PrecisionFailureError
-    when a certified radius is above target_eps, or when the coefficients
-    or the iteration leave the range of doubles; ClusterUnresolvedError
-    when radii within target_eps give overlapping disks.
+    when a certified radius is above ROOT_EPS, when the disks overlap, or
+    when the coefficients or the iteration leave the range of doubles.
     """
-    if target_eps <= 0:
-        raise DomainError("target_eps must be positive")
     disks, sweeps = [], []
     n_val = 0.0
     for f, m in factors:
         d = polyx.degree(f)
         try:
             cauchy = _cauchy_bound(f)
-            centers, count = _aberth(f, 0.25 * target_eps / d)
+            centers, count = _aberth(f, 0.25 * ROOT_EPS / d)
         except OverflowError as exc:
             raise PrecisionFailureError(
                 "coefficients or iterates beyond the range of doubles"
             ) from exc
         radii = certified_radii(f, centers)
-        if max(radii) > target_eps:
-            raise PrecisionFailureError(
-                f"certified radius {max(radii)} above eps={target_eps}"
-            )
+        if max(radii) > ROOT_EPS:
+            raise PrecisionFailureError(f"certified radius {max(radii)} above eps={ROOT_EPS}")
         # max_j |z_j| + r_j <= top / 2^(e+64), each |S z_j| rounded up at 2^-64
         e, pts = _dyadic([*centers, *map(complex, radii)])
         top = 0
@@ -386,13 +378,11 @@ def find_roots(factors: tuple, target_eps: float) -> RootSet:
     disks.sort(key=lambda r: (r.center.real, r.center.imag))
     if not _disks_disjoint([r.center for r in disks],
                            [r.radius for r in disks]):
-        raise ClusterUnresolvedError(
-            f"certified disks overlap at eps={target_eps}"
-        )
+        raise PrecisionFailureError(f"certified disks overlap at eps={ROOT_EPS}")
     eps = max((r.radius for r in disks), default=0.0)
     return RootSet(roots=tuple(disks), eps=eps, N=n_val, sweeps=tuple(sweeps))
 
 
-def roots_of(w: WeightEnumerator, target_eps: float) -> RootSet:
+def roots_of(w: WeightEnumerator) -> RootSet:
     """Square-free decomposition and certified roots in one step."""
-    return find_roots(square_free(w), target_eps)
+    return find_roots(square_free(w))

@@ -39,11 +39,10 @@ when they are asked for (StabilizerReport.elements).  The group is the
 exact closure, over integer tuples, of the permutations whose residual
 is within VERIFY_TOL; a closure is a group by construction.  It is
 built breadth first over the kept generators only: a verified
-permutation already in the group generated so far adds nothing.  Every
-permutation of the closure must have been screened and rescaled, and n
-times the closure's order must stay within Klein's bound; otherwise
-PrecisionFailureError is raised.  A screened permutation outside the
-closure failed verification and is rejected.
+permutation already in the group generated so far adds nothing.  The
+closure must be exactly the screened set, each member rescaled, and n
+times its order within Klein's bound; otherwise PrecisionFailureError
+is raised, so no screened permutation is dropped.
 
 Triviality certificates: the paper's witness is two critical 4-tuples
 of roots sharing their first three entries, which force the projective
@@ -75,7 +74,7 @@ must then fix, and uses neither roots nor eps.  Failure to certify
 either way is reported as inconclusive, never as "not trivial"; on
 either verdict eps is None exactly when the root solve failed.
 
-Each verb solves for roots once, at ROOT_EPS, through roots.roots_of:
+Each verb solves for roots once, at roots.ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
 double-precision iteration on that factor, with no higher working
 precision to fall back on, and tags each disk with the factor's
@@ -99,7 +98,6 @@ from .invariants import fixed_points
 from .roots import RootSet, roots_of
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
-ROOT_EPS = 1e-12  # root accuracy requested by both verbs
 _SLACK = 2.0**-40  # relative widening of a screen window for rounding
 _CELLS = 4096  # screen grid cells (a, b, c) a block, but one first index at least
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
@@ -409,33 +407,40 @@ def _closure(gens, d, limit=math.inf):
     return group
 
 
+def _measured(w: WeightEnumerator, rootset: RootSet):
+    """The screen's {root permutation: element} (_screen, _fixing), in
+    screen order, with None where no scale was found, and the permutations
+    whose element fixes W within VERIFY_TOL, in the same order."""
+    screened = _screen(rootset)
+    measured = dict(zip(screened, _fixing(w, list(screened.values()))))
+    verified = [p for p, e in measured.items() if e and e.residual <= VERIFY_TOL]
+    return measured, verified
+
+
 def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Full stabilizer of the homogeneous enumerator.
 
-    Infinite verdict for the two two-root shapes; otherwise the verified
-    finite group from one root solve at ROOT_EPS.  Raises
+    Infinite verdict for the two two-root shapes; otherwise, from one root
+    solve, the group of every screened root permutation.  Raises
     PrecisionFailureError when those roots cannot tell candidate images
-    apart.
+    apart or the verified permutations do not generate the screened ones.
     """
     cls = classify(w, q)
     if cls.infinite_stabilizer:
         return StabilizerReport(verdict=Verdict.INFINITE, classification=cls)
-    rootset = roots_of(w, ROOT_EPS)
-    screened = _screen(rootset)
-    fixing = dict(zip(screened, _fixing(w, list(screened.values()))))
-    verified = [p for p, f in fixing.items() if f and f.residual <= VERIFY_TOL]
-    # a group larger than the screened set cannot lie inside it
-    group = _closure(verified, len(rootset.roots), limit=len(fixing))
-    unmeasured = sum(fixing.get(p) is None for p in group)
-    if unmeasured:
+    rootset = roots_of(w)
+    measured, verified = _measured(w, rootset)
+    # a group larger than the screened set cannot be it
+    group = _closure(verified, len(rootset.roots), limit=len(measured))
+    if group != measured.keys() or None in measured.values():
         raise PrecisionFailureError(
-            f"{unmeasured} root permutations generated by the verified ones "
-            f"were not screened or not rescaled"
+            f"{len(verified)} verified of {len(measured)} screened root permutations "
+            f"do not generate exactly the screened ones, each rescaled"
         )
     report = StabilizerReport(
         verdict=Verdict.FINITE_GROUP,
         classification=cls,
-        projective=tuple(f for p, f in fixing.items() if p in group),
+        projective=tuple(measured.values()),
         eps=rootset.eps,
     )
     if report.size > cls.stabilizer_bound:
@@ -516,7 +521,7 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     """Certified-trivial stabilizer, by the paper's two critical tuples or
     by three fixed points.
 
-    Solves for roots once, at ROOT_EPS, then decides the full rows
+    Solves for roots once, then decides the full rows
     (_row_minima) of the first two ordered 4-tuples, (0, 1, 2, 3) and
     (0, 1, 2, 4) (_opening_pair): when both are critical they are the
     `certificate`, and nothing else runs.  Otherwise the roots are
@@ -544,16 +549,12 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
         )
     rootset = found = witness = points = None
     try:
-        rootset = roots_of(w, ROOT_EPS)
+        rootset = roots_of(w)
         found = _opening_pair(rootset)
         if found is None:
-            screened = _screen(rootset)
             identity = tuple(range(len(rootset.roots)))
-            perms = [p for p in screened if p != identity]
-            fixing = _fixing(w, [screened[p] for p in perms])
-            witness = next(
-                (p for p, f in zip(perms, fixing) if f and f.residual <= VERIFY_TOL), None
-            )
+            verified = _measured(w, rootset)[1]
+            witness = next((p for p in verified if p != identity), None)
     except PrecisionFailureError:
         pass  # the roots cannot decide; the fixed points below use none
     if found is None and witness is None:

@@ -42,7 +42,7 @@ from wenum.errors import ClassificationError, NotACodeEnumeratorError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import roots_of, square_free
-from wenum.stabilizer import ROOT_EPS, _screen
+from wenum.stabilizer import _screen
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -326,7 +326,7 @@ def test_substitute_linear_complex_matches_mpmath(w):
     # a running error bound (the matrices are not normalized, so W(M) can
     # be far larger than W)
     w = w()
-    mats = _screen(roots_of(w, ROOT_EPS))
+    mats = _screen(roots_of(w))
     assert mats
     with mpmath.workdps(50):
         for mat in mats.values():

@@ -17,7 +17,6 @@ from wenum.invariants import fixed_points
 from wenum.reedmuller import reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
-    ROOT_EPS,
     Verdict,
     _cross_blocks,
     _cross_parts,
@@ -108,7 +107,7 @@ OPENING = ((0, 1, 2, 3), (0, 1, 2, 4))
 @functools.cache
 def scans(w):
     """W's roots and both all-pairs scans of them, computed once per W."""
-    rootset = roots_of(w, ROOT_EPS)
+    rootset = roots_of(w)
     return rootset, reference_scan(rootset), members_scan(rootset)
 
 
@@ -152,7 +151,7 @@ def test_scan_matches_all_pairs(w, q):
 def test_scan_no_certificate_d32():
     # rm2_1_5: a nontrivial group, so (0, 1, 2, 3) meets a competitor, the
     # opening rows refuse, and the verb gives a screen witness
-    rootset = roots_of(rm2_closed_form(5), ROOT_EPS)
+    rootset = roots_of(rm2_closed_form(5))
     assert len(rootset.roots) == 32
     threshold = 120 * rootset.N**3 * rootset.eps
     z = rootset.centers()
@@ -186,7 +185,7 @@ def _table_cases():
         cases.append(pytest.param(z, id=f"random{d}"))
     prm = enumerate_weights(get_entry("prm5_3_2").code)
     for name, w in (("prm5_3_2", prm), ("rm2_1_5", rm2_closed_form(5))):
-        cases.append(pytest.param(roots_of(w, ROOT_EPS).centers(), id=name))
+        cases.append(pytest.param(roots_of(w).centers(), id=name))
     return cases
 
 
@@ -270,7 +269,7 @@ def test_certify_trivial_from_opening_rows(monkeypatch):
     for name in ("rm4_2_2", "rm4_3_2", "rm5_2_2", "prm5_3_2"):
         code = get_entry(name).code
         w = enumerate_weights(code)
-        cases.append((w, code.q, reference_scan(roots_of(w, ROOT_EPS))))
+        cases.append((w, code.q, reference_scan(roots_of(w))))
     monkeypatch.setattr("wenum.stabilizer._screen", unused)
     monkeypatch.setattr("wenum.stabilizer.fixed_points", unused)
     for w, q, want in cases:
@@ -313,7 +312,7 @@ def test_certify_trivial_past_opening_rows(monkeypatch, seed, blocked, screen_fa
         proofs.append(coeffs)
         return fixed_points(coeffs)
 
-    monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w, eps: rootset)
+    monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w: rootset)
     monkeypatch.setattr("wenum.stabilizer._screen", counted_screen)
     monkeypatch.setattr("wenum.stabilizer.fixed_points", counted_fixed_points)
     # W's roots are replaced by the hand-built ones

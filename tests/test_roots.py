@@ -19,10 +19,11 @@ from wenum.codes import (
     pair_sum_enumerator,
     zero_code_enumerator,
 )
-from wenum.errors import ClusterUnresolvedError, PrecisionFailureError
+from wenum.errors import PrecisionFailureError
 from wenum.fields import GF
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import (
+    ROOT_EPS,
     _aberth,
     _disks_disjoint,
     _SWEEP_CAP,
@@ -36,7 +37,7 @@ from wenum.roots import (
     roots_of,
     square_free,
 )
-from wenum.stabilizer import ROOT_EPS, Verdict, certify_trivial, compute_stabilizer
+from wenum.stabilizer import Verdict, certify_trivial, compute_stabilizer
 
 GLEASON = WeightEnumerator((1, 0, 0, 0, 14, 0, 0, 0, 1))
 
@@ -86,7 +87,7 @@ def test_square_free_reconstruction():
 
 
 def test_simple_quadratic_roots():
-    rs = find_roots(square_free(WeightEnumerator((3, 0, 1))), 1e-12)
+    rs = find_roots(square_free(WeightEnumerator((3, 0, 1))))
     got = sorted(rs.centers(), key=lambda z: z.imag)
     s3 = math.sqrt(3)
     assert abs(got[0] + 1j * s3) <= 1e-12
@@ -95,7 +96,7 @@ def test_simple_quadratic_roots():
 
 
 def test_integer_root_is_exact():
-    rs = roots_of(WeightEnumerator((4, 1)), 1e-12)  # x + 4
+    rs = roots_of(WeightEnumerator((4, 1)))  # x + 4
     assert rs.roots[0].center == -4
     assert rs.roots[0].radius == 0.0
 
@@ -103,7 +104,7 @@ def test_integer_root_is_exact():
 def test_multiplicities_multi_factor():
     # (x^2+1)(x^2+4)^2 = x^6 + 9x^4 + 24x^2 + 16
     w = WeightEnumerator((16, 0, 24, 0, 9, 0, 1))
-    rs = roots_of(w, 1e-10)
+    rs = roots_of(w)
     by_mult = {}
     for r in rs.roots:
         by_mult.setdefault(r.multiplicity, []).append(r.center)
@@ -113,7 +114,7 @@ def test_multiplicities_multi_factor():
     # and sqrt(3)
     w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
     assert len(square_free(w)) == 3
-    rs = roots_of(w, 1e-10)
+    rs = roots_of(w)
     got = sorted((round(z.real), round(z.imag * z.imag), r.multiplicity)
                  for r in rs.roots for z in [r.center])
     assert got == [(-2, 0, 2), (-1, 0, 1), (0, 3, 3), (0, 3, 3)]
@@ -138,8 +139,8 @@ def test_direct_sum_doubles_multiplicities(q):
     for _ in range(3):
         n = rng.randint(3, 7)
         a = random_code(rng, q, n, rng.randint(1, n - 1))
-        single = roots_of(enumerate_weights(a), ROOT_EPS)
-        rs = roots_of(enumerate_weights(direct_sum(a, a)), ROOT_EPS)
+        single = roots_of(enumerate_weights(a))
+        rs = roots_of(enumerate_weights(direct_sum(a, a)))
         assert sum(r.multiplicity for r in rs.roots) == 2 * n
         assert len(rs) == len(single)
         for r in rs.roots:
@@ -159,7 +160,7 @@ def test_rm4_2_2_certified_disks():
 
     w = _enumerator(reed_muller(4, 2, 2))
     sf = square_free(w)
-    rs = find_roots(sf, 1e-12)
+    rs = find_roots(sf)
     assert len(rs) == gcd_distinct_roots(w)
     # pairwise disjoint disks
     roots = rs.roots
@@ -182,7 +183,7 @@ def test_rm4_2_2_certified_disks():
 
 
 def test_conjugate_symmetry():
-    rs = roots_of(GLEASON, 1e-12)
+    rs = roots_of(GLEASON)
     centers = rs.centers()
     for z in centers:
         assert min(abs(z.conjugate() - c) for c in centers) <= 2 * rs.eps
@@ -193,7 +194,7 @@ def test_certified_containment_independent_check():
     # must dominate it (it was derived by exact outward rounding)
     w = GLEASON
     sf = square_free(w)
-    rs = find_roots(sf, 1e-12)
+    rs = find_roots(sf)
     poly = squarefree_part(sf)
     d = len(poly) - 1
     with mpmath.workdps(120):
@@ -294,7 +295,7 @@ def test_certified_radii_match_oracle_on_factors():
 
     w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
     sf = square_free(w)
-    centers = find_roots(sf, 1e-10).centers()
+    centers = find_roots(sf).centers()
 
     def horner(f, z):
         acc = 0
@@ -308,7 +309,7 @@ def test_certified_radii_match_oracle_on_factors():
     poly = squarefree_part(sf)
     assert_smallest_double_above(certified_radii(poly, centers), poly, centers)
     sf = square_free(enumerate_weights(projective_reed_muller(5, 3, 2)))
-    rs = find_roots(sf, 1e-12)
+    rs = find_roots(sf)
     poly = squarefree_part(sf)
     want = reference_radii(poly, rs.centers())
     assert_smallest_double_above(certified_radii(poly, rs.centers()), poly, rs.centers())
@@ -442,7 +443,7 @@ def test_coinciding_centers_give_infinite_radius(monkeypatch):
     assert certified_radii(poly, [1j, 1j, 2j]) == [math.inf, math.inf, 6.0]
     _centers_from(monkeypatch, [1j, 1j])
     with pytest.raises(PrecisionFailureError, match="above eps"):
-        find_roots(((poly, 1),), 1e-12)
+        find_roots(((poly, 1),))
 
 
 def test_radius_beyond_doubles_is_infinite(monkeypatch):
@@ -455,17 +456,17 @@ def test_radius_beyond_doubles_is_infinite(monkeypatch):
     assert certified_radii(poly, centers) == [math.inf] * 5
     _centers_from(monkeypatch, centers)
     with pytest.raises(PrecisionFailureError, match="above eps"):
-        find_roots(((poly, 1),), 1e-12)
+        find_roots(((poly, 1),))
 
 
 def test_sweeps_per_factor():
     prm = enumerate_weights(projective_reed_muller(5, 3, 2))
     for w in (GLEASON, prm):
-        rs = roots_of(w, ROOT_EPS)
+        rs = roots_of(w)
         assert len(rs.sweeps) == len(square_free(w)) == 1
         assert 1 <= rs.sweeps[0] <= _SWEEP_CAP
     w = WeightEnumerator((108, 216, 243, 243, 171, 99, 49, 17, 5, 1))
-    rs = roots_of(w, 1e-10)
+    rs = roots_of(w)
     assert len(rs.sweeps) == 3
     assert all(1 <= s <= _SWEEP_CAP for s in rs.sweeps)
 
@@ -534,7 +535,7 @@ def test_zero_root_starts_at_zero_and_certifies_exactly():
     w = WeightEnumerator((0, 3, 0, 1))  # x (x^2 + 3)
     z = _start(w.coeffs)
     assert z[0] == 0 and (z[1:] != 0).all()
-    rs = roots_of(w, ROOT_EPS)
+    rs = roots_of(w)
     zero = [r for r in rs.roots if r.center == 0]
     assert len(zero) == 1 and zero[0].radius == 0.0
 
@@ -545,7 +546,7 @@ def test_dual_sweeps(m, cap):
     # the rounding level of doubles; one circle of radius
     # min(Cauchy, Fujiwara) and a 40-sweep stall window took 48 and 157
     w = macwilliams(rm2_closed_form(m), 2, 2 ** (m + 1))
-    rs = roots_of(w, ROOT_EPS)
+    rs = roots_of(w)
     assert len(rs) == 2**m and len(rs.sweeps) == 1
     assert rs.sweeps[0] <= cap
 
@@ -556,30 +557,32 @@ def test_diverged_iteration_raises(monkeypatch):
 
     monkeypatch.setattr("wenum.roots._aberth_step", nan_step)
     with pytest.raises(PrecisionFailureError, match="diverged"):
-        roots_of(GLEASON, ROOT_EPS)
+        roots_of(GLEASON)
 
 
 def test_roots_beyond_cauchy_bound_raise(monkeypatch):
     monkeypatch.setattr("wenum.roots._cauchy_bound", lambda poly: 0.5)
     with pytest.raises(PrecisionFailureError, match="Cauchy bound"):
-        roots_of(GLEASON, ROOT_EPS)
+        roots_of(GLEASON)
 
 
-def test_precision_failure_at_unreachable_eps():
-    with pytest.raises(PrecisionFailureError):
-        roots_of(WeightEnumerator((3, 0, 1)), 1e-40)
+def test_precision_failure_at_unreachable_eps(monkeypatch):
+    monkeypatch.setattr("wenum.roots.ROOT_EPS", 1e-40)
+    with pytest.raises(PrecisionFailureError, match="above eps"):
+        roots_of(WeightEnumerator((3, 0, 1)))
 
 
-def test_close_root_pair_is_unresolved():
+def test_close_root_pair_is_unresolved(monkeypatch):
     # Mignotte-type x^8 - 2(100x - 1)^2: two real roots about 1.4e-10 apart
-    # near 1/100.  Radii within 1e-6 give overlapping disks; 1e-12 is below
-    # what the double centers can certify.
+    # near 1/100.  ROOT_EPS is below what the double centers can certify;
+    # radii within 1e-6 give overlapping disks.
     p = (-2, 400, -20000, 0, 0, 0, 0, 0, 1)
     sf = ((p, 1),)
-    with pytest.raises(ClusterUnresolvedError):
-        find_roots(sf, 1e-6)
-    with pytest.raises(PrecisionFailureError):
-        find_roots(sf, 1e-12)
+    with pytest.raises(PrecisionFailureError, match="above eps"):
+        find_roots(sf)
+    monkeypatch.setattr("wenum.roots.ROOT_EPS", 1e-6)
+    with pytest.raises(PrecisionFailureError, match="overlap"):
+        find_roots(sf)
 
 
 def test_root_count_matches_squarefree_degree():
@@ -588,14 +591,14 @@ def test_root_count_matches_squarefree_degree():
 
     w = enumerate_weights(projective_reed_muller(5, 3, 2))
     sf = square_free(w)
-    rs = find_roots(sf, 1e-12)
+    rs = find_roots(sf)
     assert len(rs) == gcd_distinct_roots(w) == 31
     assert rs.eps <= 1e-12
 
 
 def test_coefficients_beyond_doubles_raise_precision_failure():
     with pytest.raises(PrecisionFailureError):
-        roots_of(WeightEnumerator((1, 10**400, 1)), 1e-12)
+        roots_of(WeightEnumerator((1, 10**400, 1)))
     # so the certificate reports instead of crashing, proved by its fixed
     # points, which need no roots
     rep = certify_trivial(WeightEnumerator((1, 3, 10**400, 7, 5, 11, 1)), 2)
@@ -607,7 +610,7 @@ def test_coefficients_beyond_doubles_raise_precision_failure():
 def test_rm2_1_6_dual_disks():
     # coefficients up to 2^57: doubles alone stall far from the roots, and
     # the step against the exact residual reaches the double-precision floor
-    rs = roots_of(macwilliams(rm2_closed_form(6), 2, 2**7), 1e-12)
+    rs = roots_of(macwilliams(rm2_closed_form(6), 2, 2**7))
     assert len(rs) == 64
     assert rs.eps <= 4.74e-14
     exact = [(Fraction(r.center.real), Fraction(r.center.imag), Fraction(r.radius))
@@ -661,7 +664,7 @@ def test_sturm_oracle():
 ], ids=["rm4_2_2", "rm5_2_2", "prm5_3_2"])
 def test_real_roots_on_the_real_axis(code):
     sf = square_free(enumerate_weights(code()))
-    rs = find_roots(sf, 1e-12)
+    rs = find_roots(sf)
     centers = rs.centers()
     # no imaginary part of 1e-34 left on a real root to widen the common
     # power of two of the exact certificate
@@ -674,7 +677,7 @@ def test_imaginary_roots_on_the_imaginary_axis():
     # purely imaginary, and the iteration leaves real parts of about 1e-33
     # on them unless they are snapped to 0
     w = WeightEnumerator((1, 6, 13, 18, 22, 12))
-    rs = roots_of(w, 1e-12)
+    rs = roots_of(w)
     imaginary = [z for z in rs.centers() if abs(abs(z.imag) - 0.5**0.5) < 1e-9]
     assert len(imaginary) == 2
     assert all(z.real == 0 for z in imaginary)

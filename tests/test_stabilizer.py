@@ -35,7 +35,6 @@ from wenum.invariants import fixed_points
 from wenum.reedmuller import projective_reed_muller, reed_muller
 from wenum.roots import Root, RootSet, roots_of, square_free
 from wenum.stabilizer import (
-    ROOT_EPS,
     VERIFY_TOL,
     StabilizerElement,
     Verdict,
@@ -350,7 +349,7 @@ def test_report_stores_one_matrix_per_permutation(make, verdict, stored):
 )
 def test_three_roots(coeffs, order):
     w = WeightEnumerator(coeffs)
-    assert len(roots_of(w, ROOT_EPS)) == 3
+    assert len(roots_of(w)) == 3
     rep = compute_stabilizer(w, 2)
     assert rep.verdict is Verdict.FINITE_GROUP
     assert rep.size == order
@@ -500,7 +499,7 @@ def _screen_enumerators():
 
 @pytest.mark.parametrize("w", _screen_enumerators())
 def test_screen_matches_reference(w):
-    rootset = roots_of(w, ROOT_EPS)
+    rootset = roots_of(w)
     got = _screen(rootset)
     expected = reference_screen(rootset)
     assert list(got) == list(expected)  # the same permutations, in order
@@ -515,7 +514,7 @@ def test_screen_block_size(monkeypatch):
     # one first index a block, as at d >= 46, and the whole grid at once;
     # PRM_3(1,3)'s root of multiplicity 13 exercises the multiplicity mask
     for w in (rm2_closed_form(5), enumerate_weights(projective_reed_muller(3, 1, 3))):
-        rootset = roots_of(w, ROOT_EPS)
+        rootset = roots_of(w)
         default = list(_screen(rootset).items())
         for cells in (1, 2**30):
             monkeypatch.setattr("wenum.stabilizer._CELLS", cells)
@@ -527,7 +526,7 @@ def test_screen_memory_rm2_1_6_dual():
     # d = 64: one first index a grid bounds the screen's arrays, where one
     # grid of all 64^3 cells peaks at about 15 MiB
     w_dual = macwilliams(rm2_closed_form(6), 2, 2**7)
-    rootset = roots_of(w_dual, ROOT_EPS)
+    rootset = roots_of(w_dual)
     assert len(rootset.roots) == 64
     tracemalloc.start()
     try:
@@ -542,7 +541,7 @@ def test_screen_memory_rm2_1_6_dual():
 def test_screen_on_unsorted_roots():
     # the screen bisects on real parts it sorts itself, not on the order
     # of the RootSet, which callers may build in any order
-    rootset = roots_of(rm2_closed_form(4), ROOT_EPS)
+    rootset = roots_of(rm2_closed_form(4))
     order = np.random.default_rng(7).permutation(len(rootset))
     shuffled = dataclasses.replace(
         rootset, roots=tuple(rootset.roots[i] for i in order)
@@ -652,7 +651,7 @@ def test_closure_matches_product_fixed_point():
     assert len(_closure(gens, 6)) == 720
     assert 10 < len(_closure(gens, 6, limit=10)) < 100
     for w in (GLEASON, rm2_closed_form(5)):
-        rs = roots_of(w, ROOT_EPS)
+        rs = roots_of(w)
         screened = _screen(rs)
         verified = [p for p, f in zip(screened, _fixing(w, list(screened.values())))
                     if f.residual <= VERIFY_TOL]
@@ -710,6 +709,20 @@ def test_closure_accepts_unverified_element(monkeypatch):
     for k, e in enumerate(forced):
         scaled = tuple(tuple(zeta**k * mu * v for v in row) for row in mat)
         assert matrix_distance(e.matrix, scaled) <= 1e-12
+
+
+def test_unverified_permutations_left_ungenerated_raise(monkeypatch):
+    # the defect above forced on every column of the batch: every
+    # non-identity screened permutation fails verification, and the
+    # identity alone generates none of them, so no group is reported
+    def defective(coeffs, a, b, c, d):
+        got = substitute_linear(coeffs, a, b, c, d)
+        got[coeffs.index(0)] += got[coeffs.index(max(coeffs))] / 2
+        return got
+
+    monkeypatch.setattr("wenum.stabilizer.substitute_linear", defective)
+    with pytest.raises(PrecisionFailureError, match="1 verified of 24 screened"):
+        compute_stabilizer(GLEASON, 2)
 
 
 def test_unscreened_closure_element_raises(monkeypatch):
@@ -778,8 +791,9 @@ def test_repeated_root_prm3_1_3(dual):
             3,
             marks=pytest.mark.xfail(
                 strict=True,
+                raises=PrecisionFailureError,
                 reason="ROADMAP item 1: four of the 8 screened permutations "
-                "miss VERIFY_TOL and are dropped, so RM_2(3,6) reads 256",
+                "miss VERIFY_TOL, and the other four do not generate them",
             ),
         ),
     ],
@@ -908,7 +922,7 @@ def test_certify_trivial_rm4_2_2():
     t1, t2 = rep.certificate
     assert t1.indices[:3] == t2.indices[:3]
     assert t1.indices[3] != t2.indices[3]
-    rs = roots_of(w, ROOT_EPS)
+    rs = roots_of(w)
     assert rep.eps == rs.eps
     assert min(t1.gap, t2.gap) > 120 * rs.N**3 * rs.eps  # certified gaps
     centers = rs.centers()
@@ -940,7 +954,7 @@ def test_certify_trivial_gleason_inconclusive(monkeypatch):
     rep = certify_trivial(GLEASON, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.witness is not None and rep.fixed_points is None
-    rs = roots_of(GLEASON, ROOT_EPS)
+    rs = roots_of(GLEASON)
     assert rep.eps == rs.eps  # the accuracy screened
     assert len(solves) == 1
     assert _opening_pair(rs) is None and fixed_points(GLEASON.coeffs) is None
@@ -954,7 +968,7 @@ def test_certify_trivial_rm2_1_4_inconclusive():
     rep = certify_trivial(w, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.witness is not None and rep.fixed_points is None
-    rs = roots_of(w, ROOT_EPS)
+    rs = roots_of(w)
     assert rep.eps == rs.eps
     assert _opening_pair(rs) is None and fixed_points(w.coeffs) is None
     # (0, 1, 2, 3) meets the representative (4, 10, 6, 8) of another orbit
@@ -987,7 +1001,7 @@ def test_certify_trivial_when_the_screen_fails(monkeypatch):
     # rm2_1_4: no screen witness, and no fixed points prove a group of
     # order 256 trivial
     rep = certify_trivial(rm, 2)
-    rs = roots_of(rm, ROOT_EPS)
+    rs = roots_of(rm)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.witness is None and rep.size == 0 and rep.eps == rs.eps
     assert rep.certificate is None and rep.fixed_points is None
@@ -1046,7 +1060,7 @@ def test_fixing_with_coefficients_above_int64():
 
 
 def test_certify_witness_is_first_verified_in_screen_order():
-    rs = roots_of(GLEASON, ROOT_EPS)
+    rs = roots_of(GLEASON)
     first = list(_screen(rs))[1]  # the first is the identity
     assert certify_trivial(GLEASON, 2).witness == first
 
@@ -1061,7 +1075,7 @@ def test_scan_gives_up_at_wide_disks(monkeypatch):
         _opening_pair(rootset)
     with pytest.raises(PrecisionFailureError):
         _screen(rootset)
-    monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w, eps: rootset)
+    monkeypatch.setattr("wenum.stabilizer.roots_of", lambda w: rootset)
     rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
     assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.eps == 0.5
     assert rep.certificate is None and rep.fixed_points == (2, 3, 5)
@@ -1072,7 +1086,7 @@ def test_certify_trivial_proves_past_a_failed_root_solve():
     code = reed_muller(7, 2, 2)
     dual = macwilliams(enumerate_weights(code), 7, code.size)
     with pytest.raises(PrecisionFailureError):
-        roots_of(dual, ROOT_EPS)
+        roots_of(dual)
     rep = certify_trivial(dual, 7)
     assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.fixed_points == (2, 3, 5)
     assert rep.certificate is None and rep.witness is None and rep.eps is None
@@ -1080,13 +1094,25 @@ def test_certify_trivial_proves_past_a_failed_root_solve():
 
 
 def test_certify_trivial_without_roots_keeps_the_proof(monkeypatch):
-    def fail(w, eps):
+    def fail(w):
         raise PrecisionFailureError("no roots")
 
     monkeypatch.setattr("wenum.stabilizer.roots_of", fail)
     rep = certify_trivial(enumerate_weights(reed_muller(4, 2, 2)), 4)
     assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.fixed_points == (2, 3, 5)
     assert rep.certificate is None and rep.witness is None and rep.eps is None
+
+
+def test_overlapping_disks_fail_like_every_root_solve(monkeypatch):
+    # disks that meet raise the root solve's one failure, so the
+    # certificate goes on to rm4_2_2's fixed points
+    monkeypatch.setattr("wenum.roots._disks_disjoint", lambda centers, radii: False)
+    w = enumerate_weights(reed_muller(4, 2, 2))
+    rep = certify_trivial(w, 4)
+    assert rep.verdict is Verdict.TRIVIAL_CERTIFIED and rep.fixed_points == (2, 3, 5)
+    assert rep.certificate is None and rep.witness is None and rep.eps is None
+    with pytest.raises(PrecisionFailureError, match="overlap"):
+        compute_stabilizer(w, 4)
 
 
 def test_certify_trivial_without_roots_or_proof():
@@ -1135,14 +1161,14 @@ def test_rm2_1_6_dual_witness_in_group():
     assert group.size == 4096
     rep = certify_trivial(w_dual, 2)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    centers = roots_of(w_dual, ROOT_EPS).centers()
+    centers = roots_of(w_dual).centers()
     assert rep.witness in induced_permutations(group.elements, centers)
 
 
 @pytest.mark.parametrize("w, q", _catalog_enumerators())
 def test_certificate_agrees_with_screen_and_group(w, q):
     rep = certify_trivial(w, q)
-    rs = roots_of(w, ROOT_EPS)
+    rs = roots_of(w)
     group = compute_stabilizer(w, q)
     if rep.verdict is Verdict.TRIVIAL_CERTIFIED:
         assert list(_screen(rs)) == [tuple(range(len(rs)))]
@@ -1163,7 +1189,7 @@ def test_agreement_trivial_vs_group():
 
 def test_group_action_preserves_cross_ratio():
     rep = compute_stabilizer(GLEASON, 2)
-    centers = roots_of(GLEASON, 1e-12).centers()
+    centers = roots_of(GLEASON).centers()
     z = centers[:4]
     base = cross_ratio(*z)
     for e in rep.elements[:: max(1, rep.size // 8)]:
