@@ -6,24 +6,15 @@ transform of the dual's enumerator (algebra.macwilliams, exact integer
 arithmetic) is the code's.  `budget` therefore bounds q^min(k, n-k), the
 words actually counted.
 
-Messages of the counted code are split into a prefix (the first t
-symbols) and a suffix (the last j symbols).  Every codeword is one
-prefix combination p of the generator rows plus one suffix combination
-s, and its weight is n minus its zero count.  Coordinate c
-of p + s is zero exactly when s_c = -p_c, so no codeword needs to be
-built to count its zeros.  Both halves are held as per-value bitmasks
-(bit c of mask v of combination s is set when s_c = v), built straight
-from the generator rows by doubling in packed form: each further row
-multiplies the number of combinations by q with word operations only,
-so no table of q^j combinations is built or packed.  The zero counts of
-a whole block of q^j codewords are the popcounts of the OR over v of
-the suffix masks ANDed with the masks of -p.  The suffix span S is
-closed under scaling, so for a nonzero scalar a the block of a*p is
-a*(block of p): the same weights.  Enumeration therefore counts prefix 0
-once and one prefix per scalar class, the prefixes whose leading nonzero
-coefficient is 1, and weights the latter by q - 1.  Workers take
-contiguous parts of those representatives; per-worker counts merge by
-addition.
+A codeword is a prefix combination p of the generator rows plus a
+suffix combination s, and coordinate c of p + s is zero exactly when
+s_c = -p_c.  The suffix combinations are held one per bit: bits[c][-p_c]
+is the zero indicator of coordinate c for 64 codewords per word.
+Carry-save adders sum the n indicators into bit planes of the zero
+count, and splitting the rows by the planes gives the histogram of zero
+counts, which is the enumerator; no codeword is built.  Prefix 0 is
+counted once and one prefix per scalar class q - 1 times, and workers
+take contiguous parts of those.
 """
 
 from __future__ import annotations
@@ -43,7 +34,8 @@ from .errors import (
 from .fields import FiniteField
 
 DEFAULT_BUDGET = 2**32
-_BLOCK_CAP = 1 << 16  # suffix-table rows
+_BLOCK_CAP = 1 << 12  # suffix-table rows
+_CHUNK_WORDS = 1 << 13  # words of one chunk's zero indicators
 
 
 class WeightEnumerator:
@@ -259,103 +251,105 @@ def dual(code: LinearCode) -> LinearCode:
 # --- enumeration ----------------------------------------------------------
 
 
-def _pack(bits):
-    """Rows of n bools as ceil(n/64) uint64 words each: bit b of word w is
-    column 64*w + b, and bits past column n are clear."""
-    words = -(-bits.shape[-1] // 64)
-    packed = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
-    bytes_ = np.packbits(bits, axis=-1, bitorder="little")
-    packed[..., : bytes_.shape[-1]] = bytes_
-    return packed.view("<u8")
+def _split(code, budget):
+    """Budget check, then the prefix rows, the suffix column bits, the
+    valid bit rows and the suffix combination at each bit row (-1 if none).
 
-
-def _masks(field, rows):
-    """masks[v, w, r] has bit b set when coordinate 64*w + b of combination
-    r of the generator rows equals v.
-
-    Combination r takes the base-q digits of r as coefficients, the first
-    row taking the leading digit; no rows give the single zero word.  The
-    masks are built by doubling in packed form, last row first: given the
-    masks of the R combinations of the rows after g, combination a*R + r is
-    a*g plus combination r, whose coordinate c equals v exactly when
-    g_c = u and combination r has v - a*u at c, for some value u of g.  So
-    its mask of value v is the OR over the values u of g of the old mask of
-    v - a*u cut to the columns where g equals u.  Only words are touched:
-    no combination is built and nothing is packed but g itself.
+    The suffix takes the last j generator rows, q^j the largest power of q
+    within _BLOCK_CAP: message i*q^j + r is prefix i plus suffix r.  Its
+    last b rows, q^b the fewest combinations that fill w words but for
+    1/16 (else b = j), are packed: u*q^b + l sits at bit row 64*w*u + l,
+    and u + l has value v at c where l has v - u_c, so bits[c, v] (bit
+    r % 64 of word r // 64 for bit row r) is one gather.
     """
-    q, n = field.q, rows.shape[1]
-    words = -(-n // 64)
-    masks = np.zeros((q, words, 1), dtype=np.uint64)
-    masks[0, :, 0] = _pack(np.ones(n, dtype=bool))
-    subk, mulk = field.sub_table, field.mul_table
-    for g in rows[::-1]:
-        values = np.flatnonzero(np.bincount(g, minlength=q))
-        cols = _pack(g == values[:, None])[:, None, :, None]
-        old = masks
-        size = old.shape[2]
-        cut, shifted = np.empty_like(old), np.empty_like(old)
-        masks = np.empty((q, words, q, size), dtype=np.uint64)
-        for i, u in enumerate(values):
-            np.bitwise_and(old, cols[i], out=cut)
-            for a in range(q):
-                # value v of block a takes the cut mask of v - a*u; indices
-                # are field elements, so "clip" never clips and writes in place
-                into = masks[:, :, a] if i == 0 else shifted
-                np.take(cut, subk[:, mulk[a, u]], axis=0, out=into, mode="clip")
-                if i:
-                    masks[:, :, a] |= shifted
-        masks = masks.reshape(q, words, q * size)
-    return masks
-
-
-def _tables(code, budget):
-    """Budget check, then the masks of the negated prefix combinations and
-    of the suffix combinations.
-
-    The suffix takes the last j generator rows, with q^j the largest power
-    of q within _BLOCK_CAP; the prefix takes the rest.  Message i*q^j + r
-    is prefix combination i plus suffix combination r.  The mask of value
-    v of -p is the mask of value -v of p.
-    """
-    total = code.size
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    q, k = code.q, code.k
-    j = 0
+    if code.size > budget:
+        raise EnumerationBudgetError(code.size, budget)
+    field, n, k, q, j = code.field, code.n, code.k, code.q, 0
     while j < k and q ** (j + 1) <= _BLOCK_CAP:
         j += 1
-    return (
-        _masks(code.field, code.generator[: k - j])[code.field.neg_table],
-        _masks(code.field, code.generator[k - j :]),
-    )
+    b = next((b for b in range(j) if -(-q**b // 64) * 64 <= q**b * 17 // 16), j)
+    rows = code.generator[k - j :]
+    lower = _combinations(field, rows[j - b :])(np.arange(q**b))
+    upper = _combinations(field, rows[: j - b])(np.arange(q ** (j - b)))
+    w, r = -(-q**b // 64), np.arange(q**b)
+    packed = np.zeros((n, q, 8 * w), dtype=np.uint8)
+    index = (np.arange(n)[:, None], lower.T, r >> 3)
+    np.bitwise_or.at(packed, index, (1 << (r & 7)).astype(np.uint8))
+    shift = field.sub_table[np.arange(q)[:, None], upper.T[:, None]]
+    bits = packed.view("<u8")[np.arange(n)[:, None, None], shift]
+    order = np.full((q ** (j - b), 64 * w), -1)
+    order[:, : q**b] = np.arange(q**j).reshape(-1, q**b)
+    valid = np.packbits(order >= 0, bitorder="little").view("<u8")
+    bits = np.ascontiguousarray(bits.reshape(n, q, valid.size))
+    return code.generator[: k - j], bits, valid, order.ravel()
 
 
-def _zero_counts(negated, masks):
-    """For each prefix p, the zero count of p + s for every suffix row s.
+def _chunks(field, prefix, index, bits):
+    """The prefix combinations of `index` in chunks of at most _CHUNK_WORDS
+    words of bits (or one prefix), each with its bit planes."""
+    step, combine = max(1, _CHUNK_WORDS // bits.shape[2]), _combinations(field, prefix)
+    for start in range(0, len(index), step):
+        words = combine(index[start : start + step])
+        yield words, _zero_planes(bits, field.neg_table[words.T])
 
-    `masks` holds the suffix combinations and `negated` the negated prefix
-    combinations, both as _masks.  Coordinate c of p + s is zero exactly
-    when s_c = -p_c, so the zeros of p + s are the bits where the suffix
-    mask of value v meets the mask of value v of -p, for some v.  Only the
-    values that -p takes in a word are visited (each word has one at
-    least), so a word costs one pass per such value, not q.  Counts reach
-    n, so they are summed over the words in the smallest unsigned type
-    that holds 64 bits per word.
+
+def _carry_save(levels, x, i):
+    """Add x, of weight 2^i, to `levels` (at most two vectors each): a third
+    is folded by a full adder in five word operations, its carry added up."""
+    while i < len(levels) and len(levels[i]) == 2:
+        a, b = levels[i].pop(), levels[i][0]
+        carry = a & b
+        b ^= a
+        np.bitwise_and(b, x, out=a)
+        carry |= a
+        b ^= x
+        x, i = carry, i + 1
+    if i == len(levels):
+        levels.append([])
+    levels[i].append(x)
+
+
+def _zero_planes(bits, negated):
+    """Bit planes of the zero counts of a chunk of prefix blocks.
+
+    negated[c] holds -p_c for each prefix p, and bits[c][-p_c] is the zero
+    indicator of coordinate c for every suffix row at once.  Carry-save
+    adders sum the n indicators: bit r of row i of plane b (least
+    significant first) is bit b of the zero count of prefix i plus the
+    suffix combination at bit row r.
     """
-    _, words, rows = masks.shape
-    count_type = np.min_scalar_type(64 * words)
-    hits = np.empty(rows, dtype=np.uint64)
-    meet = np.empty(rows, dtype=np.uint64)
-    for i in range(negated.shape[2]):
-        zeros = np.zeros(rows, dtype=count_type)
-        for w in range(words):
-            first, *rest = np.flatnonzero(negated[:, w, i])
-            np.bitwise_and(masks[first, w], negated[first, w, i], out=hits)
-            for v in rest:
-                np.bitwise_and(masks[v, w], negated[v, w, i], out=meet)
-                hits |= meet
-            zeros += np.bitwise_count(hits)
-        yield zeros
+    levels = []
+    for c, values in enumerate(negated):
+        _carry_save(levels, bits[c][values], 0)
+    for i, level in enumerate(levels):  # half adders; carries move up
+        if len(level) == 2:
+            a, b = level.pop(), level[0]
+            _carry_save(levels, a & b, i + 1)
+            b ^= a
+    return [a for a, in levels]
+
+
+def _histogram(planes, valid, rows, n):
+    """Number of the `rows` valid rows of each zero count z = 0..n: the
+    rows are split depth first by the planes, the most significant first.
+    A split takes one popcount (the other side's count is the difference)
+    and drops an empty side; leaf z adds its count to counts[z].  The walk
+    keeps an explicit stack, so each mask is freed once it is split."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    stack = [(valid, len(planes), 0, rows)]
+    while stack:
+        mask, depth, z, count = stack.pop()
+        if not depth:
+            counts[z] += count
+            continue
+        depth -= 1
+        high = mask & planes[depth]
+        ones = int(np.bitwise_count(high).sum(dtype=np.uint32))
+        if ones:
+            stack.append((high, depth, z + 2**depth, ones))
+        if count > ones:  # a leaf needs no mask
+            stack.append((mask ^ high if depth else None, depth, z, count - ones))
+    return counts
 
 
 def _scalar_classes(q, size):
@@ -373,36 +367,32 @@ def _scalar_classes(q, size):
 def _count_weights(code, budget, workers):
     """Weight enumerator of `code` by counting every codeword.
 
-    The prefix and suffix combinations are built as per-value bitmasks by
-    packed doubling (_masks), and each prefix gives the zero counts of its
-    block (itself plus every suffix combination) by popcounts, without
-    building a codeword; a_i counts the words with i zeros, so the
-    histogram of zero counts is the enumerator.  The suffix combinations
-    form a subspace S, so for a nonzero scalar a the block of a*p is
-    {a*p + s} = a*(block of p), and scaling keeps every weight: the q - 1
-    prefixes of a scalar class have one histogram.  Prefix 0 is counted
-    once and one prefix per class (_scalar_classes) q - 1 times.  With
-    workers > 1 those representatives are split into contiguous parts
-    counted by a thread pool, and counts merge by addition, so the result
-    is exact regardless of scheduling.  The total is checked against q^k.
+    Prefix 0 is counted once and one prefix per scalar class
+    (_scalar_classes) q - 1 times: the suffix combinations form a subspace,
+    so the block {a*p + s} of a*p is a*(block of p), with the same weights.
+    Each chunk of prefixes (_chunks) gives its planes to _histogram.  With
+    workers > 1 the representatives are split into contiguous parts for a
+    thread pool, and counts merge by addition, so the result is exact
+    regardless of scheduling.  The total is checked against q^k.
     """
-    n = code.n
-    negated, masks = _tables(code, budget)
+    field, n = code.field, code.n
+    prefix, bits, valid, _ = _split(code, budget)
+    size = code.q ** (code.k - len(prefix))
 
     def count(part):
         counts = np.zeros(n + 1, dtype=np.int64)
-        for zeros in _zero_counts(part, masks):
-            counts += np.bincount(zeros, minlength=n + 1)
+        for words, planes in _chunks(field, prefix, part, bits):
+            counts += _histogram(planes, valid, len(words) * size, n)
         return counts
 
-    reps = negated[:, :, _scalar_classes(code.q, negated.shape[2])]
-    parts = np.array_split(reps, max(1, min(workers, reps.shape[2])), axis=2)
+    reps = _scalar_classes(code.q, code.q ** len(prefix))
+    parts = np.array_split(reps, max(1, min(workers, len(reps))))
     if len(parts) == 1:
         scaled = count(parts[0])
     else:
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
             scaled = sum(pool.map(count, parts))
-    counts = count(negated[:, :, :1]) + (code.q - 1) * scaled
+    counts = count(np.arange(1)) + (code.q - 1) * scaled
     if counts.sum() != code.size:
         raise RuntimeError(
             f"enumeration counted {int(counts.sum())} codewords, "
@@ -438,43 +428,53 @@ def enumerate_weights(
     return w
 
 
-def _combinations(field, rows, index):
-    """The combinations of the generator rows whose coefficients are the
-    base-q digits of each index, the first row taking the leading digit.
-
-    The rows are taken in groups of s, with q^s the largest power of q
-    within 256: the q^s combinations of a group are built once, and each
-    index then costs one table row and one addition per group.
-    """
+def _combinations(field, rows):
+    """The map from message indices to the combinations of the rows whose
+    coefficients are their base-q digits, the first row taking the leading
+    digit.  The q^s combinations of each group of s rows, q^s the largest
+    power of q within 256, are built once; an index then costs one table
+    row and one addition per group."""
     q, n = field.q, rows.shape[1]
     addk, mulk = field.add_table, field.mul_table
-    group = 1
+    group, tables = 1, []
     while q ** (group + 1) <= 256:
         group += 1
-    words = np.zeros((len(index), n), dtype=np.uint8)
     for stop in range(len(rows), 0, -group):
         table = np.zeros((1, n), dtype=np.uint8)
         for row in rows[max(0, stop - group) : stop]:
             table = addk[table[:, None], mulk[:, row]].reshape(-1, n)
-        index, digit = np.divmod(index, len(table))
-        words = table[digit] if stop == len(rows) else addk[words, table[digit]]
-    return words
+        tables.append(table)
+
+    def combine(index):
+        words = np.zeros((len(index), n), dtype=np.uint8)
+        for i, table in enumerate(tables):
+            index, digit = np.divmod(index, len(table))
+            words = table[digit] if i == 0 else addk[words, table[digit]]
+        return words
+
+    return combine
 
 
 def codewords_of_weight(code: LinearCode, weight: int) -> np.ndarray:
     """All codewords of the given weight, one per row, of q^k <= DEFAULT_BUDGET.
 
-    Zero counts pick the messages first; only the returned words are
-    built.
+    Every prefix is walked in chunks as in _count_weights, but only the
+    leaf of zero count n - weight is taken from the planes, and only its
+    words are built, each a prefix plus a suffix combination.
     """
-    negated, masks = _tables(code, DEFAULT_BUDGET)
-    size = masks.shape[2]
-    zeros = _zero_counts(negated, masks)
-    index = np.concatenate([
-        i * size + np.flatnonzero(z == code.n - weight)
-        for i, z in enumerate(zeros)
-    ])
-    return _combinations(code.field, code.generator, index)
+    field, n = code.field, code.n
+    prefix, bits, valid, order = _split(code, DEFAULT_BUDGET)
+    if not 0 <= weight <= n:
+        return np.zeros((0, n), dtype=np.uint8)
+    suffix = _combinations(field, code.generator[len(prefix) :])(np.maximum(order, 0))
+    found = []
+    for words, planes in _chunks(field, prefix, np.arange(code.q ** len(prefix)), bits):
+        mask = valid[None]
+        for b, plane in enumerate(planes):
+            mask = mask & (plane if (n - weight) >> b & 1 else ~plane)
+        i, r = np.nonzero(np.unpackbits(mask.view("u1"), axis=-1, bitorder="little"))
+        found.append(field.add_table[words[i], suffix[r]])
+    return np.concatenate(found)
 
 
 def decompose_case_c(code: LinearCode) -> tuple[tuple[int, int], ...]:

@@ -1,6 +1,8 @@
 """Enumeration against the naive oracle, duals, direct sums, case (c)."""
 
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +80,7 @@ def test_random_codes_match_oracle(monkeypatch):
                     assert enumerate_weights(code, workers=workers).coeffs == want
 
 
-@pytest.mark.parametrize("m", [6, 7, 8])  # n = 64, 128, 256: one to four mask words
+@pytest.mark.parametrize("m", [6, 7, 8])  # n = 64, 128, 256: 7 to 9 planes
 def test_first_order_rm_matches_closed_form(m, monkeypatch):
     code = reed_muller(2, 1, m)
     want = rm2_closed_form(m)
@@ -88,7 +90,7 @@ def test_first_order_rm_matches_closed_form(m, monkeypatch):
 
 
 def test_long_random_code_matches_oracle(monkeypatch):
-    code = random_code(seeded("long"), 3, 70, 4)  # two mask words
+    code = random_code(seeded("long"), 3, 70, 4)  # 70 coordinates, 7 planes
     want = oracle_weight_coeffs(code)
     assert enumerate_weights(code).coeffs == want
     monkeypatch.setattr("wenum.codes._BLOCK_CAP", 3)
@@ -171,33 +173,80 @@ def test_transformed_coverage_checked(monkeypatch):
         enumerate_weights(code)
 
 
-def _reference_masks(q, words):
-    """masks[v, w, r] from the built words: bit b of word w is the truth of
-    words[r, 64*w + b] == v, summed as powers of two."""
-    rows, n = words.shape
-    width = -(-n // 64)
-    padded = np.full((rows, 64 * width), q, dtype=np.int64)  # q matches no value
-    padded[:, :n] = words
-    powers = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    masks = np.empty((q, width, rows), dtype=np.uint64)
-    for v in range(q):
-        bits = (padded == v).reshape(rows, width, 64)
-        masks[v] = (bits * powers).sum(axis=2, dtype=np.uint64).T
-    return masks
+def _bit_rows(words):
+    """Bit r of each row of words, as bools: bit r % 64 of word r // 64."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    return bits.astype(bool)
+
+
+def _suffix_words(code):
+    """_split of the code, with the suffix combinations built one per
+    message and the message of each bit row of the first prefix."""
+    prefix, bits, valid, order = codes._split(code, codes.DEFAULT_BUDGET)
+    built = all_combinations(code.field, code.generator[len(prefix):])
+    return prefix, bits, valid, order, built
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
-def test_masks_match_built_words(q):
-    field = GF(q)
-    rng = np.random.default_rng(q)
-    for n in (1, 63, 64, 65, 130):
-        for k in range(4):
-            rows = rng.integers(0, q, (k, n), dtype=np.uint8)
-            masks = codes._masks(field, rows)
-            assert masks.dtype == np.uint64
-            assert np.array_equal(masks, _reference_masks(q, all_combinations(field, rows)))
-            if n % 64:  # the bits past column n are clear
-                assert not (masks[:, -1] >> np.uint64(n % 64)).any()
+def test_masks_match_built_words(q, monkeypatch):
+    """bits[c, v] has bit r set exactly when the suffix combination at bit
+    row r has value v at coordinate c; rows with no combination, and the
+    bits past the last one, are clear in every mask and in `valid`."""
+    rng, padded = seeded(f"column-bits-{q}"), False
+    for cap in (codes._BLOCK_CAP, q, q**2):
+        monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
+        for n in (1, 63, 64, 65, 130):
+            for k in range(min(n, 4) + 1):
+                code = random_code(rng, q, n, k)
+                prefix, bits, valid, order, built = _suffix_words(code)
+                assert bits.dtype == np.uint64 and bits.shape[:2] == (n, q)
+                assert bits.shape[2] == valid.size and order.size == 64 * valid.size
+                rows = order >= 0
+                assert sorted(order[rows]) == list(range(len(built)))
+                assert np.array_equal(_bit_rows(valid), rows)
+                want = np.zeros((n, q, order.size), dtype=bool)
+                r = np.flatnonzero(rows)
+                want[np.arange(n)[:, None], built[order[r]].T, r] = True
+                assert np.array_equal(_bit_rows(bits), want)
+                padded |= not rows.all()
+    assert padded  # some row counts are not multiples of 64
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 16])
+def test_zero_counts_read_from_the_planes(q, monkeypatch):
+    """Bit r of row i of plane b is bit b of the zero count of prefix i
+    plus the suffix combination at bit row r."""
+    rng = seeded(f"planes-{q}")
+    for cap, n, k in ((q, 9, 3), (q**2, 70, 3), (codes._BLOCK_CAP, 33, 2)):
+        monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
+        code = random_code(rng, q, n, k)
+        prefix, bits, valid, order, _ = _suffix_words(code)
+        words = codes._combinations(code.field, prefix)(np.arange(q ** len(prefix)))
+        planes = codes._zero_planes(bits, code.field.neg_table[words.T])
+        assert len(planes) == n.bit_length()
+        zeros = sum(_bit_rows(p).astype(int) << b for b, p in enumerate(planes))
+        built = all_combinations(code.field, code.generator)
+        rows = order >= 0
+        index = np.arange(len(words))[:, None] * rows.sum() + order[rows]
+        assert np.array_equal(zeros[:, rows], n - np.count_nonzero(built[index], axis=2))
+        assert not zeros[:, ~rows].any()
+
+
+def test_chunk_sizes_agree(monkeypatch):
+    rng = seeded("chunks")
+    shapes = ((2, 20, 9), (3, 14, 7), (5, 12, 5), (4, 70, 3))
+    found = [random_code(rng, q, n, k) for q, n, k in shapes]
+    want = [enumerate_weights(code) for code in found]
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 64)  # several prefixes
+    for words in (1, 3):  # one prefix, or up to three, per chunk
+        monkeypatch.setattr("wenum.codes._CHUNK_WORDS", words)
+        assert [enumerate_weights(code) for code in found] == want
+        for code in found[1:3]:
+            words = all_combinations(code.field, code.generator)
+            for weight in range(code.n + 1):
+                got = codewords_of_weight(code, weight)
+                built = words[np.count_nonzero(words, axis=1) == weight]
+                assert sorted(map(tuple, got)) == sorted(map(tuple, built))
 
 
 def test_larger_fields_match_oracle(monkeypatch):
@@ -215,10 +264,8 @@ def test_larger_fields_match_oracle(monkeypatch):
 
 @pytest.mark.parametrize("q, n, k, caps", [
     (16, 10, 3, (codes._BLOCK_CAP, 16, 256)),  # 1, 256 and 16 prefixes
-    (16, 70, 2, (16,)),  # two mask words
-    # a word takes at most 4 of the 256 values; at the default cap the
-    # suffix masks of 256^2 combinations would take 128 MiB
-    (256, 4, 2, (256,)),
+    (16, 70, 2, (16,)),  # 70 coordinates, 16 prefixes
+    (256, 4, 2, (256,)),  # 256 suffix rows, as at the default cap
 ])
 def test_large_fields_skip_absent_values(q, n, k, caps, monkeypatch):
     code = random_code(seeded(f"large-fields-{q}-{n}"), q, n, k)
@@ -226,6 +273,44 @@ def test_large_fields_skip_absent_values(q, n, k, caps, monkeypatch):
     for cap in caps:
         monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
         assert enumerate_weights(code).coeffs == want
+
+
+def test_gf256_enumeration_memory(monkeypatch):
+    """The suffix bits take q * ceil(q^j / 64) words per coordinate, with
+    q^j <= _BLOCK_CAP rows, so a GF(256) [10, 3] code counts its 256^3
+    words within 1 MiB."""
+    code = random_code(seeded("gf256-memory"), 256, 10, 3)
+    want = enumerate_weights(code)  # warm: tables and caches
+    tracemalloc.start()
+    try:
+        assert enumerate_weights(code) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert sum(want.coeffs) == 256**3 and want.coeffs[-1] == 1
+    monkeypatch.setattr("wenum.codes._BLOCK_CAP", 256)
+    assert enumerate_weights(code) == want
+
+
+def test_enumeration_leaves_no_cycles():
+    """The leaf walk keeps an explicit stack: with the collector off,
+    repeated enumerations free everything they allocate."""
+    code = get_entry("prm5_3_2").code
+    enumerate_weights(code)  # warm
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            enumerate_weights(code)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert grown <= 64 * 2**10
 
 
 def _scaled_index(field, index, a, t):
@@ -244,13 +329,14 @@ def test_scalar_multiples_share_a_histogram(q, monkeypatch):
     rng = seeded(f"scalar-classes-{q}")
     for k in (1, 2, 3):
         code = random_code(rng, q, rng.randrange(k, 9), k)
-        negated, masks = codes._tables(code, codes.DEFAULT_BUDGET)
+        prefix, bits, valid, _ = codes._split(code, codes.DEFAULT_BUDGET)
         t = k - 1
-        assert negated.shape[2] == q**t
-        hists = [
-            np.bincount(zeros, minlength=code.n + 1)
-            for zeros in codes._zero_counts(negated, masks)
-        ]
+        assert len(prefix) == t
+        hists = []
+        for p in range(q**t):
+            words = codes._combinations(field, prefix)(np.array([p]))
+            planes = codes._zero_planes(bits, field.neg_table[words.T])
+            hists.append(codes._histogram(planes, valid, q, code.n))
         classes = set()  # each class by its smallest index
         for p in range(q**t):
             scaled = {_scaled_index(field, p, a, t) for a in range(1, q)}
@@ -450,6 +536,9 @@ def test_codewords_of_weight(monkeypatch):
     assert all(np.count_nonzero(w) == 2 for w in words)
     z = LinearCode(GF(3), [], n=4)
     assert np.array_equal(codewords_of_weight(z, 0), np.zeros((1, 4)))
+    empty = LinearCode(GF(3), [], n=0)  # one word, of length 0
+    assert enumerate_weights(empty).coeffs == (1,)
+    assert codewords_of_weight(empty, 0).shape == (1, 0)
     assert codewords_of_weight(z, 1).shape == (0, 4)
     for weight in (-1, 3):
         words = codewords_of_weight(c, weight)
