@@ -3,7 +3,6 @@
 from .codes import (
     LinearCode,
     WeightEnumerator,
-    codewords_of_weight,
     decompose_case_c,
     direct_sum,
     dual,
@@ -20,7 +19,6 @@ __all__ = [
     "FiniteField",
     "LinearCode",
     "WeightEnumerator",
-    "codewords_of_weight",
     "decompose_case_c",
     "direct_sum",
     "dual",

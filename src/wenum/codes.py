@@ -481,8 +481,15 @@ def decompose_case_c(code: LinearCode) -> tuple[tuple[int, int], ...]:
     """Witness that a code with W = (x^2+(q-1))^(n/2), q != 2, is a direct
     sum of <(1,1)> blocks up to monomial equivalence.
 
-    Returns n/2 disjoint coordinate pairs (0-based), each supporting a
-    weight-2 codeword, which generate the code; W is enumerated at DEFAULT_BUDGET.
+    Returns n/2 disjoint coordinate pairs (0-based), sorted, which are the
+    supports of the rows of the reduced echelon form.  For q != 2 such a
+    W makes the code the span of words with disjoint two-point supports
+    {i < j}; scaled to 1 at i and sorted by i they meet every condition of
+    the reduced echelon form, which is unique, so they are its rows.  The
+    rows are checked, not assumed: k rows of disjoint two-point supports
+    span the code and so witness the decomposition.  W is enumerated at
+    DEFAULT_BUDGET, so codes with q^(n/2) > DEFAULT_BUDGET raise
+    EnumerationBudgetError.
     """
     if code.q == 2:
         raise ClassificationError(
@@ -493,32 +500,11 @@ def decompose_case_c(code: LinearCode) -> tuple[tuple[int, int], ...]:
         raise ClassificationError(
             "weight enumerator is not (x^2+(q-1))^(n/2)"
         )
-    # In reduced echelon form a codeword's pivot coordinates are its message
-    # symbols, so a weight-2 word has at most two nonzero symbols: up to a
-    # scalar it is a row r_i or some r_i + c*r_j with i < j and c != 0.
     red, _ = rref(code.field, code.generator)
-    lo, hi = np.triu_indices(code.k, 1)
-    scales = np.arange(1, code.q, dtype=np.uint8)[:, None]
-    mixed = code.field.add_table[
-        red[lo, None], code.field.mul_table[scales, red[hi, None]]
-    ]
-    candidates = np.concatenate([red, mixed.reshape(-1, code.n)])
-    reps = {}
-    for word in candidates[np.count_nonzero(candidates, axis=1) == 2]:
-        support = tuple(int(i) for i in np.nonzero(word)[0])
-        reps.setdefault(support, word)
-    pairs = sorted(reps)
-    half = code.n // 2
-    if len(pairs) != half:
+    pairs = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in red)
+    flat = [i for pair in pairs for i in pair]
+    if any(len(pair) != 2 for pair in pairs) or len(set(flat)) != len(flat):
         raise ClassificationError(
-            f"expected {half} weight-2 supports, found {len(pairs)}"
+            "reduced echelon rows are not disjoint weight-2 words"
         )
-    seen = set()
-    for i, j in pairs:
-        if i in seen or j in seen:
-            raise ClassificationError("weight-2 supports are not disjoint")
-        seen.update((i, j))
-    gens = np.stack([reps[p] for p in pairs])
-    if rank(code.field, gens) != code.k:
-        raise ClassificationError("weight-2 codewords do not generate the code")
-    return tuple(pairs)
+    return pairs

@@ -1,10 +1,10 @@
 """Exception hierarchy.
 
-DomainError covers bad inputs and violated preconditions; PrecisionError
-covers numeric outcomes that are honest failures rather than wrong
-answers, every one raised as its subclass PrecisionFailureError, so one
-`except` catches any failure of a root solve.  A planned command-line
-interface maps them to exit 2 and 3.
+DomainError covers bad inputs and violated preconditions;
+PrecisionFailureError covers numeric outcomes that are honest failures
+rather than wrong answers, so one `except` catches any failure of a root
+solve.  A planned command-line interface maps DomainError to exit 2 and
+PrecisionFailureError to exit 3.
 """
 
 
@@ -43,9 +43,5 @@ class DegenerateInputError(DomainError):
     """Geometrically degenerate input (coincident points, singular triples)."""
 
 
-class PrecisionError(WenumError):
-    """Numeric procedure could not certify its result."""
-
-
-class PrecisionFailureError(PrecisionError):
+class PrecisionFailureError(WenumError):
     """A root solve, or a group built on its roots, could not be certified."""

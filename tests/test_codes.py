@@ -562,6 +562,8 @@ def test_decompose_blocks():
     pair = LinearCode(f4, [[1, 1]])
     code = direct_sum(pair, pair)
     assert decompose_case_c(code) == ((0, 1), (2, 3))
+    # the length-0 code is the empty sum, W = 1
+    assert decompose_case_c(LinearCode(f4, np.zeros((0, 0), dtype=np.uint8), 0)) == ()
 
 
 def test_decompose_tracks_permutation():
@@ -571,32 +573,34 @@ def test_decompose_tracks_permutation():
     assert decompose_case_c(code) == ((0, 2), (1, 3))
 
 
-def test_decompose_random_monomial_transform():
-    rng = seeded("case-c")
-    f5 = GF(5)
-    pair = LinearCode(f5, [[1, 1]])
-    code = direct_sum(direct_sum(pair, pair), pair)
-    for _ in range(5):
-        t = monomial_transform(rng, code)
-        pairs = decompose_case_c(t)
-        assert len(pairs) == 3
-        flat = sorted(i for p in pairs for i in p)
-        assert flat == list(range(6))
-        for i, j in pairs:
-            words = codewords_of_weight(t, 2)
-            supports = {tuple(np.nonzero(w)[0]) for w in words}
-            assert (i, j) in supports
+def _mix_rows(rng, code):
+    """The same code with its generator rows mixed by row additions."""
+    f, gen = code.field, code.generator.copy()
+    for _ in range(4 * code.k):
+        i, j = rng.sample(range(code.k), 2)
+        gen[i] = f.add_table[gen[i], f.mul_table[rng.randrange(1, f.q), gen[j]]]
+    return LinearCode(f, gen)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
-def test_decompose_supports_are_the_weight2_supports(q):
-    rng = seeded(f"case-c-supports-{q}")
-    pair = LinearCode(GF(q), [[1, 1]])
-    code = direct_sum(direct_sum(direct_sum(pair, pair), pair), pair)
+@pytest.mark.parametrize(
+    "q, blocks",
+    [(q, 4) for q in (3, 4, 5, 7, 8, 9, 16)] + [(5, 3)],
+    ids=["3", "4", "5", "7", "8", "9", "16", "5-3"],
+)
+def test_decompose_supports_are_the_weight2_supports(q, blocks):
+    # row mixing leaves the reduced echelon form something to undo, and
+    # monomial_transform scrambles the columns and scales them
+    rng = seeded(f"case-c-supports-{q}-{blocks}")
+    gen = np.zeros((blocks, 2 * blocks), dtype=np.uint8)
+    for i in range(blocks):
+        gen[i, 2 * i : 2 * i + 2] = 1, rng.randrange(1, q)
+    code = LinearCode(GF(q), gen)
     for _ in range(3):
-        t = monomial_transform(rng, code)
+        t = monomial_transform(rng, _mix_rows(rng, code))
         supports = {tuple(map(int, np.nonzero(w)[0])) for w in codewords_of_weight(t, 2)}
-        assert decompose_case_c(t) == tuple(sorted(supports))
+        pairs = decompose_case_c(t)
+        assert pairs == tuple(sorted(supports))
+        assert sorted(i for p in pairs for i in p) == list(range(2 * blocks))
 
 
 def test_decompose_refuses_binary():
