@@ -1,10 +1,15 @@
 """Linear codes over GF(q): enumeration, weight enumerators, duals.
 
-Enumeration is the hot loop, so it runs on the smaller side: an [n, k]
-code with 2k > n has a dual of only q^(n-k) words, and the MacWilliams
-transform of the dual's enumerator (algebra.macwilliams, exact integer
-arithmetic) is the code's.  `budget` therefore bounds q^min(k, n-k), the
-words actually counted.
+A code is the direct sum of the summands its reduced echelon form shows
+(rows linked by shared nonzero columns), and its enumerator is the
+product of theirs: a zero column is a factor x, a one-row summand the
+closed form (q-1)y^m + x^m, and any other summand is counted.
+Enumeration is the hot loop, so each summand runs on the smaller side:
+an [n, k] code with 2k > n has a dual of only q^(n-k) words, and the
+MacWilliams transform of the dual's enumerator (algebra.macwilliams,
+exact integer arithmetic) is the code's.  `budget` therefore bounds the
+sum of q^min(k_i, n_i - k_i) over the counted summands, the words
+actually counted.
 
 A codeword is a prefix combination p of the generator rows plus a
 suffix combination s, and coordinate c of p + s is zero exactly when
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -122,10 +128,16 @@ def pair_sum_enumerator(n: int, q: int) -> WeightEnumerator:
     """(x^2 + (q-1))^(n/2), the enumerator of a direct sum of <(1,1)> blocks."""
     if n % 2:
         raise DomainError("pair-sum enumerator needs even length")
-    h = n // 2
-    cs = [0] * (n + 1)
-    for j in range(h + 1):
-        cs[n - 2 * j] = math.comb(h, j) * (q - 1) ** j
+    return _full_weight_power(2, n // 2, q)
+
+
+def _full_weight_power(m: int, c: int, q: int) -> WeightEnumerator:
+    """(x^m + (q-1)y^m)^c, the enumerator of a direct sum of c one-row
+    codes of length m: each holds the q - 1 multiples of a word of full
+    weight, and j of the c parts zero leave m*j zeros."""
+    cs = [0] * (m * c + 1)
+    for j in range(c + 1):
+        cs[m * j] = math.comb(c, j) * (q - 1) ** (c - j)
     return WeightEnumerator(cs)
 
 
@@ -168,16 +180,6 @@ def rank(field: FiniteField, mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def nullspace(field: FiniteField, mat: np.ndarray, n: int) -> np.ndarray:
-    """Basis (as rows) of {v : mat @ v = 0} over GF(q)."""
-    red, pivots = rref(field, mat)
-    free = np.setdiff1d(np.arange(n), pivots)
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.neg_table[red[: len(pivots)][:, free]].T
-    return basis
-
-
 # --- codes ----------------------------------------------------------------
 
 
@@ -185,7 +187,9 @@ class LinearCode:
     """A linear [n, k] code given by a full-row-rank generator matrix.
 
     The generator is stored as given (no automatic reduction); rank is
-    validated at construction.  Immutable afterwards.
+    validated at construction, and the reduced echelon form that check
+    computes is kept for the dual, the direct summands and the case-C
+    witness.  Immutable afterwards.
     """
 
     def __init__(self, field: FiniteField, generator, n: int | None = None):
@@ -206,10 +210,14 @@ class LinearCode:
         if n is not None and gen.shape[1] != n:
             raise DomainError("generator width disagrees with stated length")
         k = gen.shape[0]
-        if rank(field, gen) != k:
+        red, pivots = rref(field, gen)
+        if len(pivots) != k:
             raise DomainError("generator matrix does not have full row rank")
-        gen.setflags(write=False)
+        pivots = np.array(pivots, dtype=np.intp)
+        for a in (gen, red, pivots):
+            a.setflags(write=False)
         self.generator = gen
+        self._reduced, self._pivots = red, pivots
         self.k = k
         self.n = gen.shape[1]
 
@@ -224,9 +232,7 @@ class LinearCode:
     def row_space_equal(self, other: "LinearCode") -> bool:
         if self.field != other.field or self.n != other.n or self.k != other.k:
             return False
-        a, _ = rref(self.field, self.generator)
-        b, _ = rref(other.field, other.generator)
-        return bool(np.array_equal(a[: self.k], b[: self.k]))
+        return bool(np.array_equal(self._reduced, other._reduced))
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
@@ -243,9 +249,17 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Orthogonal complement for the standard inner product."""
-    basis = nullspace(code.field, code.generator, code.n)
-    return LinearCode(code.field, basis, n=code.n)
+    """Orthogonal complement for the standard inner product.
+
+    Read off the code's reduced echelon form: each free column f gives the
+    word that is 1 at f and -red[i, f] at the pivot of row i.
+    """
+    n, red, pivots = code.n, code._reduced, code._pivots
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((len(free), n), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = code.field.neg_table[red[:, free]].T
+    return LinearCode(code.field, basis, n=n)
 
 
 # --- enumeration ----------------------------------------------------------
@@ -401,19 +415,38 @@ def _count_weights(code, budget, workers):
     return WeightEnumerator(counts.tolist())
 
 
-def enumerate_weights(
-    code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> WeightEnumerator:
-    """Exact weight enumerator, by counting the smaller of C and its dual.
+def _summands(code):
+    """The direct summands that the reduced echelon form shows: a list of
+    (rows, columns) index arrays, one per summand, and the number of zero
+    columns.
 
-    With 2k <= n the q^k words of C are counted (_count_weights).  With
-    2k > n the q^(n-k) words of the dual are counted instead and W_C is
-    their exact MacWilliams transform, which raises unless every
-    coefficient divides.  Either way `budget` bounds the words counted,
-    q^min(k, n-k), and `workers` splits that count.  The count is checked
-    against the size of the side counted, and a transformed enumerator to
-    hold q^k words, exactly one of weight 0.
+    Rows that share a nonzero column are linked, and each connected group
+    of rows with the columns it covers is one summand; the groups' column
+    sets are disjoint, so the code is their direct sum.  By the
+    fundamental-graph criterion of matroid connectivity no summand splits
+    further, so a connected code is one summand.  Each row holds
+    the least row index of its group once the labels stop changing: a
+    column takes the least label of its rows, a row the least of its
+    columns.  Every row is alone in its pivot column, so labels only fall.
     """
+    nonzero, k = code._reduced != 0, code.k
+    label = np.arange(k)
+    while True:
+        column = np.where(nonzero, label[:, None], k).min(axis=0, initial=k)
+        lowest = np.where(nonzero, column, k).min(axis=1, initial=k)
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    heads = np.flatnonzero(label == np.arange(k))
+    groups = [(np.flatnonzero(label == g), np.flatnonzero(column == g)) for g in heads]
+    return groups, int(np.count_nonzero(column == k))
+
+
+def _enumerate_summand(code, budget, workers):
+    """Weight enumerator of one summand, by counting the smaller of C and
+    its dual (_count_weights); with 2k > n the dual's count goes through
+    the exact MacWilliams transform, checked to hold q^k words, exactly
+    one of weight 0."""
     if 2 * code.k <= code.n:
         return _count_weights(code, budget, workers)
     from .algebra import macwilliams  # algebra imports this module
@@ -425,6 +458,38 @@ def enumerate_weights(
             f"MacWilliams transform gives {sum(w.coeffs)} codewords, "
             f"{w.coeffs[-1]} of weight 0; expected {code.size}, one"
         )
+    return w
+
+
+def enumerate_weights(
+    code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
+) -> WeightEnumerator:
+    """Exact weight enumerator, the product of those of the code's direct
+    summands (_summands).
+
+    A zero column is a factor x.  A one-row summand of length m holds the
+    q - 1 multiples of one word of full weight, so c of them give
+    (x^m + (q-1)y^m)^c with no count.  Any other summand counts the
+    smaller of itself and its dual (_enumerate_summand); a connected code
+    is the one summand and is counted as given.  `budget` bounds the
+    words counted, the sum of q^min(k_i, n_i - k_i) over the counted
+    summands, and is checked before any count; `workers` splits each
+    count.
+    """
+    groups, zeros = _summands(code)
+    q, w = code.q, zero_code_enumerator(zeros)
+    for m, c in Counter(len(cols) for rows, cols in groups if len(rows) == 1).items():
+        w = _full_weight_power(m, c, q) * w
+    counted = [
+        code if len(cols) == code.n
+        else LinearCode(code.field, code._reduced[np.ix_(rows, cols)])
+        for rows, cols in groups if len(rows) > 1
+    ]
+    words = sum(q ** min(s.k, s.n - s.k) for s in counted)
+    if words > budget:
+        raise EnumerationBudgetError(words, budget)
+    for summand in counted:
+        w = w * _enumerate_summand(summand, budget, workers)
     return w
 
 
@@ -487,24 +552,23 @@ def decompose_case_c(code: LinearCode) -> tuple[tuple[int, int], ...]:
     {i < j}; scaled to 1 at i and sorted by i they meet every condition of
     the reduced echelon form, which is unique, so they are its rows.  The
     rows are checked, not assumed: k rows of disjoint two-point supports
-    span the code and so witness the decomposition.  W is enumerated at
-    DEFAULT_BUDGET, so codes with q^(n/2) > DEFAULT_BUDGET raise
-    EnumerationBudgetError.
+    span the code and so witness the decomposition.  They are checked
+    before W, so the enumeration meets only one-row summands and zero
+    columns, and counts no word.
     """
     if code.q == 2:
         raise ClassificationError(
             "binary codes with W = (x^2+1)^(n/2) are not classified"
         )
-    w = enumerate_weights(code)
-    if code.n % 2 or w != pair_sum_enumerator(code.n, code.q):
-        raise ClassificationError(
-            "weight enumerator is not (x^2+(q-1))^(n/2)"
-        )
-    red, _ = rref(code.field, code.generator)
-    pairs = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in red)
+    pairs = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in code._reduced)
     flat = [i for pair in pairs for i in pair]
     if any(len(pair) != 2 for pair in pairs) or len(set(flat)) != len(flat):
         raise ClassificationError(
             "reduced echelon rows are not disjoint weight-2 words"
+        )
+    w = enumerate_weights(code)
+    if code.n % 2 or w != pair_sum_enumerator(code.n, code.q):
+        raise ClassificationError(
+            "weight enumerator is not (x^2+(q-1))^(n/2)"
         )
     return pairs

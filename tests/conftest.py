@@ -70,11 +70,13 @@ def random_code(rng, q, n, k):
                 raise
 
 
-def monomial_transform(rng, code):
-    """Random column permutation plus nonzero column scaling of a code."""
+def monomial_transform(rng, code, perm=None):
+    """Column permutation (column j moves to perm[j]; random if None) plus
+    random nonzero column scaling of a code."""
     f = code.field
-    perm = list(range(code.n))
-    rng.shuffle(perm)
+    if perm is None:
+        perm = list(range(code.n))
+        rng.shuffle(perm)
     scales = [rng.randrange(1, f.q) for _ in range(code.n)]
     gen = np.zeros_like(code.generator)
     for j in range(code.n):

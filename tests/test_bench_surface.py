@@ -68,3 +68,26 @@ def test_each_verb_solves_roots_once_under_its_own_span():
         assert [spans[i][0] for i in top] == [f"stabilizer.{verb}"]
         solves = [sp for sp in spans if sp[0] == "roots.roots_of"]
         assert [sp[3] for sp in solves] == top
+
+
+def test_each_enumeration_is_one_span():
+    # the enumerate run adds q^k of every codes.enumerate_weights span to its
+    # word count, so the summands of a direct sum and decompose_case_c's W
+    # check are enumerated below that one span
+    codes = importlib.import_module("wenum.codes")
+    from wenum.fields import GF
+
+    f3 = GF(3)
+    pair = codes.LinearCode(f3, [[1, 2]])
+    block = codes.LinearCode(f3, [[1, 0, 1, 1], [0, 1, 1, 2]])
+    split = codes.direct_sum(codes.direct_sum(block, pair), block)
+    for verb, code in (("enumerate_weights", split),
+                       ("decompose_case_c", codes.direct_sum(pair, pair))):
+        tracer = _trace().Tracer()
+        with tracer.patch():
+            getattr(codes, verb)(code)
+        spans = tracer.spans
+        top = [i for i, sp in enumerate(spans) if sp[3] < 0]
+        assert [spans[i][0] for i in top] == [f"codes.{verb}"]
+        counts = [sp for sp in spans if sp[0] == "codes.enumerate_weights"]
+        assert len(counts) == 1 and counts[0][5] == (3, code.n, code.k)

@@ -99,8 +99,12 @@ def test_long_random_code_matches_oracle(monkeypatch):
 
 def test_zero_counts_past_uint16():
     n = 2**16 + 1  # the zero word has n zeros
-    w = enumerate_weights(LinearCode(GF(2), np.ones((1, n), dtype=np.uint8)))
-    assert w.coeffs[0] == w.coeffs[n] == 1 and sum(w.coeffs) == 2
+    # two rows sharing coordinates 1..n-2: one summand, counted
+    gen = np.ones((2, n), dtype=np.uint8)
+    gen[0, -1] = gen[1, 0] = 0
+    w = enumerate_weights(LinearCode(GF(2), gen))
+    assert w.coeffs[n] == 1 and w.coeffs[1] == 2 and w.coeffs[n - 2] == 1
+    assert sum(w.coeffs) == 4
 
 
 def test_enumeration_totals():
@@ -157,9 +161,9 @@ def test_workers_agree_with_single_thread(monkeypatch):
 def test_enumeration_coverage_checked(monkeypatch):
     _serial_pool(monkeypatch, drop=1)
     monkeypatch.setattr("wenum.codes._BLOCK_CAP", 2)  # 4 prefixes, 4 parts
-    eye = np.eye(3, dtype=np.uint8)
+    gen = np.hstack([np.eye(3), np.ones((3, 3))]).astype(np.uint8)  # connected
     with pytest.raises(RuntimeError, match="counted 6 codewords, expected 8"):
-        enumerate_weights(LinearCode(GF(2), np.hstack([eye, eye])), workers=4)
+        enumerate_weights(LinearCode(GF(2), gen), workers=4)
 
 
 def test_transformed_coverage_checked(monkeypatch):
@@ -368,8 +372,8 @@ def test_rm4_3_2_matches_benchmark_reference():
 
 
 def test_budget_rejected():
-    eye = np.eye(12, dtype=np.uint8)
-    code = LinearCode(GF(2), np.hstack([eye, eye]))  # [24, 12]: C is counted
+    gen = np.hstack([np.eye(12), np.ones((12, 12))]).astype(np.uint8)
+    code = LinearCode(GF(2), gen)  # [24, 12], connected: C is counted
     with pytest.raises(EnumerationBudgetError) as err:
         enumerate_weights(code, budget=1000)
     assert "4096" in str(err.value)
@@ -381,6 +385,8 @@ BIG_SIDE = {2: 9, 3: 6, 4: 4, 5: 4, 8: 3, 9: 3}
 
 @pytest.mark.parametrize("q", sorted(BIG_SIDE))
 def test_big_side_matches_oracle(q, monkeypatch):
+    # the dual path is also called directly: GF(q)^n (k = n) splits into
+    # n one-row summands, which enumerate_weights does not count
     k = BIG_SIDE[q]
     rng = seeded(f"big-side-{q}")
     for n in (k, k + 1, k + 2):
@@ -390,6 +396,8 @@ def test_big_side_matches_oracle(q, monkeypatch):
             monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
             for workers in (1, 3):
                 assert enumerate_weights(code, workers=workers).coeffs == want
+                got = codes._enumerate_summand(code, codes.DEFAULT_BUDGET, workers)
+                assert got.coeffs == want
 
 
 def test_budget_bounds_the_counted_side():
@@ -446,6 +454,106 @@ def test_direct_sum_random_codes():
 def test_direct_sum_field_mismatch():
     with pytest.raises(FieldMismatchError):
         direct_sum(LinearCode(GF(2), [[1, 1]]), LinearCode(GF(3), [[1, 1]]))
+
+
+def _connected_block(rng, q, k, m):
+    """[I_k | A] with a k x m block A whose every column is nonzero in some
+    row and whose consecutive rows share a nonzero column: one summand.
+    k = 1 is a single word of full weight."""
+    a = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(k)], dtype=np.uint8)
+    for c in range(m):
+        a[c % k, c] = rng.randrange(1, q)
+    for i in range(k - 1):
+        a[i, i % m] = rng.randrange(1, q)
+        a[i + 1, i % m] = rng.randrange(1, q)
+    return np.hstack([np.eye(k, dtype=np.uint8), a])
+
+
+def _planted_sum(rng, q, shapes, zeros):
+    """Block-diagonal sum of _connected_block(k, m) for each (k, m) in
+    shapes, then `zeros` zero columns; returns the code and each block's
+    column set."""
+    blocks = [_connected_block(rng, q, k, m) for k, m in shapes]
+    gen = np.zeros((sum(k for k, _ in shapes), sum(b.shape[1] for b in blocks) + zeros),
+                   dtype=np.uint8)
+    r = c = 0
+    columns = []
+    for b in blocks:
+        gen[r : r + b.shape[0], c : c + b.shape[1]] = b
+        columns.append(frozenset(range(c, c + b.shape[1])))
+        r, c = r + b.shape[0], c + b.shape[1]
+    return LinearCode(GF(q), gen), columns
+
+
+# (k, m) blocks and zero columns, q^k at most 4096 for the naive oracle;
+# each sum has a one-row block and a block with 2k > n
+SUMS = {
+    2: ([(1, 3), (3, 1), (3, 4)], 2),
+    3: ([(1, 2), (2, 1), (2, 3)], 1),
+    4: ([(1, 0), (2, 1), (2, 2)], 2),
+    5: ([(1, 3), (2, 1), (1, 1)], 0),
+    7: ([(2, 1), (1, 2)], 1),
+    8: ([(1, 2), (2, 1)], 1),
+    9: ([(2, 1), (1, 0)], 3),
+    16: ([(1, 3), (2, 1)], 1),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SUMS))
+def test_direct_sums_factor(q):
+    """Scrambled sums of one to three connected blocks give the oracle's
+    enumerator, split exactly into the planted blocks and zero columns."""
+    rng = seeded(f"planted-sums-{q}")
+    shapes, zeros = SUMS[q]
+    for blocks in (shapes[:1], shapes[:2], shapes):
+        for z in sorted({0, zeros}):
+            code, columns = _planted_sum(rng, q, blocks, z)
+            want = oracle_weight_coeffs(code)
+            for scramble in range(4):  # then columns moved and scaled, rows mixed
+                perm = list(range(code.n))
+                t = code
+                if scramble:
+                    rng.shuffle(perm)
+                    t = monomial_transform(rng, _mix_rows(rng, code), perm)
+                assert enumerate_weights(t).coeffs == want
+                groups, found_zeros = codes._summands(t)
+                assert found_zeros == z
+                planted = {frozenset(perm[c] for c in cols) for cols in columns}
+                assert {frozenset(cols.tolist()) for _, cols in groups} == planted
+
+
+def test_connected_codes_are_one_summand(monkeypatch):
+    """A connected code is counted as given, as the one summand."""
+    real, seen = codes._enumerate_summand, []
+
+    def spy(code, budget, workers):
+        seen.append(code)
+        return real(code, budget, workers)
+
+    monkeypatch.setattr("wenum.codes._enumerate_summand", spy)
+    rng = seeded("connected")
+    found = [get_entry(name).code for name in ("rm4_3_2", "prm5_3_2")]
+    found += [LinearCode(GF(q), _connected_block(rng, q, k, m))
+              for q, k, m in ((2, 6, 1), (3, 4, 4), (5, 2, 7), (16, 3, 3))]
+    for code in found:
+        seen.clear()
+        want = enumerate_weights(code)
+        assert len(seen) == 1 and seen[0] is code
+        assert want == real(code, codes.DEFAULT_BUDGET, 1)
+
+
+def test_budget_bounds_the_sum_over_summands(monkeypatch):
+    # [8, 4] counts its 2^4 words, [7, 5] its dual's 2^2, one-row [3, 1] none
+    f2 = GF(2)
+    a = LinearCode(f2, np.hstack([np.eye(4), np.ones((4, 4))]).astype(np.uint8))
+    b = LinearCode(f2, np.hstack([np.eye(5), np.ones((5, 2))]).astype(np.uint8))
+    code = direct_sum(direct_sum(a, LinearCode(f2, [[1, 1, 1]])), b)
+    with monkeypatch.context() as m:
+        m.setattr("wenum.codes._count_weights", None)  # raising comes first
+        with pytest.raises(EnumerationBudgetError) as err:
+            enumerate_weights(code, budget=19)
+    assert err.value.count == 20
+    assert enumerate_weights(code, budget=20).coeffs == oracle_weight_coeffs(code)
 
 
 def test_catalog_matches_stated_enumerators():
@@ -576,7 +684,7 @@ def test_decompose_tracks_permutation():
 def _mix_rows(rng, code):
     """The same code with its generator rows mixed by row additions."""
     f, gen = code.field, code.generator.copy()
-    for _ in range(4 * code.k):
+    for _ in range(4 * code.k if code.k > 1 else 0):
         i, j = rng.sample(range(code.k), 2)
         gen[i] = f.add_table[gen[i], f.mul_table[rng.randrange(1, f.q), gen[j]]]
     return LinearCode(f, gen)
@@ -603,6 +711,20 @@ def test_decompose_supports_are_the_weight2_supports(q, blocks):
         assert sorted(i for p in pairs for i in p) == list(range(2 * blocks))
 
 
+def test_decompose_past_the_default_budget():
+    # 3^40 > DEFAULT_BUDGET, but the 40 one-row summands take a closed form
+    rng, q, h = seeded("case-c-n80"), 3, 40
+    perm = list(range(2 * h))
+    rng.shuffle(perm)
+    gen = np.zeros((h, 2 * h), dtype=np.uint8)
+    for i in range(h):
+        gen[i, [perm[2 * i], perm[2 * i + 1]]] = rng.randrange(1, q), rng.randrange(1, q)
+    code = _mix_rows(rng, LinearCode(GF(q), gen))
+    assert code.size > codes.DEFAULT_BUDGET
+    pairs = tuple(sorted(tuple(sorted(perm[2 * i : 2 * i + 2])) for i in range(h)))
+    assert decompose_case_c(code) == pairs
+
+
 def test_decompose_refuses_binary():
     f2 = GF(2)
     code = LinearCode(f2, [[1, 1]])
@@ -612,6 +734,10 @@ def test_decompose_refuses_binary():
 
 def test_decompose_refuses_wrong_shape():
     code = LinearCode(GF(4), [[1, 0], [0, 1]])
+    with pytest.raises(ClassificationError):
+        decompose_case_c(code)
+    # connected [80, 40]: refused by its rows, before any count
+    code = LinearCode(GF(3), np.hstack([np.eye(40), np.ones((40, 40))]).astype(np.uint8))
     with pytest.raises(ClassificationError):
         decompose_case_c(code)
 
