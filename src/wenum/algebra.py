@@ -37,8 +37,13 @@ def substitute_linear(coeffs, a, b, c, d):
     Homogeneous Horner in X = a*x + b*y and Y = c*x + d*y: T_n = w_n and
     T_k = w_k Y^(n-k) + X T_(k+1), so W(X, Y) = T_0, with Y^(n-k) kept from
     the step before.  Each step is O(n) ring operations, O(n^2) in all.
-    Ring-generic: exact over ints/fractions, numeric over complex.  Index i
-    of the result holds the x^i y^(n-i) coefficient.
+    This is the exact scalar path, which macwilliams and the enumerators
+    use: ring-generic, exact over ints/fractions, and numeric over
+    complex, where arrays broadcast through it entrywise.  Index i of the
+    result holds the x^i y^(n-i) coefficient.  The stabilizer's twist
+    check runs the same recurrence on 2-d arrays instead
+    (stabilizer._substitute_columns), one numpy operation per step rather
+    than one per coefficient; on Python ints that form is slower.
     """
     n = len(coeffs) - 1
     total, power = [coeffs[n]], [1]

@@ -175,11 +175,6 @@ def rref(field: FiniteField, mat: np.ndarray):
     return m, pivots
 
 
-def rank(field: FiniteField, mat: np.ndarray) -> int:
-    _, pivots = rref(field, mat)
-    return len(pivots)
-
-
 # --- codes ----------------------------------------------------------------
 
 
@@ -245,7 +240,7 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
     gen = np.zeros((a.k + b.k, a.n + b.n), dtype=np.uint8)
     gen[: a.k, : a.n] = a.generator
     gen[a.k :, a.n :] = b.generator
-    return LinearCode(a.field, gen)
+    return LinearCode(a.field, gen, n=a.n + b.n)
 
 
 def dual(code: LinearCode) -> LinearCode:

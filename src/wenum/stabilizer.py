@@ -22,15 +22,18 @@ and every rounding, are compared (the scan's expression for the tuple
 every (a, b, c) for a run of consecutive first indices a, with no index
 array: the cells with a repeated index or a multiplicity unlike the
 reference roots' are masked out, and only the few cells whose window
-holds a root are expanded and compared.  Only the triples under which
-root 3 matches are compared in full, every root k >= 3 at once.  Each
-screened permutation gets its matrix M in closed form (the map sending
-the reference triple to (0, 1, inf), followed by the inverse of the one
-sending the image triple there) and is measured once.  One
-substitution, on arrays of the entries of every non-identity M, gives
-each W(M) = lambda W, with lambda read at W's largest coefficient, and
-the relative coefficient residual of mu M, mu = lambda^(-1/n), which
-fixes W on the nose.  The identity
+holds a root are expanded and compared.  Root 4 alone is then matched
+on the triples under which root 3 matches, with the same windows and
+threshold, and only the triples that pass it too are compared in full,
+every root k >= 3 at once; a triple dropped there could never match
+every root, so the screen is unchanged.  Each screened permutation
+gets its matrix M in closed form (the map sending the reference triple
+to (0, 1, inf), followed by the inverse of the one sending the image
+triple there) and is measured once.  One column-batched Horner
+substitution (_substitute_columns), on arrays of the entries of every
+non-identity M, gives each W(M) = lambda W, with lambda read at W's
+largest coefficient, and the relative coefficient residual of mu M,
+mu = lambda^(-1/n), which fixes W on the nose.  The identity
 permutation's map fixes three roots, so it is exactly I, with residual
 0, and needs no substitution.  The n scalar twists zeta^k of mu M need
 no check of their own, since W has degree n and zeta^n = 1; the report
@@ -91,7 +94,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import ClassificationResult, classify, substitute_linear
+from .algebra import ClassificationResult, classify
 from .codes import WeightEnumerator
 from .errors import DegenerateInputError, DomainError, PrecisionFailureError
 from .invariants import fixed_points
@@ -245,10 +248,13 @@ def _screen(rootset: RootSet):
     of max(1, _CELLS // d^2) consecutive first indices a; the cells with
     a repeated index or a multiplicity unlike roots 0, 1 and 2 are
     masked out, and only the cells whose window holds a root get index
-    arrays.  Every root k >= 3 is then matched for the few triples under
-    which root 3 matched some root, up to _CELLS triples against all the
-    rows in one broadcast; the grid is flattened in lexicographic order,
-    so the triples are too.
+    arrays.  Root 4 alone is then matched for the few triples under which
+    root 3 matched some root, and every root k >= 3 for the triples under
+    which root 4 matched some root too, up to _CELLS triples a block
+    against all the rows in one broadcast.  A triple that fails root 4
+    fails the full match, whose rows for root 4 are the same expressions
+    on the same operands, so the gate changes no result and no raise.
+    The grid is flattened in lexicographic order, so the triples are too.
     """
     if rootset.eps >= 0.5:
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
@@ -276,17 +282,19 @@ def _screen(rootset: RootSet):
             h = h * (1 + _SLACK) + _SLACK * np.abs(y)
             return (y.real - h).ravel(), (y.real + h).ravel(), ~np.isfinite(h).ravel()
 
-    def hits(a, b, c, width, lo, hi, wide):
+    def hits(a, b, c, first, width, lo, hi, wide):
         """(t, k, x) for each root x that root 3 + k matches under the
         image triple (a[t], b[t], c[t]), from the bounds into keys of the
-        windows of the flattened (triple, k) rows, width rows a triple;
-        a row whose window is not finite gets every root."""
+        windows of the flattened (triple, k) rows, width rows a triple
+        for k = first, ..., first + width - 1; a row whose window is not
+        finite gets every root."""
         lo[wide], hi[wide] = 0, d
         counts = hi - lo
         i = np.repeat(np.arange(len(counts)), counts)
         starts = np.cumsum(counts) - counts
         x = by_real[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
         t, k = np.divmod(i, width)
+        k += first
         a, b, c = a[t], b[t], c[t]
         p, q = _cross_parts(diff, a, b, c, x)
         gap = ref_p[k] * q - ref_q[k] * p
@@ -320,7 +328,7 @@ def _screen(rootset: RootSet):
         if m:
             a, b, c = a0 + cells // d**2, cells // d % d, cells % d
             hi = np.searchsorted(keys, top[cells], "right")
-            t = hits(a, b, c, 1, lo[cells], hi, wide[cells])[0]
+            t = hits(a, b, c, 0, 1, lo[cells], hi, wide[cells])[0]
             cells = cells[np.flatnonzero(np.bincount(t, minlength=len(cells)))]
         found.append(a0 * d**2 + cells)
     found = np.concatenate(found)
@@ -329,12 +337,19 @@ def _screen(rootset: RootSet):
     for start in range(0, len(found), _CELLS):  # every root k >= 3 for these
         a, bc = np.divmod(found[start : start + _CELLS], d**2)
         b, c = np.divmod(bc, d)
+        if m > 1:  # only the triples under which root 4 matches some root
+            bottom, top, wide = windows(ref_p[1], ref_q[1], diff[a, c], diff[b, c], z[a], z[b])
+            lo = np.searchsorted(keys, bottom, "left")
+            hi = np.searchsorted(keys, top, "right")
+            t = hits(a, b, c, 1, 1, lo, hi, wide)[0]
+            keep = np.flatnonzero(np.bincount(t, minlength=len(a)))
+            a, b, c = a[keep], b[keep], c[keep]
         bottom, top, wide = windows(
             ref_p, ref_q, diff[a, c][:, None], diff[b, c][:, None], z[a][:, None], z[b][:, None]
         )
         lo = np.searchsorted(keys, bottom, "left")
         hi = np.searchsorted(keys, top, "right")
-        t, k, x = hits(a, b, c, m, lo, hi, wide)
+        t, k, x = hits(a, b, c, 0, m, lo, hi, wide)
         counts = np.bincount(t * m + k, minlength=len(a) * m).reshape(len(a), m)
         full = (counts > 0).all(axis=1)
         if (counts[full] > 1).any():
@@ -350,14 +365,39 @@ def _screen(rootset: RootSet):
     return {p: solve_moebius(ref, tuple(centers[i] for i in p[:3])) for p in perms}
 
 
+def _substitute_columns(coeffs, a, b, c, d):
+    """The (n + 1, M) array whose column j holds the coefficients of
+    W(a_j x + b_j y, c_j x + d_j y), for complex arrays a, b, c, d of
+    length M.
+
+    algebra.substitute_linear's Horner recurrence, with its list of
+    per-coefficient arrays held as the rows of two 2-d arrays, total and
+    power: each step is a few slice updates, not n numpy operations.  Row
+    0 stays zero and stands for the recurrence's zero padding, so every
+    entry takes the same operations, operands in the same order, and each
+    column equals substitute_linear on that column bit for bit.
+    """
+    n = len(coeffs) - 1
+    total = np.zeros((n + 2, len(a)), dtype=complex)
+    power = np.zeros_like(total)
+    total[1], power[1] = coeffs[n], 1
+    for s, w in enumerate(reversed(coeffs[:n]), 1):
+        power[1 : s + 2] = d * power[1 : s + 2] + c * power[: s + 1]
+        total[1 : s + 2] = b * total[1 : s + 2] + a * total[: s + 1]
+        if w:
+            total[1 : s + 2] += w * power[1 : s + 2]
+    return total[1:]
+
+
 def _fixing(w: WeightEnumerator, mats):
     """For each matrix M of `mats`, mu M with mu = lambda^(-1/n) for
     W(M) = lambda W read at W's largest coefficient, as a
     StabilizerElement with its relative coefficient residual; None where
     lambda is zero or not finite.
 
-    One substitution carries all the matrices, as arrays of their entries;
-    the exact identity is W(I) = W, so it is passed through with residual 0.
+    One column-batched substitution (_substitute_columns) carries all the
+    matrices, as arrays of their entries; the exact identity is W(I) = W,
+    so it is passed through with residual 0.
     """
     out = [StabilizerElement(mat, 0.0) if mat == _IDENTITY else None for mat in mats]
     todo = [i for i, e in enumerate(out) if e is None]
@@ -367,7 +407,7 @@ def _fixing(w: WeightEnumerator, mats):
     entries = np.array(flat, dtype=complex).T  # rows a, b, c, d
     top = max(w.coeffs)
     with np.errstate(all="ignore"):
-        got = np.array(substitute_linear(w.coeffs, *entries))
+        got = _substitute_columns(w.coeffs, *entries)
         lam = got[w.coeffs.index(top)] / top
         mu = np.exp(-np.log(lam) / w.n)
         coeffs = np.array(w.coeffs, dtype=float)[:, None]

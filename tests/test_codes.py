@@ -442,6 +442,15 @@ def test_direct_sum_with_zero_code_gains_factor_x():
     assert w == enumerate_weights(pair) * zero_code_enumerator(1)
 
 
+def test_direct_sum_of_zero_codes():
+    # two zero-dimensional codes: the generator is empty, so the length
+    # comes from the summands
+    f3 = GF(3)
+    s = direct_sum(LinearCode(f3, [], n=1), LinearCode(f3, [], n=2))
+    assert (s.n, s.k) == (3, 0)
+    assert enumerate_weights(s) == zero_code_enumerator(3)
+
+
 def test_direct_sum_random_codes():
     rng = seeded("dsum")
     a = random_code(rng, 4, 5, 2)

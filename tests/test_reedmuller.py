@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import seeded
-from wenum.codes import enumerate_weights, rank
+from wenum.codes import enumerate_weights, rref
 from wenum.errors import DomainError
 from wenum.fields import GF
 from wenum.reedmuller import (
@@ -50,7 +51,7 @@ def test_rm_monotone_in_r():
     for r in range(1, 5):
         cur = reed_muller(3, r, 2)
         stacked = list(prev.generator) + list(cur.generator)
-        assert rank(f, __import__("numpy").array(stacked)) == cur.k
+        assert len(rref(f, np.array(stacked))[1]) == cur.k
         prev = cur
 
 
@@ -77,8 +78,6 @@ def test_projective_points_normalized():
 
 def test_prm_alternative_representatives_same_enumerator():
     # scaling each representative by a random unit gives an equivalent code
-    import numpy as np
-
     rng = seeded("prm-reps")
     q, r, m = 3, 2, 2
     code = projective_reed_muller(q, r, m)

@@ -1,6 +1,7 @@
 """The committed scripts run end to end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,16 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+# pyproject's filterwarnings does not reach a subprocess; the same
+# warnings fail the script's run, as they fail CI's benchmark smoke step
+WARNINGS_AS_ERRORS = "error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning"
+
+
 def test_verdicts_prints_one_line_per_enumerator():
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "verdicts.py"), "--seed", "1", "--count", "3"],
         check=True, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONWARNINGS": WARNINGS_AS_ERRORS},
     )
     records = [json.loads(line) for line in out.stdout.splitlines()]
     keys = {(r["q"], tuple(r["w"])) for r in records}

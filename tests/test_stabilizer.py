@@ -42,6 +42,7 @@ from wenum.stabilizer import (
     _fixing,
     _opening_pair,
     _screen,
+    _substitute_columns,
     certify_trivial,
     compute_stabilizer,
     cross_ratio,
@@ -371,6 +372,29 @@ def test_screen_ambiguous_image_raises():
         _screen(dataclasses.replace(rs, eps=0.5))
 
 
+def test_screen_ambiguous_past_root_4_raises():
+    # under the image triple (1, 0, 5) roots 3 and 4 each match one root,
+    # so the triple passes roots 3 and 4, and root 5 matches two: the
+    # full rows that follow must still see it
+    z = (-1.6 + 1.8j, -0.9 + 1.6j, 2.9 - 2.8j, -2.4 + 2.5j, 2.4 + 1j, -2.4 + 2.8j)
+    eps = 1e-3
+    N = max(map(abs, z)) + eps
+    threshold = 120 * N**3 * eps
+
+    def parts(a, b, c, x):
+        return (z[a] - z[c]) * (z[b] - z[x]), (z[a] - z[x]) * (z[b] - z[c])
+
+    def matched(k):
+        pk, qk = parts(0, 1, 2, k)
+        return [x for x in (2, 3, 4)
+                if abs(pk * parts(1, 0, 5, x)[1] - qk * parts(1, 0, 5, x)[0]) <= threshold]
+
+    assert [matched(k) for k in (3, 4, 5)] == [[4], [3], [2, 4]]
+    rs = RootSet(roots=tuple(Root(v, eps, 1) for v in z), eps=eps, N=N)
+    with pytest.raises(PrecisionFailureError, match="matches 2 roots"):
+        _screen(rs)
+
+
 def reference_screen(rootset):
     """{root permutation: Moebius matrix} by brute force: every ordered
     image triple from itertools, the map from the null space of its 3 x 4
@@ -513,7 +537,11 @@ def test_screen_matches_reference(w):
 def test_screen_block_size(monkeypatch):
     # one first index a block, as at d >= 46, and the whole grid at once;
     # PRM_3(1,3)'s root of multiplicity 13 exercises the multiplicity mask
-    for w in (rm2_closed_form(5), enumerate_weights(projective_reed_muller(3, 1, 3))):
+    for w in (
+        rm2_closed_form(5),
+        macwilliams(rm2_closed_form(5), 2, 2**6),
+        enumerate_weights(projective_reed_muller(3, 1, 3)),
+    ):
         rootset = roots_of(w)
         default = list(_screen(rootset).items())
         for cells in (1, 2**30):
@@ -665,9 +693,9 @@ def test_one_substitution_per_screened_permutation(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return substitute_linear(*args)
+        return _substitute_columns(*args)
 
-    monkeypatch.setattr("wenum.stabilizer.substitute_linear", counted)
+    monkeypatch.setattr("wenum.stabilizer._substitute_columns", counted)
     rep = compute_stabilizer(GLEASON, 2)
     assert rep.size == 192
     # one call carrying the 23 non-identity permutations, none per twist;
@@ -686,11 +714,11 @@ def test_closure_accepts_unverified_element(monkeypatch):
 
     def defective(coeffs, a, b, c, d):
         calls.append(((a[0], b[0]), (c[0], d[0])))
-        got = substitute_linear(coeffs, a, b, c, d)
+        got = _substitute_columns(coeffs, a, b, c, d)
         got[coeffs.index(0)][0] += got[coeffs.index(max(coeffs))][0] / 2
         return got
 
-    monkeypatch.setattr("wenum.stabilizer.substitute_linear", defective)
+    monkeypatch.setattr("wenum.stabilizer._substitute_columns", defective)
     rep = compute_stabilizer(GLEASON, 2)
     assert rep.size == 192
     forced = [e for e in rep.elements if abs(e.residual - 0.5) <= 1e-9]
@@ -716,11 +744,11 @@ def test_unverified_permutations_left_ungenerated_raise(monkeypatch):
     # non-identity screened permutation fails verification, and the
     # identity alone generates none of them, so no group is reported
     def defective(coeffs, a, b, c, d):
-        got = substitute_linear(coeffs, a, b, c, d)
+        got = _substitute_columns(coeffs, a, b, c, d)
         got[coeffs.index(0)] += got[coeffs.index(max(coeffs))] / 2
         return got
 
-    monkeypatch.setattr("wenum.stabilizer.substitute_linear", defective)
+    monkeypatch.setattr("wenum.stabilizer._substitute_columns", defective)
     with pytest.raises(PrecisionFailureError, match="1 verified of 24 screened"):
         compute_stabilizer(GLEASON, 2)
 
@@ -1057,6 +1085,33 @@ def test_fixing_with_coefficients_above_int64():
         assert matrix_distance(elements[j].matrix, want_mat) <= 1e-15
         assert abs(elements[j].residual - want_res) <= 1e-15 * max(1.0, want_res)
     assert elements[0].residual == 0
+
+
+@pytest.mark.parametrize("name", ["gleason", "rm2_1_5", "rm2_1_7_dual"])
+def test_substitute_columns_equals_substitute_linear_bitwise(name):
+    # the batch Horner against the exact path run on the same complex
+    # arrays, compared as raw bits, so signed zeros count too.  The
+    # matrices are the screen's (rm2_1_7_dual's roots do not solve), a
+    # sign flip, the Hadamard matrix and seeded random ones.
+    w = {
+        "gleason": GLEASON,
+        "rm2_1_5": rm2_closed_form(5),
+        "rm2_1_7_dual": macwilliams(rm2_closed_form(7), 2, 2**8),
+    }[name]
+    r = 2**-0.5
+    mats = [((1 + 0j, 0j), (0j, -1 + 0j)), ((r + 0j, r + 0j), (r + 0j, -r + 0j))]
+    if name != "rm2_1_7_dual":
+        mats += list(_screen(roots_of(w)).values())
+    else:
+        assert max(w.coeffs) > 2**63
+    rng = np.random.default_rng(17)
+    mats += [tuple(map(tuple, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
+             for _ in range(8)]
+    a, b, c, d = np.array([[v for row in m for v in row] for m in mats], dtype=complex).T
+    want = np.array(substitute_linear(w.coeffs, a, b, c, d))
+    got = _substitute_columns(w.coeffs, a, b, c, d)
+    assert got.shape == want.shape == (w.n + 1, len(mats))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_certify_witness_is_first_verified_in_screen_order():
