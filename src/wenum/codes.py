@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -399,6 +398,8 @@ def _count_weights(code, budget, workers):
     if len(parts) == 1:
         scaled = count(parts[0])
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only this pass uses it
+
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
             scaled = sum(pool.map(count, parts))
     counts = count(np.arange(1)) + (code.q - 1) * scaled

@@ -57,25 +57,30 @@ representatives, the members that start with their smallest index.
 This is sound because V4 keeps the cross ratio, so t and r share their
 true cross ratio, and the threshold bounds the computed gap of any
 ordered tuple, r included; so competitors are one row per orbit, a
-quarter of the ordered tuples.  P and Q of the representatives are
-built by one broadcast product per first index (_cross_blocks), with no
-index array.
+quarter of the ordered tuples.  With M = max |z| every |P|, |Q| is at
+most (2M)^2, so while 2 (2M)^4 is below the largest double no gap
+overflows and none is NaN.
 
 certify_trivial first decides the first two tuples in lexicographic
-order, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair): their full rows
-(_row_minima) are streamed, so no table is built, and the pass stops at
-the first competitor within the threshold.  When both are critical they
-are the certificate, and nothing else runs.  Otherwise the roots are
-screened.  Every stabilizing map passes the screen; when the map of a
-screened non-identity permutation fixes W within VERIFY_TOL, the
-stabilizer is numerically nontrivial, so the verdict is Inconclusive
-with that permutation as witness.  Otherwise, a failed root solve and
-roots too coarse to decide included, the proof is exact:
-invariants.fixed_points looks for three integer points whose fibre of
-W's absolute invariants is the point itself, which the whole stabilizer
-must then fix, and uses neither roots nor eps.  Failure to certify
-either way is reported as inconclusive, never as "not trivial"; on
-either verdict eps is None exactly when the root solve failed.
+order, (0, 1, 2, 3) and (0, 1, 2, 4) (_opening_pair), rows 0 and 1 of
+the representatives.  Those that start with 0 are built by one
+broadcast product and compared in full: a row's minimum there, U, is a
+gap that some representative has, and a U within the threshold refuses
+at once.  Against (a, b, c, x) with a >= 1 the gap is affine in z_x, as
+in the screen, so only the roots in the windows that hold every gap up
+to U are compared, with the same expression: the minimum of U and
+theirs is the row's minimum over every representative, bit for bit.
+When both are critical they are the certificate, and nothing else runs.
+Otherwise the roots are screened.  Every stabilizing map passes the
+screen; when the map of a screened non-identity permutation fixes W
+within VERIFY_TOL, the stabilizer is numerically nontrivial, so the
+verdict is Inconclusive with that permutation as witness.  Otherwise,
+a failed root solve and roots too coarse to decide included, the proof
+is exact: invariants.fixed_points looks for three integer points whose
+fibre of W's absolute invariants is the point itself, which the whole
+stabilizer must then fix, and uses neither roots nor eps.  Failure to
+certify either way is reported as inconclusive, never as "not trivial";
+on either verdict eps is None exactly when the root solve failed.
 
 Each verb solves for roots once, at roots.ROOT_EPS, through roots.roots_of:
 roots.find_roots certifies, one Yun factor at a time, the centers of one
@@ -211,6 +216,32 @@ class StabilizerReport:
 # --- finite-group computation ------------------------------------------------
 
 
+def _windows(pk, qk, pad, ac, bc, za, zb):
+    """For broadcasting operands, with ac = z_a - z_c and bc = z_b - z_c,
+    the flattened ends of the window around the real part of the root y
+    of alpha + beta z = P_k Q(a, b, c, z) - Q_k P(a, b, c, z) that holds
+    every root x with |alpha_fl + beta_fl z_x| within pad, and where the
+    window is not finite (_screen)."""
+    with np.errstate(all="ignore"):
+        qa = qk * ac
+        beta = qa - pk * bc
+        y = (qa * zb - pk * za * bc) / beta  # -alpha / beta
+        h = pad / np.abs(beta)
+        h = h * (1 + _SLACK) + _SLACK * np.abs(y)
+        return (y.real - h).ravel(), (y.real + h).ravel(), ~np.isfinite(h).ravel()
+
+
+def _in_windows(by_real, lo, hi, wide):
+    """(i, x) for each root x in flattened window i, from the window's
+    bounds lo and hi into the real parts sorted by by_real; a window in
+    `wide` gets every root."""
+    lo[wide], hi[wide] = 0, len(by_real)
+    counts = hi - lo
+    i = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return i, by_real[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+
+
 def _screen(rootset: RootSet):
     """{root permutation: Moebius matrix} for every permutation whose
     cross ratios pass the certificate's test, in the lexicographic order of
@@ -238,9 +269,9 @@ def _screen(rootset: RootSet):
     window and its ends many times over.  The roots whose real part lies
     in it are found by bisection on the sorted real parts (RootSet's order
     is not relied on); a row whose beta_fl is 0, or whose window is not
-    finite, gets every root.  Only these pairs are decided, each with the
-    same gap expression and threshold as comparing root k with every
-    root, so no match is missed and none is added.
+    finite, gets every root (_windows, _in_windows).  Only these pairs are
+    decided, each with the same gap expression and threshold as comparing
+    root k with every root, so no match is missed and none is added.
 
     Root 3 is matched for every image triple that keeps multiplicities.
     One broadcast product, with the same elementwise expressions and
@@ -268,31 +299,15 @@ def _screen(rootset: RootSet):
     by_real = np.argsort(z.real)
     keys = z.real[by_real]
     ref_p, ref_q = _cross_parts(diff, 0, 1, 2, np.arange(3, d))  # rows (0, 1, 2, k)
+    pad = threshold + rounding * (np.abs(ref_p) + np.abs(ref_q))
     m = d - 3
-
-    def windows(pk, qk, ac, bc, za, zb):
-        """For broadcasting operands, the flattened ends of the window
-        around the image y of root k under each image triple, and where
-        the window is not finite."""
-        with np.errstate(all="ignore"):
-            qa = qk * ac
-            beta = qa - pk * bc
-            y = (qa * zb - pk * za * bc) / beta  # -alpha / beta
-            h = (threshold + rounding * (np.abs(pk) + np.abs(qk))) / np.abs(beta)
-            h = h * (1 + _SLACK) + _SLACK * np.abs(y)
-            return (y.real - h).ravel(), (y.real + h).ravel(), ~np.isfinite(h).ravel()
 
     def hits(a, b, c, first, width, lo, hi, wide):
         """(t, k, x) for each root x that root 3 + k matches under the
         image triple (a[t], b[t], c[t]), from the bounds into keys of the
         windows of the flattened (triple, k) rows, width rows a triple
-        for k = first, ..., first + width - 1; a row whose window is not
-        finite gets every root."""
-        lo[wide], hi[wide] = 0, d
-        counts = hi - lo
-        i = np.repeat(np.arange(len(counts)), counts)
-        starts = np.cumsum(counts) - counts
-        x = by_real[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+        for k = first, ..., first + width - 1 (_in_windows)."""
+        i, x = _in_windows(by_real, lo, hi, wide)
         t, k = np.divmod(i, width)
         k += first
         a, b, c = a[t], b[t], c[t]
@@ -314,13 +329,9 @@ def _screen(rootset: RootSet):
         if not near.any():  # no first index here keeps root 0's multiplicity
             continue
         if m:  # the triples under which root 3 matches some root
-            bottom, top, wide = windows(
-                ref_p[0],
-                ref_q[0],
-                diff[a0:a1, None, :],  # z_a - z_c
-                diff[None],  # z_b - z_c
-                z[a0:a1, None, None],
-                z[None, :, None],
+            bottom, top, wide = _windows(  # operands z_a - z_c, z_b - z_c, z_a, z_b
+                ref_p[0], ref_q[0], pad[0], diff[a0:a1, None, :], diff[None],
+                z[a0:a1, None, None], z[None, :, None],
             )
             lo = np.searchsorted(keys, bottom, "left")
             near &= wide | (ends[lo] <= top)
@@ -338,15 +349,16 @@ def _screen(rootset: RootSet):
         a, bc = np.divmod(found[start : start + _CELLS], d**2)
         b, c = np.divmod(bc, d)
         if m > 1:  # only the triples under which root 4 matches some root
-            bottom, top, wide = windows(ref_p[1], ref_q[1], diff[a, c], diff[b, c], z[a], z[b])
+            bottom, top, wide = _windows(
+                ref_p[1], ref_q[1], pad[1], diff[a, c], diff[b, c], z[a], z[b]
+            )
             lo = np.searchsorted(keys, bottom, "left")
             hi = np.searchsorted(keys, top, "right")
             t = hits(a, b, c, 1, 1, lo, hi, wide)[0]
             keep = np.flatnonzero(np.bincount(t, minlength=len(a)))
             a, b, c = a[keep], b[keep], c[keep]
-        bottom, top, wide = windows(
-            ref_p, ref_q, diff[a, c][:, None], diff[b, c][:, None], z[a][:, None], z[b][:, None]
-        )
+        ops = diff[a, c][:, None], diff[b, c][:, None], z[a][:, None], z[b][:, None]
+        bottom, top, wide = _windows(ref_p, ref_q, pad, *ops)
         lo = np.searchsorted(keys, bottom, "left")
         hi = np.searchsorted(keys, top, "right")
         t, k, x = hits(a, b, c, 0, m, lo, hi, wide)
@@ -493,68 +505,77 @@ def compute_stabilizer(w: WeightEnumerator, q: int) -> StabilizerReport:
 # --- triviality certificates --------------------------------------------------
 
 
-def _distinct(d):
-    """Which cells of the flattened d x d x d grid of index triples, in
-    lexicographic order, hold three distinct indices."""
-    ne = np.arange(d)[:, None] != np.arange(d)
-    return (ne[:, :, None] & ne[:, None, :] & ne).reshape(-1)  # i != j, i != k, j != k
-
-
 def _cross_parts(diff, a, b, c, x):
     """P and Q of the cross ratio P / Q of [z_a, z_b, z_c, z_x], for index
     arrays that broadcast together, from diff[i, j] = z_i - z_j."""
     return diff[a, c] * diff[b, x], diff[a, x] * diff[b, c]
 
 
-def _cross_blocks(z):
-    """P and Q of the V4 representatives (a, b, c, x) of the centers z that
-    start with a, for each first index a < d - 3 in turn: together, every
-    representative in representative order, which ranks them
-    lexicographically.
-
-    One broadcast product over the grid of the triples (b, c, x) of
-    indices above a gives the same elementwise products as _cross_parts,
-    operands in the same order; the cells with a repeated index are
-    dropped, which leaves the triples in lexicographic order."""
-    d = len(z)
-    diff = z[:, None] - z
-    for a in range(d - 3):  # a representative has three indices above a
-        keep = _distinct(d - 1 - a)
-        rest = diff[a + 1 :, a + 1 :]  # diff[b, x] for b, x above a
-        head = diff[a, a + 1 :]  # diff[a, c] for c above a
-        yield (
-            (head[None, :, None] * rest[:, None, :]).reshape(-1)[keep],
-            (head[None, None, :] * rest[:, :, None]).reshape(-1)[keep],
-        )
+def _first_block(diff):
+    """P and Q of the V4 representatives (0, b, c, x), in lexicographic
+    order, from diff[i, j] = z_i - z_j: one broadcast product over the
+    grid of the triples (b, c, x) of indices above 0 gives the same
+    elementwise products as _cross_parts, operands in the same order, and
+    the cells with a repeated index are dropped."""
+    ne = np.arange(len(diff) - 1)[:, None] != np.arange(len(diff) - 1)
+    keep = (ne[:, :, None] & ne[:, None, :] & ne).reshape(-1)  # b != c, b != x, c != x
+    rest, head = diff[1:, 1:], diff[0, 1:]  # diff[b, x] and diff[0, c]
+    return (
+        (head[None, :, None] * rest[:, None, :]).reshape(-1)[keep],
+        (head[None, None, :] * rest[:, :, None]).reshape(-1)[keep],
+    )
 
 
 def _critical(centers, t, gap):
     return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
 
 
-def _row_minima(blocks, rows, threshold):
-    """For the representatives at `rows`, the smallest |P_r Q_s - Q_r P_s|
-    over every other representative s, as a list; None as soon as a
-    minimum is not above `threshold` (NaN included).  `blocks` yields P
-    and Q of the representatives in representative order, in consecutive
-    pieces, the first holding `rows`.
+def _least_gaps(z, rows, threshold):
+    """The smallest |P_r Q_s - Q_r P_s| over every other representative s
+    of the centers z, for each representative r at `rows` of _first_block,
+    as a list; None when a minimum is not above `threshold` (NaN
+    included).
 
-    Each row takes one 1-D product per block, its own cell set to inf;
-    P_r and Q_r are elements of the first block's arrays (a product of
-    numpy scalars may round otherwise)."""
-    heads, found = None, [[] for _ in rows]
-    for p, q in blocks:
-        first = heads is None
-        if first:
-            heads = [(p[r], q[r]) for r in rows]
-        for (pr, qr), r, out in zip(heads, rows, found):
-            gaps = np.abs(pr * q - qr * p)
-            if first:
-                gaps[r] = np.inf  # the row's own cell
-            out.append(gaps.min())
-            if not out[-1] > threshold:
-                return None
-    return [float(min(out)) for out in found]
+    Each row's minimum over the first block, its own cell set to inf, is
+    U.  With the block freed, only the roots x > a, other than b and c,
+    that the windows (_windows, _in_windows) hold for U and each triple
+    (a, b, c), a >= 1, are compared: by _screen's argument, with P_r, Q_r
+    and U for P_k, Q_k and the threshold, no gap below U is missed.  P_r
+    and Q_r are elements of the block's arrays, and each gap is one
+    expression on the same doubles as in the block, so the minimum is the
+    same double."""
+    diff = z[:, None] - z
+    p, q = _first_block(diff)
+    heads, least = [(p[r], q[r]) for r in rows], []
+    for (pr, qr), r in zip(heads, rows):
+        gaps = np.abs(pr * q - qr * p)
+        gaps[r] = np.inf  # the row's own cell
+        least.append(gaps.min())
+        if not least[-1] > threshold:
+            return None
+    del p, q, gaps  # kept alive, the block would raise the peak below
+    g = np.arange(len(z))
+    above = (0 < g[:, None, None]) & (g[:, None, None] < g[:, None]) & (g[:, None, None] < g)
+    a, b, c = np.nonzero(above & (g[:, None] != g))  # the triples with a >= 1
+    ops = diff[a, c], diff[b, c], z[a], z[b]
+    by_real = np.argsort(z.real)
+    keys = z.real[by_real]
+    ends = np.append(keys, np.nan)  # ends[lo] <= top: the window holds a root
+    rounding = 2.0**-47 * np.abs(z).max() ** 2  # times |P_r| + |Q_r|
+    for i, ((pr, qr), u) in enumerate(zip(heads, least)):
+        bottom, top, wide = _windows(pr, qr, u + rounding * (abs(pr) + abs(qr)), *ops)
+        lo = np.searchsorted(keys, bottom, "left")
+        near = np.flatnonzero(wide | (ends[lo] <= top))
+        hi = np.searchsorted(keys, top[near], "right")
+        t, x = _in_windows(by_real, lo[near], hi, wide[near])
+        t = near[t]
+        keep = (x > a[t]) & (x != b[t]) & (x != c[t])
+        t, x = t[keep], x[keep]
+        ps, qs = _cross_parts(diff, a[t], b[t], c[t], x)
+        least[i] = min(u, np.abs(pr * qs - qr * ps).min(initial=np.inf))
+        if not least[i] > threshold:
+            return None
+    return [float(u) for u in least]
 
 
 def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
@@ -562,7 +583,7 @@ def certify_trivial(w: WeightEnumerator, q: int) -> StabilizerReport:
     by three fixed points.
 
     Solves for roots once, then decides the full rows
-    (_row_minima) of the first two ordered 4-tuples, (0, 1, 2, 3) and
+    (_least_gaps) of the first two ordered 4-tuples, (0, 1, 2, 3) and
     (0, 1, 2, 4) (_opening_pair): when both are critical they are the
     `certificate`, and nothing else runs.  Otherwise the roots are
     screened: the first screened non-identity permutation whose map fixes
@@ -617,14 +638,13 @@ def _opening_pair(rootset: RootSet):
     DomainError below 5 roots and, as _screen does, PrecisionFailureError
     at eps >= 1/2, where no gap is certified.
 
-    Their full rows (_row_minima) take P and Q one first index a at a time
-    from _cross_blocks, so no table is built, and the pass ends as soon as
-    either minimum is within the certified bound 120 N^3 eps."""
+    Their minima over every other representative (_least_gaps) end the
+    pass as soon as either is within the certified bound 120 N^3 eps."""
     centers = rootset.centers()
     if len(centers) < 5:
         raise DomainError(f"triviality certificate needs >= 5 roots, found {len(centers)}")
     if rootset.eps >= 0.5:
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
     threshold = 120 * rootset.N**3 * rootset.eps
-    gaps = _row_minima(_cross_blocks(np.array(centers)), (0, 1), threshold)
+    gaps = _least_gaps(np.array(centers), (0, 1), threshold)
     return gaps and tuple(_critical(centers, (0, 1, 2, x), g) for x, g in zip((3, 4), gaps))

@@ -9,7 +9,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import certify_enumerators, seeded
+from conftest import certify_enumerators, random_code, seeded
+from wenum.algebra import macwilliams
 from wenum.catalog import get_entry, rm2_closed_form
 from wenum.codes import enumerate_weights
 from wenum.errors import DomainError, PrecisionFailureError
@@ -18,11 +19,12 @@ from wenum.reedmuller import reed_muller
 from wenum.roots import Root, RootSet, roots_of
 from wenum.stabilizer import (
     Verdict,
-    _cross_blocks,
     _cross_parts,
+    _first_block,
+    _least_gaps,
     _opening_pair,
-    _row_minima,
     _screen,
+    _windows,
     certify_trivial,
     solve_moebius,
 )
@@ -161,7 +163,7 @@ def test_scan_no_certificate_d32():
     p_s = (z[s[0]] - z[s[2]]) * (z[s[1]] - z[s[3]])
     q_s = (z[s[0]] - z[s[3]]) * (z[s[1]] - z[s[2]])
     assert abs(p_t * q_s - q_t * p_s) <= threshold
-    assert _row_minima(_cross_blocks(np.array(z)), (0,), threshold) is None
+    assert _least_gaps(np.array(z), (0,), threshold) is None
     assert _opening_pair(rootset) is None
     rep = certify_trivial(rm2_closed_form(5), 2)
     assert rep.verdict is Verdict.INCONCLUSIVE and rep.witness is not None
@@ -191,11 +193,12 @@ def _table_cases():
 
 @pytest.mark.parametrize("centers", _table_cases())
 def test_cross_table_matches_gathers(centers):
-    # the gather-free blocks, concatenated, hold the very same doubles as
-    # gathering the representatives' entries
+    # the gather-free first block holds the very same doubles as gathering
+    # the entries of the representatives that start with 0
     z = np.array(centers)
-    got = [np.concatenate(parts) for parts in zip(*_cross_blocks(z))]
-    want = _cross_parts(z[:, None] - z, *np.array(oracle_reps(len(z))).T)
+    got = _first_block(z[:, None] - z)
+    reps = [t for t in oracle_reps(len(z)) if t[0] == 0]
+    want = _cross_parts(z[:, None] - z, *np.array(reps).T)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.float64), w.view(np.float64))
 
@@ -224,10 +227,10 @@ def past_opening_rootset(seed, blocked):
     return hand_rootset(centers + [(a * z + b) / (c * z + d)])
 
 
-def oracle_row_minimum(centers, t):
+def oracle_row_minimum(centers, t, reps=None):
     """The smallest gap of the representative t against every other
-    representative, from gathered entries."""
-    reps = oracle_reps(len(centers))
+    representative (of `reps`, when given), from gathered entries."""
+    reps = reps or oracle_reps(len(centers))
     z, idx = np.array(centers), np.array(reps)
     p = (z[idx[:, 0]] - z[idx[:, 2]]) * (z[idx[:, 1]] - z[idx[:, 3]])
     q = (z[idx[:, 0]] - z[idx[:, 3]]) * (z[idx[:, 1]] - z[idx[:, 2]])
@@ -241,7 +244,7 @@ def oracle_row_minimum(centers, t):
 @pytest.mark.parametrize("blocked", [3, 4])
 def test_scan_past_opening_rows(seed, blocked):
     # the blocked opening row meets (5, 6, 7, 8), so the opening rows
-    # refuse; the other row streams the all-pairs gap; and the all-pairs
+    # refuse; the other row gives the all-pairs gap; and the all-pairs
     # scan certifies past the opening rows
     rootset = past_opening_rootset(seed, blocked)
     centers = rootset.centers()
@@ -249,14 +252,166 @@ def test_scan_past_opening_rows(seed, blocked):
     assert _opening_pair(rootset) is None
     z = np.array(centers)
     # (0, 1, 2, x) is row x - 3 of the representatives
-    assert _row_minima(_cross_blocks(z), (blocked - 3,), threshold) is None
+    assert _least_gaps(z, (blocked - 3,), threshold) is None
     other = 7 - blocked
     want = oracle_row_minimum(centers, (0, 1, 2, other))
     assert want > threshold
-    assert _row_minima(_cross_blocks(z), (other - 3,), threshold) == [want]
+    assert _least_gaps(z, (other - 3,), threshold) == [want]
     found = reference_scan(rootset)
     assert found[0][0][:3] == (0, 1, 2)
     assert blocked not in (found[0][0][3], found[1][0][3])
+
+
+def streamed_row_minima(centers, rows, threshold):
+    """The smallest |P_r Q_s - Q_r P_s| of the representatives r at `rows`
+    (those that start with 0, in lexicographic order) over every other
+    representative s, as a list; None as soon as a block's minimum is not
+    above `threshold`.  Every representative is compared, one first index
+    a at a time, each block one broadcast product over the triples
+    (b, c, x) of indices above a; P_r and Q_r are elements of the first
+    block's arrays.  The streamed scan, written out whole, sharing no code
+    with the windowed pass it checks."""
+    z = np.array(centers)
+    d = len(z)
+    diff = z[:, None] - z
+    heads, found = None, [[] for _ in rows]
+    for a in range(d - 3):
+        ne = np.arange(d - 1 - a)[:, None] != np.arange(d - 1 - a)
+        keep = (ne[:, :, None] & ne[:, None, :] & ne).reshape(-1)
+        rest, head = diff[a + 1 :, a + 1 :], diff[a, a + 1 :]
+        p = (head[None, :, None] * rest[:, None, :]).reshape(-1)[keep]
+        q = (head[None, None, :] * rest[:, :, None]).reshape(-1)[keep]
+        if heads is None:
+            heads = [(p[r], q[r]) for r in rows]
+        for (pr, qr), r, out in zip(heads, rows, found):
+            gaps = np.abs(pr * q - qr * p)
+            if a == 0:
+                gaps[r] = np.inf  # the row's own cell
+            out.append(gaps.min())
+            if not out[-1] > threshold:
+                return None
+    return [float(min(out)) for out in found]
+
+
+def first_block_minimum(centers, t):
+    """oracle_row_minimum over the representatives that start with 0."""
+    reps = [(0,) + s for s in permutations(range(1, len(centers)), 3)]
+    return oracle_row_minimum(centers, t, reps)
+
+
+def hexes(gaps):
+    return None if gaps is None else [float.hex(g) for g in gaps]
+
+
+def streamed_matches(rootset):
+    """_opening_pair's gaps against the streamed scan's, bit for bit;
+    returns the streamed gaps."""
+    threshold = 120 * rootset.N**3 * rootset.eps
+    want = streamed_row_minima(rootset.centers(), (0, 1), threshold)
+    found = _opening_pair(rootset)
+    assert hexes(found and [t.gap for t in found]) == hexes(want)
+    return want
+
+
+EPS = (1e-15, 1e-9, 1e-5)
+
+
+def streamed_family(family):
+    """Seeded root sets of one family, each with d >= 5 distinct roots."""
+    if family == "codes":  # q <= 5, n = 8..15, and the duals
+        for slot in range(40):
+            rng = seeded(f"streamed:{slot}")
+            q, n = rng.choice((2, 3, 4, 5)), rng.randint(8, 15)
+            code = random_code(rng, q, n, rng.randint(2, n - 2))
+            w = enumerate_weights(code)
+            for v in (w, macwilliams(w, q, q**code.k)):
+                try:
+                    rootset = roots_of(v)
+                except PrecisionFailureError:
+                    continue
+                if len(rootset.roots) >= 5:
+                    yield rootset
+                    yield from (hand_rootset(rootset.centers(), eps) for eps in EPS)
+        return
+    for seed in range(150):
+        rng, d, eps = seeded(f"streamed-{family}:{seed}"), 5 + seed % 15, EPS[seed % 3]
+        if family == "normal":
+            z = random_centers(rng, d)
+        elif family == "polygon":
+            jitter = [complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3)) for _ in range(d)]
+            z = [complex(np.exp(2j * np.pi * i / d)) + j for i, j in enumerate(jitter)]
+        else:  # conjugate pairs, each tied in real part, and a real root at odd d
+            upper = [complex(rng.gauss(0, 1), abs(rng.gauss(0, 1))) for _ in range(d // 2)]
+            z = upper + [u.conjugate() for u in upper] + [complex(rng.gauss(0, 1))] * (d % 2)
+            rng.shuffle(z)
+        yield hand_rootset(z, eps)
+
+
+@pytest.mark.parametrize("family", ["codes", "normal", "polygon", "conjugate"])
+def test_opening_pair_matches_streamed_rows(family):
+    # the windowed pass gives the streamed scan's gaps bit for bit, or
+    # None with it; past the first block, some minima are set by a
+    # representative with a >= 1
+    outcomes = {"none": 0, "first": 0, "past": 0}
+    for rootset in streamed_family(family):
+        want = streamed_matches(rootset)
+        if want is None:
+            outcomes["none"] += 1
+            continue
+        first = first_block_minimum(rootset.centers(), (0, 1, 2, 3))
+        outcomes["past" if want[0] < first else "first"] += 1
+    assert sum(outcomes.values()) >= 125
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_opening_pair_competitor_past_first_block_d5():
+    # z4 puts [z1, z2, z3, z4] within 1e-6 of [z0, z1, z2, z3]: row 0's
+    # nearest competitor is (1, 2, 3, 4), the only representative with
+    # a = 1 besides its V4 images, so the first block alone misses it
+    z0, z1, z2, z3 = 0.3 + 0.1j, 1.7 - 0.4j, -0.8 + 1.1j, 0.2 - 1.5j
+    mu = ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2)) * (1 + 1e-6)
+    z4 = (mu * z1 * (z2 - z3) - z2 * (z1 - z3)) / (mu * (z2 - z3) - (z1 - z3))
+    rootset = hand_rootset([z0, z1, z2, z3, z4], eps=1e-15)
+    centers = rootset.centers()
+    want = streamed_matches(rootset)
+    assert want is not None
+    assert want[0] < first_block_minimum(centers, (0, 1, 2, 3))
+    assert want[0] == oracle_row_minimum(centers, (0, 1, 2, 3))
+
+
+def test_opening_pair_at_a_pole():
+    # z -> w0 + c / (z - 4) sends roots 0, 1, 2 (at 0, 2, 3) to roots 4, 5,
+    # 6 and root 3 to infinity: against (0, 1, 2, 3) the triple (4, 5, 6)
+    # has beta = 0, so its window takes every root, and its gap is the
+    # constant 3 c^2 / 4 for every fourth root x, the row's smallest; x = 0
+    # gives the V4 image (0, 6, 5, 4) in the first block, with that gap
+    w0, c = 10 + 10j, 1 / 64
+    z = [0j, 2 + 0j, 3 + 0j, 4 + 0j, w0 - c / 4, w0 - c / 2, w0 - c, 5 + 1j, -3 + 2j]
+    pr, qr = (z[0] - z[2]) * (z[1] - z[3]), (z[0] - z[3]) * (z[1] - z[2])
+    assert qr * (z[4] - z[6]) - pr * (z[5] - z[6]) == 0
+    ac, bc, za, zb = (np.array([v]) for v in (z[4] - z[6], z[5] - z[6], z[4], z[5]))
+    assert _windows(pr, qr, 1.0, ac, bc, za, zb)[2].all()
+    want = streamed_matches(hand_rootset(z, eps=1e-15))
+    assert want is not None
+    assert want[0] == oracle_row_minimum(z, (0, 1, 2, 3)) == pytest.approx(0.75 * c**2)
+
+
+def test_opening_pair_memory_within_streamed():
+    # the windowed pass frees the first block before its windows, so its
+    # peak stays within the streamed scan's, whose peak is that block
+    rootset = roots_of(enumerate_weights(get_entry("prm5_3_2").code))
+    threshold = 120 * rootset.N**3 * rootset.eps
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            assert call() is not None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: streamed_row_minima(rootset.centers(), (0, 1), threshold))
+    assert peak(lambda: _opening_pair(rootset)) <= streamed
 
 
 def test_certify_trivial_from_opening_rows(monkeypatch):
@@ -279,7 +434,8 @@ def test_certify_trivial_from_opening_rows(monkeypatch):
 
 
 def test_certify_trivial_memory_prm5_3_2():
-    # the streamed opening rows keep one first index's P and Q at a time
+    # the opening pass holds P and Q of one block, the representatives
+    # that start with 0, and frees them before its windows
     w = enumerate_weights(get_entry("prm5_3_2").code)
     tracemalloc.start()
     try:

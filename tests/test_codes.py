@@ -137,7 +137,7 @@ def _serial_pool(monkeypatch, drop=0):
             counted.extend(done)
             return iter(done)
 
-    monkeypatch.setattr("wenum.codes.ThreadPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Pool)
     return counted
 
 

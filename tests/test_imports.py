@@ -50,6 +50,22 @@ def test_verbs_do_not_import_numpy_ma():
     assert _run(code) == "False"
 
 
+def test_verbs_do_not_import_the_thread_pool():
+    # concurrent.futures costs about 7 ms per process, and only a
+    # multi-worker enumeration uses it
+    code = (
+        "import sys\n"
+        "from wenum.catalog import get_entry\n"
+        "from wenum.codes import enumerate_weights\n"
+        "from wenum.stabilizer import certify_trivial, compute_stabilizer\n"
+        "w = enumerate_weights(get_entry('rm4_2_2').code, workers=1)\n"
+        "compute_stabilizer(w, 4)\n"
+        "certify_trivial(w, 4)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    assert _run(code) == "False"
+
+
 def test_catalog_does_not_import_the_stabilizer():
     # the catalog's fixtures are codes and closed forms; building them
     # needs no stabilizer machinery
