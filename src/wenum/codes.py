@@ -9,7 +9,7 @@ an [n, k] code with 2k > n has a dual of only q^(n-k) words, and the
 MacWilliams transform of the dual's enumerator (algebra.macwilliams,
 exact integer arithmetic) is the code's.  `budget` therefore bounds the
 sum of q^min(k_i, n_i - k_i) over the counted summands, the words
-actually counted.
+actually counted; enumerate_weights alone checks it, before any count.
 
 A codeword is a prefix combination p of the generator rows plus a
 suffix combination s, and coordinate c of p + s is zero exactly when
@@ -117,10 +117,8 @@ def zero_code_enumerator(n: int) -> WeightEnumerator:
 
 
 def full_space_enumerator(n: int, q: int) -> WeightEnumerator:
-    """(x + (q-1))^n, the enumerator of GF(q)^n."""
-    return WeightEnumerator(
-        [math.comb(n, i) * (q - 1) ** (n - i) for i in range(n + 1)]
-    )
+    """(x + (q-1)y)^n, the enumerator of GF(q)^n."""
+    return _full_weight_power(1, n, q)
 
 
 def pair_sum_enumerator(n: int, q: int) -> WeightEnumerator:
@@ -259,9 +257,9 @@ def dual(code: LinearCode) -> LinearCode:
 # --- enumeration ----------------------------------------------------------
 
 
-def _split(code, budget):
-    """Budget check, then the prefix rows, the suffix column bits, the
-    valid bit rows and the suffix combination at each bit row (-1 if none).
+def _split(code):
+    """The prefix rows, the suffix column bits, the valid bit rows and the
+    suffix combination at each bit row (-1 if none).
 
     The suffix takes the last j generator rows, q^j the largest power of q
     within _BLOCK_CAP: message i*q^j + r is prefix i plus suffix r.  Its
@@ -270,8 +268,6 @@ def _split(code, budget):
     and u + l has value v at c where l has v - u_c, so bits[c, v] (bit
     r % 64 of word r // 64 for bit row r) is one gather.
     """
-    if code.size > budget:
-        raise EnumerationBudgetError(code.size, budget)
     field, n, k, q, j = code.field, code.n, code.k, code.q, 0
     while j < k and q ** (j + 1) <= _BLOCK_CAP:
         j += 1
@@ -372,8 +368,9 @@ def _scalar_classes(q, size):
     return np.concatenate(ranges)
 
 
-def _count_weights(code, budget, workers):
-    """Weight enumerator of `code` by counting every codeword.
+def _count_weights(code, workers):
+    """Weight enumerator of `code` by counting every codeword, of any
+    size: enumerate_weights alone checks `budget`, before any count.
 
     Prefix 0 is counted once and one prefix per scalar class
     (_scalar_classes) q - 1 times: the suffix combinations form a subspace,
@@ -384,7 +381,7 @@ def _count_weights(code, budget, workers):
     regardless of scheduling.  The total is checked against q^k.
     """
     field, n = code.field, code.n
-    prefix, bits, valid, _ = _split(code, budget)
+    prefix, bits, valid, _ = _split(code)
     size = code.q ** (code.k - len(prefix))
 
     def count(part):
@@ -438,17 +435,17 @@ def _summands(code):
     return groups, int(np.count_nonzero(column == k))
 
 
-def _enumerate_summand(code, budget, workers):
+def _enumerate_summand(code, workers):
     """Weight enumerator of one summand, by counting the smaller of C and
     its dual (_count_weights); with 2k > n the dual's count goes through
     the exact MacWilliams transform, checked to hold q^k words, exactly
     one of weight 0."""
     if 2 * code.k <= code.n:
-        return _count_weights(code, budget, workers)
+        return _count_weights(code, workers)
     from .algebra import macwilliams  # algebra imports this module
 
     side = dual(code)
-    w = macwilliams(_count_weights(side, budget, workers), code.q, side.size)
+    w = macwilliams(_count_weights(side, workers), code.q, side.size)
     if sum(w.coeffs) != code.size or w.coeffs[-1] != 1:
         raise RuntimeError(
             f"MacWilliams transform gives {sum(w.coeffs)} codewords, "
@@ -485,7 +482,7 @@ def enumerate_weights(
     if words > budget:
         raise EnumerationBudgetError(words, budget)
     for summand in counted:
-        w = w * _enumerate_summand(summand, budget, workers)
+        w = w * _enumerate_summand(summand, workers)
     return w
 
 
@@ -523,10 +520,12 @@ def codewords_of_weight(code: LinearCode, weight: int) -> np.ndarray:
     leaf of zero count n - weight is taken from the planes, and only its
     words are built, each a prefix plus a suffix combination.
     """
+    if code.size > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(code.size, DEFAULT_BUDGET)
     field, n = code.field, code.n
-    prefix, bits, valid, order = _split(code, DEFAULT_BUDGET)
     if not 0 <= weight <= n:
         return np.zeros((0, n), dtype=np.uint8)
+    prefix, bits, valid, order = _split(code)
     suffix = _combinations(field, code.generator[len(prefix) :])(np.maximum(order, 0))
     found = []
     for words, planes in _chunks(field, prefix, np.arange(code.q ** len(prefix)), bits):

@@ -231,10 +231,12 @@ def _windows(pk, qk, pad, ac, bc, za, zb):
         return (y.real - h).ravel(), (y.real + h).ravel(), ~np.isfinite(h).ravel()
 
 
-def _in_windows(by_real, lo, hi, wide):
-    """(i, x) for each root x in flattened window i, from the window's
-    bounds lo and hi into the real parts sorted by by_real; a window in
-    `wide` gets every root."""
+def _in_windows(by_real, keys, lo, top, wide):
+    """(i, x) for each root x in flattened window i, from the insertion
+    point lo of the window's bottom end into keys, the real parts sorted
+    by by_real, and its top end, searched here; a window in `wide` gets
+    every root."""
+    hi = np.searchsorted(keys, top, "right")
     lo[wide], hi[wide] = 0, len(by_real)
     counts = hi - lo
     i = np.repeat(np.arange(len(counts)), counts)
@@ -302,12 +304,12 @@ def _screen(rootset: RootSet):
     pad = threshold + rounding * (np.abs(ref_p) + np.abs(ref_q))
     m = d - 3
 
-    def hits(a, b, c, first, width, lo, hi, wide):
+    def hits(a, b, c, first, width, lo, top, wide):
         """(t, k, x) for each root x that root 3 + k matches under the
-        image triple (a[t], b[t], c[t]), from the bounds into keys of the
-        windows of the flattened (triple, k) rows, width rows a triple
-        for k = first, ..., first + width - 1 (_in_windows)."""
-        i, x = _in_windows(by_real, lo, hi, wide)
+        image triple (a[t], b[t], c[t]), from the windows of the flattened
+        (triple, k) rows, width rows a triple for k = first, ...,
+        first + width - 1 (_in_windows)."""
+        i, x = _in_windows(by_real, keys, lo, top, wide)
         t, k = np.divmod(i, width)
         k += first
         a, b, c = a[t], b[t], c[t]
@@ -338,8 +340,7 @@ def _screen(rootset: RootSet):
         cells = np.flatnonzero(near)
         if m:
             a, b, c = a0 + cells // d**2, cells // d % d, cells % d
-            hi = np.searchsorted(keys, top[cells], "right")
-            t = hits(a, b, c, 0, 1, lo[cells], hi, wide[cells])[0]
+            t = hits(a, b, c, 0, 1, lo[cells], top[cells], wide[cells])[0]
             cells = cells[np.flatnonzero(np.bincount(t, minlength=len(cells)))]
         found.append(a0 * d**2 + cells)
     found = np.concatenate(found)
@@ -353,15 +354,13 @@ def _screen(rootset: RootSet):
                 ref_p[1], ref_q[1], pad[1], diff[a, c], diff[b, c], z[a], z[b]
             )
             lo = np.searchsorted(keys, bottom, "left")
-            hi = np.searchsorted(keys, top, "right")
-            t = hits(a, b, c, 1, 1, lo, hi, wide)[0]
+            t = hits(a, b, c, 1, 1, lo, top, wide)[0]
             keep = np.flatnonzero(np.bincount(t, minlength=len(a)))
             a, b, c = a[keep], b[keep], c[keep]
         ops = diff[a, c][:, None], diff[b, c][:, None], z[a][:, None], z[b][:, None]
         bottom, top, wide = _windows(ref_p, ref_q, pad, *ops)
         lo = np.searchsorted(keys, bottom, "left")
-        hi = np.searchsorted(keys, top, "right")
-        t, k, x = hits(a, b, c, 0, m, lo, hi, wide)
+        t, k, x = hits(a, b, c, 0, m, lo, top, wide)
         counts = np.bincount(t * m + k, minlength=len(a) * m).reshape(len(a), m)
         full = (counts > 0).all(axis=1)
         if (counts[full] > 1).any():
@@ -526,10 +525,6 @@ def _first_block(diff):
     )
 
 
-def _critical(centers, t, gap):
-    return CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), gap)
-
-
 def _least_gaps(z, rows, threshold):
     """The smallest |P_r Q_s - Q_r P_s| over every other representative s
     of the centers z, for each representative r at `rows` of _first_block,
@@ -566,8 +561,7 @@ def _least_gaps(z, rows, threshold):
         bottom, top, wide = _windows(pr, qr, u + rounding * (abs(pr) + abs(qr)), *ops)
         lo = np.searchsorted(keys, bottom, "left")
         near = np.flatnonzero(wide | (ends[lo] <= top))
-        hi = np.searchsorted(keys, top[near], "right")
-        t, x = _in_windows(by_real, lo[near], hi, wide[near])
+        t, x = _in_windows(by_real, keys, lo[near], top[near], wide[near])
         t = near[t]
         keep = (x > a[t]) & (x != b[t]) & (x != c[t])
         t, x = t[keep], x[keep]
@@ -647,4 +641,7 @@ def _opening_pair(rootset: RootSet):
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
     threshold = 120 * rootset.N**3 * rootset.eps
     gaps = _least_gaps(np.array(centers), (0, 1), threshold)
-    return gaps and tuple(_critical(centers, (0, 1, 2, x), g) for x, g in zip((3, 4), gaps))
+    return gaps and tuple(
+        CriticalTuple(t, cross_ratio(*(centers[i] for i in t)), g)
+        for t, g in zip(((0, 1, 2, 3), (0, 1, 2, 4)), gaps)
+    )

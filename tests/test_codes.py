@@ -169,7 +169,7 @@ def test_enumeration_coverage_checked(monkeypatch):
 def test_transformed_coverage_checked(monkeypatch):
     code = LinearCode(GF(2), [[1, 1, 0], [0, 1, 1]])  # 2k > n: the dual is counted
 
-    def doubled(side, budget, workers):  # divisible, but two zero words
+    def doubled(side, workers):  # divisible, but two zero words
         return WeightEnumerator([2 * c for c in oracle_weight_coeffs(side)])
 
     monkeypatch.setattr("wenum.codes._count_weights", doubled)
@@ -186,7 +186,7 @@ def _bit_rows(words):
 def _suffix_words(code):
     """_split of the code, with the suffix combinations built one per
     message and the message of each bit row of the first prefix."""
-    prefix, bits, valid, order = codes._split(code, codes.DEFAULT_BUDGET)
+    prefix, bits, valid, order = codes._split(code)
     built = all_combinations(code.field, code.generator[len(prefix):])
     return prefix, bits, valid, order, built
 
@@ -333,7 +333,7 @@ def test_scalar_multiples_share_a_histogram(q, monkeypatch):
     rng = seeded(f"scalar-classes-{q}")
     for k in (1, 2, 3):
         code = random_code(rng, q, rng.randrange(k, 9), k)
-        prefix, bits, valid, _ = codes._split(code, codes.DEFAULT_BUDGET)
+        prefix, bits, valid, _ = codes._split(code)
         t = k - 1
         assert len(prefix) == t
         hists = []
@@ -396,7 +396,7 @@ def test_big_side_matches_oracle(q, monkeypatch):
             monkeypatch.setattr("wenum.codes._BLOCK_CAP", cap)
             for workers in (1, 3):
                 assert enumerate_weights(code, workers=workers).coeffs == want
-                got = codes._enumerate_summand(code, codes.DEFAULT_BUDGET, workers)
+                got = codes._enumerate_summand(code, workers)
                 assert got.coeffs == want
 
 
@@ -535,9 +535,9 @@ def test_connected_codes_are_one_summand(monkeypatch):
     """A connected code is counted as given, as the one summand."""
     real, seen = codes._enumerate_summand, []
 
-    def spy(code, budget, workers):
+    def spy(code, workers):
         seen.append(code)
-        return real(code, budget, workers)
+        return real(code, workers)
 
     monkeypatch.setattr("wenum.codes._enumerate_summand", spy)
     rng = seeded("connected")
@@ -548,7 +548,7 @@ def test_connected_codes_are_one_summand(monkeypatch):
         seen.clear()
         want = enumerate_weights(code)
         assert len(seen) == 1 and seen[0] is code
-        assert want == real(code, codes.DEFAULT_BUDGET, 1)
+        assert want == real(code, 1)
 
 
 def test_budget_bounds_the_sum_over_summands(monkeypatch):
@@ -672,6 +672,20 @@ def test_codewords_of_weight(monkeypatch):
             got, want = codewords_of_weight(code, weight), built(weight)
             assert len(want) and got.dtype == np.uint8
             assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+
+def test_codewords_of_weight_refuses_past_the_budget(monkeypatch):
+    gen = np.hstack([np.eye(33), np.ones((33, 7))]).astype(np.uint8)
+    code = LinearCode(GF(2), gen)  # [40, 33]: 2^33 words > DEFAULT_BUDGET
+
+    def no_tables(code):
+        raise AssertionError("_split ran past the budget")
+
+    monkeypatch.setattr("wenum.codes._split", no_tables)
+    for weight in (8, -1, 41):  # 41 and -1 are out of range
+        with pytest.raises(EnumerationBudgetError) as err:
+            codewords_of_weight(code, weight)
+        assert (err.value.count, err.value.budget) == (2**33, codes.DEFAULT_BUDGET)
 
 
 def test_decompose_blocks():
