@@ -44,9 +44,13 @@ written over one common power of two with Gaussian-integer numerators;
 p(z_j) and the differences z_j - z_k are then exact integers at a known
 scale, and each squared radius is a quotient of two exact integers.  One
 integer division and one integer square root round its root once, up,
-to the next double (`_sqrt_up`); no Fraction is used.  A reported disk
-is a proof, not an estimate.  The disks are tested for disjointness in
-integers too, in one sweep along the real axis.
+to the next double (`_sqrt_up`); no Fraction is used.  p has integer
+coefficients, so its roots are closed under conjugation; when the
+centers are too, bit for bit, as the iteration leaves them on every
+bench enumerator, only those with Im >= 0 are evaluated, and each mirror
+takes its partner's radius, the same double (`certified_radii`).  A
+reported disk is a proof, not an estimate.  The disks are tested for
+disjointness in integers too, in one sweep along the real axis.
 
 One accuracy, ROOT_EPS, for every solve: a radius above it or disks that
 meet raise PrecisionFailureError.  No radius falls below the rounding of
@@ -184,21 +188,45 @@ def certified_radii(poly, centers):
     d^2 |p(z_j)|^2 / (lc^2 prod_k |z_j - z_k|^2) is a quotient of two exact
     integers.  Each squared distance is taken once and multiplied into
     the denominators of both of its centers.
+
+    When the numerators are pairwise distinct and the conjugate of every
+    center is a center too, only the centers with Im >= 0 are evaluated,
+    and each mirror takes its partner's radius, the same double: p has
+    integer coefficients, so |S^d p(conj z)| = |S^d p(z)|, and conjugation
+    permutes the other centers, so the two denominators are one product.
+    Coinciding centers are never paired, so they still read inf.  For
+    two centers z_j, z_k with Im >= 0, |z_j - z_k| enters both
+    denominators, and |z_j - conj z_k| = |z_k - conj z_j| enters that of
+    z_j when z_k is off the real axis and that of z_k when z_j is; a
+    center off the axis also takes |z_j - conj z_j| = 2 |y_j|.
     """
     d = polyx.degree(poly)
     e, pts = _dyadic(centers)
     # S^(2(m-1)) from the m-1 differences against S^(2d) from p(z_j)
     shift = 2 * e * (len(pts) - 1 - d)
-    den2 = [poly[-1] ** 2] * len(pts)
-    for j, (x, y) in enumerate(pts):
-        for k in range(j + 1, len(pts)):
-            u, v = pts[k]
+    known = set(pts)
+    paired = len(known) == len(pts) and all((x, -y) in known for x, y in pts)
+    upper = [(x, y) for x, y in pts if y >= 0] if paired else pts
+    den2 = [poly[-1] ** 2 * (4 * y * y if paired and y else 1) for _, y in upper]
+    for j, (x, y) in enumerate(upper):
+        for k in range(j + 1, len(upper)):
+            u, v = upper[k]
             dist2 = (x - u) * (x - u) + (y - v) * (y - v)
             den2[j] *= dist2
             den2[k] *= dist2
-    return [_sqrt_up(d * d * (are * are + aim * aim) << max(shift, 0),
-                     den << max(-shift, 0))
-            for (are, aim), den in zip(_scaled_values(poly, e, pts), den2)]
+            if paired and (y or v):  # |z_j - conj z_k|^2 = |z_k - conj z_j|^2
+                far2 = (x - u) * (x - u) + (y + v) * (y + v)
+                if v:
+                    den2[j] *= far2
+                if y:
+                    den2[k] *= far2
+    radii = [_sqrt_up(d * d * (are * are + aim * aim) << max(shift, 0),
+                      den << max(-shift, 0))
+             for (are, aim), den in zip(_scaled_values(poly, e, upper), den2)]
+    if not paired:
+        return radii
+    by_center = dict(zip(upper, radii))
+    return [by_center[x, abs(y)] for x, y in pts]
 
 
 def _disks_disjoint(centers, radii):

@@ -18,15 +18,15 @@ cross ratios always meet, so no stabilizing map is missed.  The gap of
 the image of root k under the triple's map, so only the roots whose real
 part lies in a window around that image, wide enough for the threshold
 and every rounding, are compared (the scan's expression for the tuple
-(a, b, c, x)).  Root 3 is matched on broadcast grids of image triples,
-every (a, b, c) for a run of consecutive first indices a, with no index
-array: the cells with a repeated index or a multiplicity unlike the
-reference roots' are masked out, and only the few cells whose window
-holds a root are expanded and compared.  Root 4 alone is then matched
-on the triples under which root 3 matches, with the same windows and
-threshold, and only the triples that pass it too are compared in full,
-every root k >= 3 at once; a triple dropped there could never match
-every root, so the screen is unchanged.  Each screened permutation
+(a, b, c, x)).  Root 3 is matched once per V4 orbit (V4 keeps the cross
+ratio; see the certificates below), on broadcast grids of the triples
+(a, b, c) with a < b, a < c, for a run of first indices a, with no index
+array: a match x > a stands for the image triples (a, b, c), (b, a, x),
+(c, x, a) and (x, c, b), less those with a multiplicity unlike the
+reference roots'.  Root 4 alone is then matched on those triples, with
+the same windows and threshold, and only the triples that pass it too
+are compared in full, every root k >= 3 at once; a triple dropped there
+could never match every root.  Each screened permutation
 gets its matrix M in closed form (the map sending the reference triple
 to (0, 1, inf), followed by the inverse of the one sending the image
 triple there) and is measured once.  One column-batched Horner
@@ -107,7 +107,7 @@ from .roots import RootSet, roots_of
 
 VERIFY_TOL = 1e-8  # relative coefficient residual for accepting an element
 _SLACK = 2.0**-40  # relative widening of a screen window for rounding
-_CELLS = 4096  # screen grid cells (a, b, c) a block, but one first index at least
+_CELLS = 4096  # screen triples a block, and root-3 grid cells (d^2 a first index at least)
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
@@ -275,19 +275,29 @@ def _screen(rootset: RootSet):
     decided, each with the same gap expression and threshold as comparing
     root k with every root, so no match is missed and none is added.
 
-    Root 3 is matched for every image triple that keeps multiplicities.
-    One broadcast product, with the same elementwise expressions and
-    P_3 and Q_3 as scalars, gives the grid of every (a, b, c) for a run
-    of max(1, _CELLS // d^2) consecutive first indices a; the cells with
-    a repeated index or a multiplicity unlike roots 0, 1 and 2 are
-    masked out, and only the cells whose window holds a root get index
-    arrays.  Root 4 alone is then matched for the few triples under which
-    root 3 matched some root, and every root k >= 3 for the triples under
-    which root 4 matched some root too, up to _CELLS triples a block
-    against all the rows in one broadcast.  A triple that fails root 4
-    fails the full match, whose rows for root 4 are the same expressions
-    on the same operands, so the gate changes no result and no raise.
-    The grid is flattened in lexicographic order, so the triples are too.
+    Root 3 is matched once per V4 orbit: (a, b, c, x) shares its true
+    cross ratio with (b, a, x, c), (c, x, a, b) and (x, c, b, a), and a
+    stabilizing map's tuple meets the threshold in every ordering, so
+    only the representatives, a least, are searched.  One broadcast
+    product, with the same elementwise expressions and P_3 and Q_3 as
+    scalars, gives the grid of the (a, b, c) with b, c > a0 for a run of
+    max(1, _CELLS // d^2) first indices a from a0; the cells with
+    a >= b, a >= c or b = c are masked out, only the cells whose window
+    holds a root get index arrays, and a match x counts when x > a.  It
+    stands for (a, b, c) -> x, (b, a, x) -> c, (c, x, a) -> b and
+    (x, c, b) -> a; those that keep the multiplicities of roots 0, 1, 2
+    are marked in a mask over the codes (a d + b) d + c, which lists each
+    once, in lexicographic order.  The pass only
+    filters, as later passes recompute every row on the triple's own
+    ordering; a non-element whose own root-3 gap is within the threshold
+    but whose representative's is not is no longer carried forward.
+    With d = 3 every ordering goes on.  Root 4 alone is then matched for
+    the few triples under which root 3 matched some root, and every root
+    k >= 3 for the triples under which root 4 matched some root too, up
+    to _CELLS triples a block against all the rows in one broadcast.  A
+    triple that fails root 4 fails the full match, whose rows for root 4
+    are the same expressions on the same operands, so the gate changes
+    no result and no raise.
     """
     if rootset.eps >= 0.5:
         raise PrecisionFailureError("the cross-ratio test needs eps < 1/2")
@@ -320,30 +330,34 @@ def _screen(rootset: RootSet):
 
     ends = np.append(keys, np.nan)  # ends[lo] <= top: a key lies in [bottom, top]
     idx = np.arange(d)
-    pair_ok = (idx[:, None] != idx) & (mult[:, None] == mult[1]) & (mult == mult[2])
-    run = max(1, _CELLS // d**2)  # first indices a block
-    found = []
-    for a0 in range(0, d, run):
-        a1 = min(a0 + run, d)
-        # b, c != a, and a keeps root 0's multiplicity
-        ok = (idx != idx[a0:a1, None]) & (mult[a0:a1, None] == mult[0])
-        near = (pair_ok & ok[:, :, None] & ok[:, None, :]).ravel()
-        if not near.any():  # no first index here keeps root 0's multiplicity
-            continue
-        if m:  # the triples under which root 3 matches some root
+    if m:  # the V4 representatives (a, b, c, x), a least, that match [0, 1, 2, 3]
+        run = max(1, _CELLS // d**2)  # first indices a block
+        reps = []
+        for a0 in range(0, d - 3, run):
+            a1, up = min(a0 + run, d - 3), slice(a0 + 1, d)
+            first, rest = idx[a0:a1, None, None], idx[up]
+            near = (first < rest[:, None]) & (first < rest) & (rest[:, None] != rest)
             bottom, top, wide = _windows(  # operands z_a - z_c, z_b - z_c, z_a, z_b
-                ref_p[0], ref_q[0], pad[0], diff[a0:a1, None, :], diff[None],
-                z[a0:a1, None, None], z[None, :, None],
+                ref_p[0], ref_q[0], pad[0], diff[a0:a1, None, up], diff[None, up, up],
+                z[a0:a1, None, None], z[None, up, None],
             )
             lo = np.searchsorted(keys, bottom, "left")
-            near &= wide | (ends[lo] <= top)
-        cells = np.flatnonzero(near)
-        if m:
-            a, b, c = a0 + cells // d**2, cells // d % d, cells % d
-            t = hits(a, b, c, 0, 1, lo[cells], top[cells], wide[cells])[0]
-            cells = cells[np.flatnonzero(np.bincount(t, minlength=len(cells)))]
-        found.append(a0 * d**2 + cells)
-    found = np.concatenate(found)
+            cells = np.flatnonzero(near.ravel() & (wide | (ends[lo] <= top)))
+            w = d - a0 - 1
+            a, b, c = a0 + cells // w**2, a0 + 1 + cells // w % w, a0 + 1 + cells % w
+            t, _, x = hits(a, b, c, 0, 1, lo[cells], top[cells], wide[cells])
+            keep = x > a[t]
+            t = t[keep]
+            reps.append((a[t], b[t], c[t], x[keep]))
+        a, b, c, x = map(np.concatenate, zip(*reps))
+        # the images (a, b, c) -> x, (b, a, x) -> c, (c, x, a) -> b, (x, c, b) -> a
+        t0, t1, t2 = np.concatenate(((a, b, c), (b, a, x), (c, x, a), (x, c, b)), axis=1)
+    else:  # d = 3: no root 3 to match, so every ordering of the roots
+        t0, t1, t2 = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]).T
+    keep = (mult[t0] == mult[0]) & (mult[t1] == mult[1]) & (mult[t2] == mult[2])
+    seen = np.zeros(d**3, dtype=bool)  # a first 1-d np.sort maps 64 KiB more of numpy's code
+    seen[((t0 * d + t1) * d + t2)[keep]] = True
+    found = np.flatnonzero(seen)  # each triple once, in lexicographic order
 
     perms = []
     for start in range(0, len(found), _CELLS):  # every root k >= 3 for these

@@ -1,5 +1,5 @@
 """The package imports without its test-only dependencies, and its verbs
-load no numpy module they do not need."""
+load no numpy module they do not need and call no np.unique."""
 
 import os
 import pkgutil
@@ -7,7 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wenum
+from wenum.catalog import get_entry
+from wenum.codes import LinearCode, decompose_case_c, enumerate_weights
+from wenum.fields import GF
+from wenum.stabilizer import Verdict, certify_trivial, compute_stabilizer
 
 
 def _run(code):
@@ -48,6 +54,21 @@ def test_verbs_do_not_import_numpy_ma():
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _run(code) == "False"
+
+
+def test_verbs_do_not_call_np_unique(monkeypatch):
+    # np.unique's first call in a process raises the peak resident set by
+    # about 1.2 MB; the screen dedupes its triples with a mask instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    w = enumerate_weights(get_entry("rm4_2_2").code)
+    decompose_case_c(LinearCode(GF(3), [[1, 1, 0, 0], [0, 0, 1, 2]]))
+    assert compute_stabilizer(w, 4).verdict is Verdict.FINITE_GROUP
+    assert certify_trivial(w, 4).verdict is Verdict.TRIVIAL_CERTIFIED
+    rm2_1_3 = enumerate_weights(get_entry("rm2_1_3").code)  # through the screen
+    assert certify_trivial(rm2_1_3, 2).verdict is Verdict.INCONCLUSIVE
 
 
 def test_verbs_do_not_import_the_thread_pool():

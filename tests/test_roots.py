@@ -318,6 +318,81 @@ def test_certified_radii_match_oracle_on_factors():
                for r, w in zip(rs.roots, want))
 
 
+def _evaluated(monkeypatch):
+    """The number of points of each _scaled_values call, as a list that
+    grows as certified_radii runs."""
+    counts = []
+
+    def counting(poly, e, points):
+        counts.append(len(points))
+        return _scaled_values(poly, e, points)
+
+    monkeypatch.setattr("wenum.roots._scaled_values", counting)
+    return counts
+
+
+def _assert_mirrors_equal(radii, centers):
+    """radius(conj z) == radius(z), to the bit, for every center whose
+    conjugate is a center too."""
+    by_center = dict(zip(centers, radii))
+    for z, r in by_center.items():
+        if z.conjugate() in by_center:
+            assert by_center[z.conjugate()].hex() == r.hex()
+
+
+# a square-free integer polynomial with 3 real roots and 2 conjugate pairs
+_MIXED = (-1, 0, 5, 0, -5, 1, 0, 1)
+
+
+def test_certified_radii_conjugate_pairs(monkeypatch):
+    # the iteration leaves the centers of an integer polynomial closed
+    # under conjugation, so only the 5 with Im >= 0 are evaluated
+    centers, _ = _aberth(_MIXED, 1e-14)
+    assert sum(z.imag != 0 for z in centers) == 4
+    assert sorted(centers, key=lambda z: (z.real, z.imag)) == sorted(
+        (z.conjugate() for z in centers), key=lambda z: (z.real, z.imag))
+    counts = _evaluated(monkeypatch)
+    radii = certified_radii(_MIXED, centers)
+    assert counts == [5]
+    assert_smallest_double_above(radii, _MIXED, centers)
+    _assert_mirrors_equal(radii, centers)
+
+
+def test_certified_radii_with_a_partner_gone(monkeypatch):
+    # one non-real center nudged by an ulp: its mirror is no longer a
+    # center, so every center is evaluated, the other pairs included
+    centers, _ = _aberth(_MIXED, 1e-14)
+    j = next(j for j, z in enumerate(centers) if z.imag > 0)
+    centers[j] = complex(centers[j].real, math.nextafter(centers[j].imag, math.inf))
+    counts = _evaluated(monkeypatch)
+    radii = certified_radii(_MIXED, centers)
+    assert counts == [len(centers)]
+    assert_smallest_double_above(radii, _MIXED, centers)
+
+
+def test_certified_radii_mixed_real_and_complex(monkeypatch):
+    # real centers at both signs and zero, pairs on and off the axes, at
+    # binary exponents from about -66 to +20, any order
+    rng = random.Random(11)
+    poly = tuple(rng.randint(-10**6, 10**6) for _ in range(12)) + (7,)
+    pairs = _random_centers(rng, 4, (1e-20, 1.0, 1e6)) + [2.5j]
+    reals = [complex(v.real) for v in _random_centers(rng, 3, (1e-3, 1.0))] + [0j]
+    centers = reals + pairs + [z.conjugate() for z in pairs]
+    rng.shuffle(centers)
+    counts = _evaluated(monkeypatch)
+    radii = certified_radii(poly, centers)
+    assert counts == [len(reals) + len(pairs)]
+    assert_smallest_double_above(radii, poly, centers)
+    _assert_mirrors_equal(radii, centers)
+
+
+def test_certified_radii_coinciding_conjugates():
+    # -1j twice: the numerators repeat, so nothing is paired, and the two
+    # coinciding centers still read inf
+    radii = certified_radii((1, 0, 1), [1j, -1j, -1j])
+    assert radii == [0.0, math.inf, math.inf]
+
+
 def test_tangent_disks_are_not_disjoint():
     below = math.nextafter(0.5, 0.0)
     assert not _disks_disjoint([0j, 1 + 0j], [0.5, 0.5])

@@ -495,6 +495,41 @@ def test_screen_keeps_multiplicities():
     assert len(_screen(dataclasses.replace(rs, roots=simple))) == 10  # all of D5
 
 
+@pytest.mark.parametrize("double", range(5))
+def test_screen_keeps_multiplicities_at_every_index(double):
+    # the root-3 pass searches one representative (a, b, c, x) per V4
+    # orbit, a least, and expands it to (b, a, x), (c, x, a) and (x, c, b),
+    # which put the double root in other places: the multiplicity mask
+    # acts on those images, and D5 keeps the identity and the reflection
+    # through the double root wherever it is
+    z = [cmath.exp(2j * cmath.pi * j / 5) for j in range(5)]
+    mult = [2 if j == double else 1 for j in range(5)]
+    rs = RootSet(
+        roots=tuple(Root(v, 1e-15, m) for v, m in zip(z, mult)),
+        eps=1e-15,
+        N=1 + 1e-15,
+    )
+    got = _screen(rs)
+    assert len(got) == 2
+    assert list(got.items()) == list(broadcast_screen(rs).items())
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["prm3_1_3", "prm3_1_3_dual"])
+def test_screen_v4_images_keep_the_repeated_root(dual):
+    # PRM_3(1,3)'s root of multiplicity 13 among 27 simple ones: every
+    # representative holding it maps it to each position by one of its
+    # images, and only the images that fix it may pass
+    code = projective_reed_muller(3, 1, 3)
+    w = enumerate_weights(code)
+    if dual:
+        w = macwilliams(w, 3, 3**code.k)
+    rs = roots_of(w)
+    assert sorted(r.multiplicity for r in rs.roots)[-2:] == [1, 13]
+    got = _screen(rs)
+    assert len(got) == 27
+    assert list(got.items()) == list(broadcast_screen(rs).items())
+
+
 def _screen_enumerators():
     """(name, W): catalog enumerators, the two of test_three_roots, and
     seeded random codes with a finite stabilizer and their MacWilliams
